@@ -8,7 +8,7 @@ evaluation set).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +70,6 @@ class Dataset:
             groups=groups,
             membership=membership,
         )
-
-    def with_membership(self, membership: np.ndarray) -> "Dataset":
-        return replace(self, membership=np.asarray(membership, dtype=bool))
 
 
 def load_csv_dataset(
@@ -152,7 +149,7 @@ def write_csv_dataset(path: str | Path, dataset: Dataset) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         for i in range(dataset.n_points):
-            row = [repr(v) for v in dataset.features[i]]
+            row = [repr(v) for v in dataset.features[i].tolist()]
             row.append(str(int(dataset.labels[i])))
             if dataset.groups is not None:
                 row.append(dataset.groups[i])

@@ -6,16 +6,17 @@ Methods that only need probabilities and input gradients (gradient,
 gradient-times-input, integrated gradients, smoothgrad, local surrogate)
 accept any model exposing `forward`/`forward_batch`/`input_gradient_batch`;
 the structural methods (guided backprop, layer-wise relevance) walk MlpModel
-internals and require one.
+internals and require one. `explain_batch` explains every row of a matrix in
+one call; the per-point functions are its one-row case.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import MlpModel, _activation_deriv
+from .models import MlpModel
 
 
 @dataclass
@@ -36,11 +37,7 @@ class Explanation:
     @classmethod
     def from_json(cls, text: str) -> "Explanation":
         payload = json.loads(text)
-        return cls(
-            method=payload["method"],
-            values=np.array(payload["values"], dtype=np.float64),
-            params=payload["params"],
-        )
+        return cls(payload["method"], payload["values"], payload["params"])
 
 
 @dataclass
@@ -84,24 +81,148 @@ class SurrogateConfig:
             raise ValueError("ridge_lambda must be non-negative")
 
 
-def _predicted_class(model, x: np.ndarray) -> int:
-    return int(np.argmax(model.forward(x)))
+_BLOCK_FLOATS = 1 << 16  # 512 KiB of perturbed copies of X per row block
+
+
+def _row_blocks(n_rows: int, floats_per_row: int):
+    """Row slices whose perturbed copies each fit in _BLOCK_FLOATS (one row at least)."""
+    step = max(1, _BLOCK_FLOATS // floats_per_row)
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _integrated_gradients(model, X: np.ndarray, cfg: IgConfig) -> np.ndarray:
+    n, d = X.shape
+    baseline = np.zeros(d) if cfg.baseline is None else cfg.baseline
+    if baseline.shape != (d,):
+        raise ValueError("baseline shape must match x")
+    classes = np.argmax(model.forward_batch(X), axis=1)
+    alphas = ((np.arange(cfg.steps) + 1.0) / cfg.steps)[:, None]
+    out = np.empty((n, d))
+    for rows in _row_blocks(n, cfg.steps * d):
+        diff = X[rows] - baseline
+        path = (baseline + alphas * diff[:, None, :]).reshape(-1, d)
+        grads = model.input_gradient_batch(path, np.repeat(classes[rows], cfg.steps))
+        out[rows] = diff * grads.reshape(-1, cfg.steps, d).mean(axis=1)
+    return out
+
+
+def _lrp(model: MlpModel, X: np.ndarray, epsilon: float = 1e-7) -> np.ndarray:
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    zs, acts, probs = model.forward_stack(X)
+    rows = np.arange(X.shape[0])
+    classes = np.argmax(probs, axis=1)
+    relevance = np.zeros((X.shape[0], model.layers[-1].width))
+    relevance[rows, classes if model.final == "softmax" else 0] = probs[rows, classes]
+    for l in range(len(model.layers) - 1, -1, -1):
+        z = zs[l]
+        stabilized = z + epsilon * np.where(z >= 0.0, 1.0, -1.0)
+        relevance = acts[l] * ((relevance / stabilized) @ model.weights[l].T)
+    return relevance
+
+
+def _smoothgrad(model, X: np.ndarray, cfg: SmoothGradConfig) -> np.ndarray:
+    sigma = np.asarray(cfg.sigma, dtype=np.float64)
+    if np.all(sigma == 0.0):
+        return model.input_gradient_batch(X, None)
+    n, d = X.shape
+    noise = sigma * np.random.default_rng(cfg.seed).standard_normal((cfg.samples, d))
+    out = np.empty((n, d))
+    for rows in _row_blocks(n, cfg.samples * d):
+        points = (X[rows, None, :] + noise).reshape(-1, d)
+        grads = model.input_gradient_batch(points, None)
+        out[rows] = grads.reshape(-1, cfg.samples, d).mean(axis=1)
+    return out
+
+
+def _local_surrogate(model, X: np.ndarray, cfg: SurrogateConfig):
+    """(coefficients, intercepts, classes, kernel width, lambda) for the rows of X."""
+    n, d = X.shape
+    kernel_width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(d)
+    noise = np.random.default_rng(cfg.seed).standard_normal((cfg.num_samples, d))
+    design = np.hstack([noise, np.ones((cfg.num_samples, 1))])
+    weighted_t = (design * np.exp(-(noise**2).sum(axis=1) / kernel_width**2)[:, None]).T
+    system = weighted_t @ design
+    penalty = np.diag(np.append(np.ones(d), 0.0))
+    lam = cfg.ridge_lambda
+    try:
+        solver = np.linalg.solve(system + lam * penalty, weighted_t)
+    except np.linalg.LinAlgError:
+        lam = max(lam, 1e-8)
+        solver = np.linalg.solve(system + lam * penalty, weighted_t)
+    del design, weighted_t, system, penalty
+    classes = np.argmax(model.forward_batch(X), axis=1)
+    fit = np.empty((n, d + 1))
+    for rows in _row_blocks(n, cfg.num_samples * d):
+        points = (X[rows, None, :] + noise).reshape(-1, d)
+        picked = np.repeat(classes[rows], cfg.num_samples)
+        target = model.forward_batch(points)[np.arange(len(points)), picked]
+        fit[rows] = target.reshape(-1, cfg.num_samples) @ solver.T
+    coef = fit[:, :d]
+    return coef, fit[:, d] - (X * coef).sum(axis=1), classes, float(kernel_width), float(lam)
+
+
+# The batch form of each method, called as f(model, X, **params).
+_BATCH_METHODS = {
+    "gradient": lambda model, X, **_: model.input_gradient_batch(X, None),
+    "grad_times_input": lambda model, X, **_: X * model.input_gradient_batch(X, None),
+    "integrated_gradients": lambda model, X, **p: _integrated_gradients(model, X, IgConfig(**p)),
+    "guided_backprop": lambda model, X, **_: model.input_gradient_batch(X, None, guided=True),
+    "lrp": _lrp,
+    "smoothgrad": lambda model, X, **p: _smoothgrad(model, X, SmoothGradConfig(**p)),
+    "local_surrogate": lambda model, X, **p: _local_surrogate(model, X, SurrogateConfig(**p))[0],
+}
+EXPLANATION_METHODS = tuple(_BATCH_METHODS)
+
+
+def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None) -> np.ndarray:
+    """Explanations of every row of X as an (N, d) array; params as in `explain`.
+
+    Row i is `explain(model, X[i], method, params).values` up to summation
+    order. Sampling methods draw their seeded noise once for the batch and
+    reduce each row block of perturbed copies before building the next.
+    """
+    if method not in _BATCH_METHODS:
+        raise ValueError(f"unknown explanation method {method!r}")
+    if method in ("guided_backprop", "lrp") and not isinstance(model, MlpModel):
+        raise TypeError(f"{method} walks MlpModel layers")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("explain_batch expects a 2-D array, one point per row")
+    return _BATCH_METHODS[method](model, X, **(params or {}))
+
+
+def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Explanation:
+    """One point's explanation (row 0 of `explain_batch`) with the settings used."""
+    x = np.asarray(x, dtype=np.float64)
+    params = dict(params or {})
+    if method == "local_surrogate":
+        cfg = SurrogateConfig(**params)
+        coef, intercept, classes, width, lam = _local_surrogate(model, x[None, :], cfg)
+        info = {"target_class": int(classes[0]), "kernel_width": width, "ridge_lambda": lam,
+                "num_samples": cfg.num_samples, "seed": cfg.seed, "intercept": float(intercept[0])}
+        return Explanation(method, coef[0], info)
+    values = explain_batch(model, x[None, :], method, params)[0]
+    if method == "smoothgrad":
+        cfg = SmoothGradConfig(**params)
+        sigma = np.asarray(cfg.sigma, dtype=np.float64).tolist()  # a float or a list
+        info = {"sigma": sigma, "samples": cfg.samples, "seed": cfg.seed}
+    else:
+        info = {"target_class": int(np.argmax(model.forward(x)))}
+        if method == "integrated_gradients":
+            info["steps"] = IgConfig(**params).steps
+        elif method == "lrp":
+            info["epsilon"] = params.get("epsilon", 1e-7)
+    return Explanation(method, values, info)
 
 
 def explain_gradient(model, x: np.ndarray) -> Explanation:
     """Signed gradient of the predicted-class probability at x."""
-    x = np.asarray(x, dtype=np.float64)
-    cls = _predicted_class(model, x)
-    values = model.input_gradient(x, cls)
-    return Explanation("gradient", values, {"target_class": cls})
+    return explain(model, x, "gradient")
 
 
 def explain_grad_times_input(model, x: np.ndarray) -> Explanation:
-    x = np.asarray(x, dtype=np.float64)
-    grad = explain_gradient(model, x)
-    return Explanation(
-        "grad_times_input", x * grad.values, {"target_class": grad.params["target_class"]}
-    )
+    return explain(model, x, "grad_times_input")
 
 
 def explain_integrated_gradients(
@@ -114,19 +235,7 @@ def explain_integrated_gradients(
     then multiplied coordinatewise by (x - baseline). The target class is
     the predicted class at x, held fixed along the path.
     """
-    cfg = cfg if cfg is not None else IgConfig()
-    x = np.asarray(x, dtype=np.float64)
-    baseline = np.zeros_like(x) if cfg.baseline is None else cfg.baseline
-    if baseline.shape != x.shape:
-        raise ValueError("baseline shape must match x")
-    cls = _predicted_class(model, x)
-    alphas = (np.arange(cfg.steps) + 1.0) / cfg.steps
-    path = baseline[None, :] + alphas[:, None] * (x - baseline)[None, :]
-    grads = model.input_gradient_batch(path, np.full(cfg.steps, cls))
-    values = (x - baseline) * grads.mean(axis=0)
-    return Explanation(
-        "integrated_gradients", values, {"target_class": cls, "steps": cfg.steps}
-    )
+    return explain(model, x, "integrated_gradients", asdict(cfg or IgConfig()))
 
 
 def ig_completeness_gap(model, x: np.ndarray, cfg: IgConfig | None = None) -> float:
@@ -134,41 +243,17 @@ def ig_completeness_gap(model, x: np.ndarray, cfg: IgConfig | None = None) -> fl
     cfg = cfg if cfg is not None else IgConfig()
     x = np.asarray(x, dtype=np.float64)
     baseline = np.zeros_like(x) if cfg.baseline is None else cfg.baseline
-    cls = _predicted_class(model, x)
-    total = explain_integrated_gradients(model, x, cfg).values.sum()
+    result = explain_integrated_gradients(model, x, cfg)
+    cls = result.params["target_class"]
     delta = model.forward(x)[cls] - model.forward(baseline)[cls]
-    return float(abs(total - delta))
+    return float(abs(result.values.sum() - delta))
 
 
 def explain_guided_backprop(model: MlpModel, x: np.ndarray) -> Explanation:
-    """Gradient backward pass with double gating at every ReLU layer.
-
-    At a ReLU the flowing gradient is zeroed both where the forward
-    pre-activation was non-positive and where the gradient arriving from
-    above is negative; all other activations contribute their ordinary local
-    derivative.
-    """
-    if not isinstance(model, MlpModel):
-        raise TypeError("guided backprop walks MlpModel layers")
-    x = np.asarray(x, dtype=np.float64)
-    zs, acts, probs = model.forward_stack(x[None, :])
-    cls = int(np.argmax(probs[0]))
-    if model.final == "softmax":
-        pc = probs[0, cls]
-        delta = (-probs * pc)
-        delta[0, cls] += pc
-    else:
-        p = probs[0, 1]
-        sign = 1.0 if cls == 1 else -1.0
-        delta = np.array([[sign * p * (1.0 - p)]])
-    for l in range(len(model.layers) - 1, -1, -1):
-        spec = model.layers[l]
-        if spec.activation == "relu":
-            dz = delta * (zs[l] > 0.0) * (delta > 0.0)
-        else:
-            dz = delta * _activation_deriv(spec.activation, zs[l], acts[l + 1])
-        delta = dz @ model.weights[l].T
-    return Explanation("guided_backprop", delta[0], {"target_class": cls})
+    """Gradient backward pass with double gating at every ReLU layer: there the
+    flowing gradient is zeroed both where the forward pre-activation was
+    non-positive and where the gradient arriving from above is negative."""
+    return explain(model, x, "guided_backprop")
 
 
 def explain_lrp(model: MlpModel, x: np.ndarray, epsilon: float = 1e-7) -> Explanation:
@@ -179,20 +264,7 @@ def explain_lrp(model: MlpModel, x: np.ndarray, epsilon: float = 1e-7) -> Explan
     contribution share a_j*w_ji / (z_i + eps*sign(z_i)), with sign(0) taken
     as +1 so dead units divide by +eps.
     """
-    if not isinstance(model, MlpModel):
-        raise TypeError("relevance propagation walks MlpModel layers")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    zs, acts, probs = model.forward_stack(x[None, :])
-    cls = int(np.argmax(probs[0]))
-    relevance = np.zeros(model.layers[-1].width)
-    relevance[cls if model.final == "softmax" else 0] = probs[0, cls]
-    for l in range(len(model.layers) - 1, -1, -1):
-        z = zs[l][0]
-        stabilized = z + epsilon * np.where(z >= 0.0, 1.0, -1.0)
-        relevance = acts[l][0] * (model.weights[l] @ (relevance / stabilized))
-    return Explanation("lrp", relevance, {"target_class": cls, "epsilon": epsilon})
+    return explain(model, x, "lrp", {"epsilon": epsilon})
 
 
 def explain_smoothgrad(
@@ -203,19 +275,7 @@ def explain_smoothgrad(
     sigma may be a scalar or a per-feature vector. sigma = 0 degenerates to
     the plain gradient (returned directly, so the equality is bit-exact).
     """
-    cfg = cfg if cfg is not None else SmoothGradConfig()
-    x = np.asarray(x, dtype=np.float64)
-    sigma = np.asarray(cfg.sigma, dtype=np.float64)
-    params = {"sigma": sigma.tolist() if sigma.ndim else float(sigma),
-              "samples": cfg.samples, "seed": cfg.seed}
-    if np.all(sigma == 0.0):
-        grad = explain_gradient(model, x)
-        return Explanation("smoothgrad", grad.values, params)
-    rng = np.random.default_rng(cfg.seed)
-    noise = rng.standard_normal((cfg.samples, x.shape[0]))
-    points = x[None, :] + sigma * noise
-    grads = model.input_gradient_batch(points, None)
-    return Explanation("smoothgrad", grads.mean(axis=0), params)
+    return explain(model, x, "smoothgrad", asdict(cfg or SmoothGradConfig()))
 
 
 def explain_local_surrogate(
@@ -228,70 +288,10 @@ def explain_local_surrogate(
     least squares (intercept unpenalized) predicts the model's probability
     for the class predicted at x. The surrogate's coefficients are the
     explanation. A singular normal system is re-solved with the lambda floor
-    1e-8.
+    1e-8. The seeded noise E = Z - x, and so W, is the same for every x.
+    The intercept is unpenalized, so regressing the targets t on D = [E, 1]
+    instead of [x + E, 1] keeps the slopes beta and moves the intercept to
+    c' = c + x.beta: [beta, c'] = M t with M = (D^T W D + lambda P)^-1 D^T W.
+    A batch solves M once and reports the intercept c' - x.beta.
     """
-    cfg = cfg if cfg is not None else SurrogateConfig()
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    kernel_width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(n)
-    rng = np.random.default_rng(cfg.seed)
-    samples = x[None, :] + rng.standard_normal((cfg.num_samples, n))
-    cls = _predicted_class(model, x)
-    target = model.forward_batch(samples)[:, cls]
-    sq_dist = ((samples - x[None, :]) ** 2).sum(axis=1)
-    weights = np.exp(-sq_dist / kernel_width**2)
-
-    design = np.hstack([samples, np.ones((cfg.num_samples, 1))])
-    sqrt_w = np.sqrt(weights)[:, None]
-    gram = (design * sqrt_w).T @ (design * sqrt_w)
-    rhs = (design * sqrt_w).T @ (target * sqrt_w[:, 0])
-    penalty = np.diag(np.append(np.ones(n), 0.0))
-    lam = cfg.ridge_lambda
-    try:
-        beta = np.linalg.solve(gram + lam * penalty, rhs)
-    except np.linalg.LinAlgError:
-        lam = max(lam, 1e-8)
-        beta = np.linalg.solve(gram + lam * penalty, rhs)
-    return Explanation(
-        "local_surrogate",
-        beta[:n],
-        {
-            "target_class": cls,
-            "kernel_width": float(kernel_width),
-            "ridge_lambda": float(lam),
-            "num_samples": cfg.num_samples,
-            "seed": cfg.seed,
-            "intercept": float(beta[n]),
-        },
-    )
-
-
-def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Explanation:
-    """Dispatch by method name; params feed the method's config."""
-    params = dict(params or {})
-    if method == "gradient":
-        return explain_gradient(model, x)
-    if method == "grad_times_input":
-        return explain_grad_times_input(model, x)
-    if method == "integrated_gradients":
-        return explain_integrated_gradients(model, x, IgConfig(**params))
-    if method == "guided_backprop":
-        return explain_guided_backprop(model, x)
-    if method == "lrp":
-        return explain_lrp(model, x, **params)
-    if method == "smoothgrad":
-        return explain_smoothgrad(model, x, SmoothGradConfig(**params))
-    if method == "local_surrogate":
-        return explain_local_surrogate(model, x, SurrogateConfig(**params))
-    raise ValueError(f"unknown explanation method {method!r}")
-
-
-EXPLANATION_METHODS = (
-    "gradient",
-    "grad_times_input",
-    "integrated_gradients",
-    "guided_backprop",
-    "lrp",
-    "smoothgrad",
-    "local_surrogate",
-)
+    return explain(model, x, "local_surrogate", asdict(cfg or SurrogateConfig()))

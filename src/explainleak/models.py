@@ -268,8 +268,11 @@ class MlpModel:
         return self.input_gradient_batch(x[None, :], targets)[0]
 
     def input_gradient_batch(
-        self, X: np.ndarray, target_classes: np.ndarray | None = None
+        self, X: np.ndarray, target_classes: np.ndarray | None = None, guided: bool = False
     ) -> np.ndarray:
+        """Per-row gradients of the target-class probability (default: predicted).
+        `guided` zeroes the gradient at a ReLU also where the gradient arriving
+        from above is negative, as guided backprop does."""
         X = np.asarray(X, dtype=np.float64)
         zs, acts, probs = self.forward_stack(X)
         if target_classes is None:
@@ -287,7 +290,10 @@ class MlpModel:
             delta = (sign * p * (1.0 - p))[:, None]
         for l in range(len(self.layers) - 1, -1, -1):
             spec = self.layers[l]
-            dz = delta * _activation_deriv(spec.activation, zs[l], acts[l + 1])
+            if guided and spec.activation == "relu":
+                dz = delta * (zs[l] > 0.0) * (delta > 0.0)
+            else:
+                dz = delta * _activation_deriv(spec.activation, zs[l], acts[l + 1])
             delta = dz @ self.weights[l].T
         return delta
 

@@ -482,7 +482,7 @@ def test_criterion_13_perturbation_methods_stay_null():
         assert len(accs) == 20
         means[label] = float(np.mean(accs))
         assert 0.48 <= means[label] <= 0.55, f"{label} mean {means[label]:.4f}"
-    assert elapsed < 1200.0
+    assert elapsed < 100.0  # about 4x the batched engine's time; the per-point loop took 120 s+
     _report(
         13,
         f"sampling-based attributions stay at chance (surrogate "

@@ -115,6 +115,15 @@ class TestSynthCommand:
         assert base == (out_b / "synthetic.csv").read_bytes()
         assert base != (out_c / "synthetic.csv").read_bytes()
 
+    def test_output_feeds_attack(self, tmp_path):
+        config = write_config(tmp_path, ATTACK_PAYLOAD["synth"], name="synth.json")
+        assert main(["synth", "--config", config, "--out", str(tmp_path / "data")]) == 0
+        payload = {k: v for k, v in ATTACK_PAYLOAD.items() if k != "synth"}
+        payload["dataset_csv"] = str(tmp_path / "data" / "synthetic.csv")
+        attack = write_config(tmp_path, payload, name="attack.json")
+        assert main(["attack", "--config", attack, "--out", str(tmp_path / "attack")]) == 0
+        assert (tmp_path / "attack" / "threshold_records.csv").exists()
+
 
 class TestTrainCommand:
     def test_trains_mlp(self, tmp_path, capsys):

@@ -1,8 +1,13 @@
 """Explanation methods against closed forms and naive reimplementations."""
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explainleak import (
     EXPLANATION_METHODS,
@@ -13,6 +18,7 @@ from explainleak import (
     SmoothGradConfig,
     SurrogateConfig,
     explain,
+    explain_batch,
     explain_grad_times_input,
     explain_gradient,
     explain_guided_backprop,
@@ -23,6 +29,9 @@ from explainleak import (
     ig_completeness_gap,
     init_model,
 )
+
+# The package re-exports the function `explain`, which shadows the submodule.
+explain_module = importlib.import_module("explainleak.explain")
 
 
 class LinearStub:
@@ -403,3 +412,145 @@ class TestDispatcher:
         clone = Explanation.from_json(original.to_json())
         np.testing.assert_array_equal(original.values, clone.values)
         assert clone.method == original.method
+
+
+# ---------------------------------------------------------------------------
+# Batched engine against per-point explanations
+
+# Row-norm relative tolerances. A one-row matmul goes through BLAS gemv and a
+# many-row one through gemm, whose summation orders differ, so even methods
+# whose own arithmetic is unchanged agree only to within a few ulps. The
+# sampling methods also reorder their reductions.
+UNSAMPLED_RTOL = {"gradient": 1e-12, "grad_times_input": 1e-12,
+                         "guided_backprop": 1e-12, "lrp": 1e-10}
+SAMPLING_RTOL = 1e-10
+BLOCK_ROWS = 6
+ROW_COUNTS = (1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 11)  # 11 is prime, two blocks
+
+
+def assert_rows_close(got: np.ndarray, want: np.ndarray, rtol: float) -> None:
+    """Each row's max error within rtol of its max magnitude (floored at 1e-3,
+    as a model with a flat output has explanations of pure rounding noise)."""
+    assert got.shape == want.shape
+    scale = np.maximum(np.abs(want).max(axis=1), 1e-3)
+    err = np.abs(got - want).max(axis=1) / scale
+    assert np.all(err <= rtol), f"max row error {err.max():.3e} > {rtol:.0e}"
+
+
+@st.composite
+def mlp_models(draw):
+    seed = draw(st.integers(0, 2**16))
+    d = draw(st.integers(1, 5))
+    hidden = draw(st.lists(
+        st.tuples(st.integers(1, 6), st.sampled_from(["tanh", "relu", "sigmoid", "identity"])),
+        min_size=1, max_size=2,
+    ))
+    sigmoid_head = draw(st.booleans())
+    out = LayerSpec(1 if sigmoid_head else draw(st.integers(2, 4)), "identity")
+    layers = [LayerSpec(w, a) for w, a in hidden] + [out]
+    model = init_model(layers, d, seed, final="sigmoid" if sigmoid_head else "softmax")
+    rng = np.random.default_rng(seed)
+    for b in model.biases:
+        b[:] = rng.normal(scale=0.5, size=b.shape)
+    return model
+
+
+def _method_params(draw, method: str, d: int) -> tuple[dict, int]:
+    """Params for one method and the float count of one row's samples."""
+    if method == "integrated_gradients":
+        steps = draw(st.integers(1, 12))
+        baseline = draw(st.sampled_from([None, 0.5]))
+        params = {"steps": steps}
+        if baseline is not None:
+            params["baseline"] = np.full(d, baseline)
+        return params, steps * d
+    if method == "smoothgrad":
+        samples = draw(st.integers(1, 12))
+        sigma = draw(st.sampled_from(["scalar", "vector"]))
+        params = {"samples": samples, "seed": draw(st.integers(0, 99)),
+                  "sigma": 0.3 if sigma == "scalar"
+                  else np.linspace(0.0, 0.6, d)}
+        return params, samples * d
+    if method == "local_surrogate":
+        samples = draw(st.integers(2 * d + 2, 40))
+        params = {"num_samples": samples, "seed": draw(st.integers(0, 99)),
+                  "ridge_lambda": draw(st.sampled_from([0.0, 1e-3, 0.5]))}
+        return params, samples * d
+    if method == "lrp":
+        return {"epsilon": draw(st.sampled_from([1e-7, 1e-2]))}, d
+    return {}, d
+
+
+@st.composite
+def batch_cases(draw):
+    model = draw(mlp_models())
+    method = draw(st.sampled_from(EXPLANATION_METHODS))
+    params, row_floats = _method_params(draw, method, model.input_dim)
+    n = draw(st.sampled_from(ROW_COUNTS))
+    X = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-2, 2, (n, model.input_dim))
+    return model, method, params, row_floats, X
+
+
+class TestExplainBatch:
+    @settings(max_examples=120, deadline=None)
+    @given(batch_cases())
+    def test_equals_stacked_per_point(self, case):
+        model, method, params, row_floats, X = case
+        with mock.patch.object(explain_module, "_BLOCK_FLOATS", BLOCK_ROWS * row_floats):
+            batch = explain_batch(model, X, method, params)
+            stacked = np.vstack([explain(model, x, method, params).values for x in X])
+        rtol = UNSAMPLED_RTOL.get(method, SAMPLING_RTOL)
+        assert_rows_close(batch, stacked, rtol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mlp_models(), st.sampled_from(ROW_COUNTS), st.integers(0, 99),
+           st.sampled_from([0.0, 1e-3, 0.5]))
+    def test_surrogate_matches_per_point_ridge_fit(self, model, n, seed, lam):
+        """The shared-noise identity against the per-point fit it replaced."""
+        d = model.input_dim
+        X = np.random.default_rng(seed).uniform(-2, 2, (n, d))
+        cfg = SurrogateConfig(num_samples=4 * d + 4, ridge_lambda=lam, seed=seed)
+        with mock.patch.object(explain_module, "_BLOCK_FLOATS", BLOCK_ROWS * cfg.num_samples * d):
+            batch = explain_batch(model, X, "local_surrogate", vars(cfg))
+            points = [explain_local_surrogate(model, x, cfg) for x in X]
+        fits = [_reference_surrogate(model, x, cfg) for x in X]
+        assert_rows_close(batch, np.vstack([f[:d] for f in fits]), SAMPLING_RTOL)
+        for point, fit in zip(points, fits):
+            assert point.params["intercept"] == pytest.approx(fit[d], rel=SAMPLING_RTOL, abs=1e-13)
+
+    def test_gradient_is_the_model_batch_gradient(self, small_trained_model):
+        X = np.random.default_rng(5).normal(size=(9, 4))
+        np.testing.assert_array_equal(
+            explain_batch(small_trained_model, X, "gradient"),
+            small_trained_model.input_gradient_batch(X, None),
+        )
+        np.testing.assert_array_equal(
+            explain_batch(small_trained_model, X, "grad_times_input"),
+            X * small_trained_model.input_gradient_batch(X, None),
+        )
+
+    def test_structural_methods_require_mlp(self):
+        model = LogisticModel(np.ones(2), 0.0)
+        for method in ("guided_backprop", "lrp"):
+            with pytest.raises(TypeError):
+                explain_batch(model, np.zeros((3, 2)), method)
+
+    def test_rejects_single_vector_and_unknown_method(self, small_trained_model):
+        with pytest.raises(ValueError):
+            explain_batch(small_trained_model, np.zeros(4), "gradient")
+        with pytest.raises(ValueError):
+            explain_batch(small_trained_model, np.zeros((2, 4)), "saliency_maps")
+
+
+def _reference_surrogate(model, x: np.ndarray, cfg: SurrogateConfig) -> np.ndarray:
+    """Per-point weighted ridge fit on the design [x + E, 1]: (coefs, intercept)."""
+    n = x.shape[0]
+    width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(n)
+    samples = x + np.random.default_rng(cfg.seed).standard_normal((cfg.num_samples, n))
+    cls = int(np.argmax(model.forward(x)))
+    target = model.forward_batch(samples)[:, cls]
+    weights = np.exp(-((samples - x) ** 2).sum(axis=1) / width**2)
+    design = np.hstack([samples, np.ones((cfg.num_samples, 1))]) * np.sqrt(weights)[:, None]
+    penalty = np.diag(np.append(np.ones(n), 0.0))
+    return np.linalg.solve(design.T @ design + cfg.ridge_lambda * penalty,
+                           design.T @ (target * np.sqrt(weights)))
