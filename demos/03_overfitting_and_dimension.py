@@ -64,7 +64,6 @@ def main() -> None:
         template,
         arch="small",
         train_cfg=TrainConfig(optimizer="adagrad", lr=0.01, epochs=150),
-        threads=4,
     )
     print("\ngradient-norm correlation with membership across input dimension")
     print(f"{'dim':>6} {'train acc':>10} {'test acc':>9} {'correlation':>12}")

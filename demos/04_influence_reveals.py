@@ -43,7 +43,7 @@ def minority_dataset(seed: int = 0) -> Dataset:
 
 def main() -> None:
     data = minority_dataset()
-    expl = build_loo_cache(data, TRAIN, k=5, threads=4)
+    expl = build_loo_cache(data, TRAIN, k=5)
     print(f"trained logistic model on {data.n_points} points, "
           f"accuracy {expl.base.accuracy(data.features, data.labels):.3f}; "
           f"cached {data.n_points} leave-one-out retrainings")

@@ -54,7 +54,6 @@ def main() -> None:
         traverse_starts=5,
         baseline_queries=40,
         seed=3,
-        threads=4,
     )
     report = run_reconstruction_campaign(cfg)
     recon = report["reconstruction"]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config
 from .data import Dataset
 from .explain import EXPLANATION_METHODS, explain_batch
 from .explain import explain  # noqa: F401  (public name; the benchmark's tracer wraps it)
@@ -35,7 +36,7 @@ def variance(values) -> float:
 
 
 @dataclass
-class AttackStatistic:
+class AttackStatistic(Config):
     """Descriptor of a per-point scalar used by threshold attacks.
 
     kind "expl_var" carries the explanation method (and its params); setting

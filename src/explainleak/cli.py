@@ -2,9 +2,10 @@
 
 Subcommands: train, attack, sweep-dim, sweep-epochs, reconstruct, synth,
 perturb-attack. Each takes a JSON config (--config), an optional master
-seed override (--seed), an output directory (--out), and a thread count
-(--threads). Exit codes: 0 success, 1 configuration error (including
-unknown flags and unreadable configs), 2 runtime failure.
+seed override (--seed) and an output directory (--out); --threads is still
+accepted and has no effect. Exit codes: 0 success, 1 configuration error
+(including unknown flags, unknown config keys and unreadable configs),
+2 runtime failure.
 """
 from __future__ import annotations
 
@@ -27,12 +28,14 @@ from .harness import (
     run_perturbation_experiment,
     run_reconstruction_campaign,
     run_threshold_experiment,
+    train_target,
     write_manifest,
 )
-from .models import LayerSpec, TrainConfig, init_model, train, train_logistic
+from .models import TrainConfig
 from .synth import ARCHS, SynthConfig, dimension_sweep, generate_synthetic
 
 DEFAULT_EPOCH_GRID = list(range(5, 51, 5))
+SWEEP_DIM_KEYS = {"dims", "arch", "synth", "train"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,23 +65,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _load_config(args) -> dict:
+    """The --config payload with the --seed override applied."""
     payload = _load_json(args.config)
     if args.seed is not None:
         payload["seed"] = args.seed
-    if args.threads is not None:
-        payload["threads"] = args.threads
-    return ExperimentConfig.from_dict(payload)
+    return payload
 
 
 def _cmd_synth(args) -> int:
-    payload = _load_json(args.config)
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    try:
-        cfg = SynthConfig.from_dict(payload)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = SynthConfig.from_dict(_load_config(args))
     dataset = generate_synthetic(cfg)
     out = _out_dir(args)
     path = out / "synthetic.csv"
@@ -89,17 +85,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = ExperimentConfig.from_dict(_load_config(args))
     dataset = load_experiment_dataset(cfg)
-    seed = child_seed(cfg.seed, "train")
-    train_cfg = replace(cfg.train, seed=seed)
-    if cfg.model_kind == "logistic":
-        model = train_logistic(dataset, train_cfg)
-    else:
-        layers = [LayerSpec(w, cfg.activation) for w in cfg.hidden]
-        layers.append(LayerSpec(int(dataset.n_classes), "identity"))
-        model = init_model(layers, dataset.n_features, seed=seed)
-        train(model, dataset, train_cfg)
+    model = train_target(dataset, cfg, child_seed(cfg.seed, "train"), dataset.n_classes)
     out = _out_dir(args)
     path = out / "model.json"
     path.write_text(model.to_json() + "\n")
@@ -110,7 +98,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = ExperimentConfig.from_dict(_load_config(args))
     result = run_threshold_experiment(cfg)
     paths = result.write(_out_dir(args))
     _print_result_summary(result, paths)
@@ -118,7 +106,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_perturb_attack(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = ExperimentConfig.from_dict(_load_config(args))
     result = run_perturbation_experiment(cfg)
     paths = result.write(_out_dir(args))
     _print_result_summary(result, paths)
@@ -126,12 +114,8 @@ def _cmd_perturb_attack(args) -> int:
 
 
 def _cmd_sweep_epochs(args) -> int:
-    payload = _load_json(args.config)
+    payload = _load_config(args)
     grid = payload.pop("epoch_grid", DEFAULT_EPOCH_GRID)
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.threads is not None:
-        payload["threads"] = args.threads
     cfg = ExperimentConfig.from_dict(payload)
     try:
         grid = [int(e) for e in grid]
@@ -145,26 +129,25 @@ def _cmd_sweep_epochs(args) -> int:
 
 def _cmd_sweep_dim(args) -> int:
     payload = _load_json(args.config)
+    unknown = set(payload) - SWEEP_DIM_KEYS
+    if unknown:
+        raise ConfigError(f"unknown sweep-dim keys: {sorted(unknown)}")
     for key in ("dims", "synth"):
         if key not in payload:
             raise ConfigError(f"sweep-dim config needs a {key!r} entry")
     arch = payload.get("arch", "base")
     if arch not in ARCHS:
         raise ConfigError(f"arch must be one of {sorted(ARCHS)}")
-    synth_payload = dict(payload["synth"])
+    template = SynthConfig.from_dict(payload["synth"])
     if args.seed is not None:
-        synth_payload["seed"] = args.seed
+        template = replace(template, seed=args.seed)
+    train_cfg = TrainConfig.from_dict(payload["train"]) if payload.get("train") else None
     try:
-        template = SynthConfig.from_dict(synth_payload)
         dims = [int(d) for d in payload["dims"]]
-        train_cfg = (
-            TrainConfig.from_dict(payload["train"]) if payload.get("train") else None
-        )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    threads = args.threads if args.threads is not None else int(payload.get("threads", 1))
+        raise ConfigError(f"bad dims: {exc}") from exc
     try:
-        results = dimension_sweep(dims, template, arch, train_cfg, threads)
+        results = dimension_sweep(dims, template, arch, train_cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _out_dir(args)
@@ -187,12 +170,7 @@ def _cmd_sweep_dim(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    payload = _load_json(args.config)
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.threads is not None:
-        payload["threads"] = args.threads
-    cfg = CampaignConfig.from_dict(payload)
+    cfg = CampaignConfig.from_dict(_load_config(args))
     report = run_reconstruction_campaign(cfg)
     out = _out_dir(args)
     path = out / "reconstruction_report.json"
@@ -243,7 +221,9 @@ def build_parser() -> _Parser:
         sub.add_argument("--config", required=True, help="path to a JSON config file")
         sub.add_argument("--seed", type=int, default=None, help="master seed override")
         sub.add_argument("--out", default=".", help="output directory")
-        sub.add_argument("--threads", type=int, default=None, help="worker thread count")
+        sub.add_argument(
+            "--threads", type=int, default=None, help="accepted for compatibility; no effect"
+        )
         sub.set_defaults(func=func)
     return parser
 

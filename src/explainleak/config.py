@@ -1,0 +1,70 @@
+"""One JSON (de)serializer for every config dataclass.
+
+`Config.to_dict` and `Config.from_dict` walk the dataclass fields by their
+type annotations: nested configs (optional or not) and lists of configs
+recurse, tuples travel as lists and are rebuilt with their element type
+(``tuple[int, ...]`` casts each element with ``int``), and every other value
+passes through. Only fields annotated ``X | None`` accept null. An unknown
+key at any level, or a TypeError/ValueError from a constructor, raises
+ConfigError.
+"""
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration (CLI maps this to exit code 1)."""
+
+
+def _encode(value):
+    if isinstance(value, Config):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _decode(key: str, hint, value):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _decode(key, hint, value)
+    if value is None:
+        raise ConfigError(f"{key} must not be null")
+    if isinstance(hint, type) and issubclass(hint, Config):
+        return hint.from_dict(value)
+    if origin is list and args:
+        return [_decode(key, args[0], v) for v in value]
+    if origin is tuple and args:
+        return tuple(args[0](v) for v in value)
+    return value
+
+
+class Config:
+    """Mixin for dataclasses that round-trip through JSON-ready dicts."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        name = cls.__name__
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {payload!r}")
+        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        try:
+            return cls(**{key: _decode(key, hints[key], v) for key, v in payload.items()})
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name}: {exc}") from exc

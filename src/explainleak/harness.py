@@ -4,9 +4,9 @@ Reproduces the evaluation protocols at configurable scale: disjoint
 four-subset sampling with 50/50 member splits, threshold attacks under
 optimal and shadow calibration, the overfitting sweep, the reduced-scale
 perturbation-method comparison, and reconstruction campaigns. A master seed
-fans out through named, indexed children so that repetitions can run in a
-thread pool without perturbing any result; emitted CSVs are byte-stable
-across reruns and thread counts (wall times go to the manifest only).
+fans out through named, indexed children, so every result depends only on
+the config; emitted CSVs are byte-stable across reruns (wall times go to the
+manifest only).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import platform
 import re
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (leakbench's tracer patches it)
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,6 +31,7 @@ from .attacks import (
     optimal_threshold,
     statistic_values,
 )
+from .config import Config, ConfigError
 from .data import Dataset, load_csv_dataset
 from .graph import build_influence_graph, greedy_omniscient_baseline, scc_metrics, traverse_attack
 from .influence import build_loo_cache, group_reveal_rates, self_reveal_rate
@@ -45,10 +46,6 @@ from .reconstruct import (
     reconstruction_query_budget,
 )
 from .synth import SynthConfig, generate_synthetic
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (CLI maps this to exit code 1)."""
 
 
 def child_seed(master: int, tag: str, *indices: int) -> int:
@@ -78,33 +75,8 @@ def parse_calibration(text: str) -> tuple[str, int | None]:
     raise ConfigError(f"unknown calibration {text!r}; use 'optimal' or 'shadow(s)'")
 
 
-def _statistic_from_dict(payload: dict) -> AttackStatistic:
-    allowed = {"kind", "method", "params", "use_l1"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"unknown statistic keys: {sorted(unknown)}")
-    try:
-        return AttackStatistic(
-            kind=payload["kind"],
-            method=payload.get("method"),
-            params=payload.get("params", {}),
-            use_l1=payload.get("use_l1", False),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad statistic {payload!r}: {exc}") from exc
-
-
-def _statistic_to_dict(stat: AttackStatistic) -> dict:
-    return {
-        "kind": stat.kind,
-        "method": stat.method,
-        "params": dict(stat.params),
-        "use_l1": stat.use_l1,
-    }
-
-
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Config):
     """One threshold-attack experiment: data source, target, attacks, scale."""
 
     dataset_csv: str | None = None
@@ -124,7 +96,6 @@ class ExperimentConfig:
     points_per_subset: int | None = None
     resample: bool = False
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if (self.dataset_csv is None) == (self.synth is None):
@@ -142,78 +113,12 @@ class ExperimentConfig:
             raise ConfigError("at least one attack statistic is required")
         if not self.calibrations:
             raise ConfigError("at least one calibration mode is required")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         for cal in self.calibrations:
             kind, s = parse_calibration(cal)
             if kind == "shadow" and s >= self.subsets_per_repetition:
                 raise ConfigError(
                     f"shadow({s}) needs more than {s} subsets per repetition"
                 )
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        payload = dict(payload)
-        known = {
-            "dataset_csv",
-            "label_column",
-            "group_column",
-            "synth",
-            "hidden",
-            "activation",
-            "model_kind",
-            "train",
-            "statistics",
-            "calibrations",
-            "repetitions",
-            "subsets_per_repetition",
-            "points_per_subset",
-            "resample",
-            "seed",
-            "threads",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            if payload.get("synth") is not None:
-                payload["synth"] = SynthConfig.from_dict(payload["synth"])
-            if payload.get("train") is not None:
-                payload["train"] = TrainConfig.from_dict(payload["train"])
-            if payload.get("hidden") is not None:
-                payload["hidden"] = tuple(int(w) for w in payload["hidden"])
-            if payload.get("statistics") is not None:
-                payload["statistics"] = [
-                    _statistic_from_dict(s) for s in payload["statistics"]
-                ]
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset_csv": self.dataset_csv,
-            "label_column": self.label_column,
-            "group_column": self.group_column,
-            "synth": self.synth.to_dict() if self.synth else None,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "model_kind": self.model_kind,
-            "train": self.train.to_dict(),
-            "statistics": [_statistic_to_dict(s) for s in self.statistics],
-            "calibrations": list(self.calibrations),
-            "repetitions": self.repetitions,
-            "subsets_per_repetition": self.subsets_per_repetition,
-            "points_per_subset": self.points_per_subset,
-            "resample": self.resample,
-            "seed": self.seed,
-            "threads": self.threads,
-        }
 
 
 def load_experiment_dataset(cfg) -> Dataset:
@@ -333,7 +238,6 @@ class RunRecord:
     train_accuracy: float
     test_accuracy: float
     epochs: int
-    wall_time: float = 0.0  # manifest-only; never written to result CSVs
 
     def __post_init__(self) -> None:
         for name in ("attack_accuracy", "train_accuracy", "test_accuracy"):
@@ -382,14 +286,15 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _train_target(dataset: Dataset, split: TargetSplit, cfg: ExperimentConfig, seed: int):
-    train_set = dataset.subset(split.train)
+def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes: int):
+    """The configured target (logistic, or an MLP with an identity output
+    layer of n_classes logits) trained on train_set under the given seed."""
     train_cfg = replace(cfg.train, seed=seed)
     if cfg.model_kind == "logistic":
         return train_logistic(train_set, train_cfg)
     layers = [LayerSpec(w, cfg.activation) for w in cfg.hidden]
-    layers.append(LayerSpec(int(dataset.n_classes), "identity"))
-    model = init_model(layers, dataset.n_features, seed=seed)
+    layers.append(LayerSpec(n_classes, "identity"))
+    model = init_model(layers, train_set.n_features, seed=seed)
     return train(model, train_set, train_cfg)
 
 
@@ -423,7 +328,12 @@ def _run_repetition(
     model_accs: list[tuple[float, float]] = []
     for t, split in enumerate(splits):
         try:
-            model = _train_target(dataset, split, cfg, child_seed(cfg.seed, "target", rep, t))
+            model = train_target(
+                dataset.subset(split.train),
+                cfg,
+                child_seed(cfg.seed, "target", rep, t),
+                dataset.n_classes,
+            )
             models.append(model)
             model_accs.append(
                 (
@@ -459,7 +369,6 @@ def _run_repetition(
                 warnings.append(f"rep {rep} target {t} stat {stat.label}: {exc}")
                 continue
             for ci, calibration in enumerate(cfg.calibrations):
-                eval_start = time.perf_counter()
                 kind, s = parse_calibration(calibration)
                 try:
                     if kind == "optimal":
@@ -500,7 +409,6 @@ def _run_repetition(
                         train_accuracy=model_accs[t][0],
                         test_accuracy=model_accs[t][1],
                         epochs=cfg.train.epochs,
-                        wall_time=time.perf_counter() - eval_start,
                     )
                 )
                 for point, value, guess, member in zip(
@@ -530,16 +438,9 @@ def run_threshold_experiment(
     """
     if dataset is None:
         dataset = load_experiment_dataset(cfg)
-    reps = list(range(cfg.repetitions))
-    if cfg.threads > 1 and len(reps) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [
-                pool.submit(_run_repetition, dataset, cfg, rep, run_prefix)
-                for rep in reps
-            ]
-            outputs = [f.result() for f in futures]
-    else:
-        outputs = [_run_repetition(dataset, cfg, rep, run_prefix) for rep in reps]
+    outputs = [
+        _run_repetition(dataset, cfg, rep, run_prefix) for rep in range(cfg.repetitions)
+    ]
     records = [record for out in outputs for record in out.records]
     decisions = [row for out in outputs for row in out.decisions]
     warnings = [w for out in outputs for w in out.warnings]
@@ -642,7 +543,7 @@ def run_perturbation_experiment(
 
 
 @dataclass
-class CampaignConfig:
+class CampaignConfig(Config):
     """Reconstruction campaign: logistic target plus attack bundle knobs."""
 
     dataset_csv: str | None = None
@@ -661,7 +562,6 @@ class CampaignConfig:
     baseline_queries: int = 100
     max_points: int | None = None
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if (self.dataset_csv is None) == (self.synth is None):
@@ -676,59 +576,6 @@ class CampaignConfig:
             raise ConfigError("traverse_starts must be >= 1")
         if self.baseline_queries < 0:
             raise ConfigError("baseline_queries must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CampaignConfig":
-        payload = dict(payload)
-        known = {
-            "dataset_csv",
-            "label_column",
-            "group_column",
-            "synth",
-            "train",
-            "train_fraction",
-            "reveal_ks",
-            "graph_k",
-            "traverse_starts",
-            "baseline_queries",
-            "max_points",
-            "seed",
-            "threads",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            if payload.get("synth") is not None:
-                payload["synth"] = SynthConfig.from_dict(payload["synth"])
-            if payload.get("train") is not None:
-                payload["train"] = TrainConfig.from_dict(payload["train"])
-            if payload.get("reveal_ks") is not None:
-                payload["reveal_ks"] = tuple(int(k) for k in payload["reveal_ks"])
-            return cls(**payload)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset_csv": self.dataset_csv,
-            "label_column": self.label_column,
-            "group_column": self.group_column,
-            "synth": self.synth.to_dict() if self.synth else None,
-            "train": self.train.to_dict(),
-            "train_fraction": self.train_fraction,
-            "reveal_ks": list(self.reveal_ks),
-            "graph_k": self.graph_k,
-            "traverse_starts": self.traverse_starts,
-            "baseline_queries": self.baseline_queries,
-            "max_points": self.max_points,
-            "seed": self.seed,
-            "threads": self.threads,
-        }
 
 
 def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
@@ -748,7 +595,7 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
     train_set = dataset.subset(order[:n_train])
     holdout = dataset.features[order[n_train:]]
 
-    expl = build_loo_cache(train_set, cfg.train, k=cfg.graph_k, threads=cfg.threads)
+    expl = build_loo_cache(train_set, cfg.train, k=cfg.graph_k)
 
     oracle = InfluenceOracle.from_explainer(expl)
     recon = algorithm1_reconstruct(

@@ -9,7 +9,7 @@ the sign).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (leakbench's tracer patches it)
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,23 +76,14 @@ def _train_without(dataset: Dataset, cfg: TrainConfig, i: int) -> LogisticModel:
         raise RuntimeError(f"leave-one-out retraining failed for index {i}: {exc}") from exc
 
 
-def build_loo_cache(
-    dataset: Dataset, cfg: TrainConfig, k: int = 1, threads: int = 1
-) -> InfluenceExplainer:
+def build_loo_cache(dataset: Dataset, cfg: TrainConfig, k: int = 1) -> InfluenceExplainer:
     """Train the base model and one retrained model per left-out point.
 
-    Retrainings are independent, so they may run in a thread pool; the cache
-    is assembled in index order either way, making the result identical at
-    any thread count.
+    Training is deterministic and the retrainings run in index order, so the
+    cache is identical on every call.
     """
     base = train_logistic(dataset, cfg)
-    n = dataset.n_points
-    if threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_train_without, dataset, cfg, i) for i in range(n)]
-            loo_models = [f.result() for f in futures]
-    else:
-        loo_models = [_train_without(dataset, cfg, i) for i in range(n)]
+    loo_models = [_train_without(dataset, cfg, i) for i in range(dataset.n_points)]
     return InfluenceExplainer(
         dataset=dataset, base=base, loo_models=loo_models, k=k, train_config=cfg
     )

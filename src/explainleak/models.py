@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import Config
+
 ACTIVATIONS = ("tanh", "relu", "sigmoid", "identity")
 OPTIMIZERS = ("adagrad", "adam", "gd")
 FINAL_HEADS = ("softmax", "sigmoid")
@@ -84,7 +86,7 @@ class LayerSpec:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     optimizer: str = "adagrad"
     lr: float = 0.01
     lr_decay: float = 0.0
@@ -105,20 +107,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1 (or None for full batch)")
         if self.optimizer == "gd" and self.batch_size is not None:
             raise ValueError("optimizer 'gd' is full-batch; set batch_size=None")
-
-    def to_dict(self) -> dict:
-        return {
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "lr_decay": self.lr_decay,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 class MlpModel:

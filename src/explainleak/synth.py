@@ -7,12 +7,12 @@ training a fixed architecture exposes how strongly the input-gradient
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import Config
 from .data import Dataset
 from .models import (
     LayerSpec,
@@ -30,7 +30,7 @@ ARCHS: dict[str, tuple[int, ...]] = {
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Config):
     n_features: int
     n_classes: int = 2
     n_samples: int = 2000
@@ -54,20 +54,6 @@ class SynthConfig:
                 f"{self.n_classes} classes need {self.n_classes} distinct vertices "
                 f"but a {self.n_features}-cube has only {2**self.n_features}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "n_samples": self.n_samples,
-            "class_sep": self.class_sep,
-            "cluster_std": self.cluster_std,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SynthConfig":
-        return cls(**payload)
 
 
 def _hypercube_centers(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -217,7 +203,6 @@ def dimension_sweep(
     template: SynthConfig,
     arch: str = "base",
     train_cfg: TrainConfig | None = None,
-    threads: int = 1,
 ) -> list[DimensionResult]:
     """Correlation + accuracies per dimension for one architecture.
 
@@ -232,10 +217,4 @@ def dimension_sweep(
         raise ValueError(f"arch must be one of {sorted(ARCHS)}")
     if train_cfg is None:
         train_cfg = TrainConfig(optimizer="adagrad", lr=0.01, epochs=100)
-    if threads <= 1 or len(dims) == 1:
-        return [_run_dimension(template, d, arch, train_cfg) for d in dims]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_run_dimension, template, d, arch, train_cfg) for d in dims
-        ]
-        return [f.result() for f in futures]
+    return [_run_dimension(template, d, arch, train_cfg) for d in dims]

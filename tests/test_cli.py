@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from explainleak.cli import main
+from explainleak.cli import build_parser, main
 from explainleak.harness import config_hash
 
 ATTACK_PAYLOAD = {
@@ -80,6 +80,38 @@ class TestExitCodes:
         config = write_config(tmp_path, payload)
         assert main(["attack", "--config", config, "--out", str(tmp_path)]) == 1
         assert "typo_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("attack", dict(ATTACK_PAYLOAD, train={"epochs": 8, "momentum": 0.9}), "momentum"),
+            ("attack", dict(ATTACK_PAYLOAD, synth={"n_features": 2, "n_sample": 80}), "n_sample"),
+            (
+                "attack",
+                dict(ATTACK_PAYLOAD, statistics=[{"kind": "loss", "direction": "leq"}]),
+                "direction",
+            ),
+            ("attack", dict(ATTACK_PAYLOAD, threads=2), "threads"),
+            ("reconstruct", dict(RECON_PAYLOAD, train={"optimiser": "gd"}), "optimiser"),
+            ("reconstruct", dict(RECON_PAYLOAD, synth={"n_features": 2, "sep": 1.0}), "sep"),
+            ("synth", {"n_features": 2, "n_samples": 12, "clusters": 3}, "clusters"),
+            ("sweep-dim", {"dims": [1], "arhc": "small", "synth": {"n_features": 1}}, "arhc"),
+            ("sweep-dim", {"dims": [1], "synth": {"n_features": 1, "seeed": 2}}, "seeed"),
+            ("sweep-dim", {"dims": [1], "synth": {"n_features": 1}, "train": {"epoch": 3}}, "epoch"),
+        ],
+    )
+    def test_unknown_key_at_any_level(self, tmp_path, capsys, command, payload, key):
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_threads_flag_parses_on_every_subcommand(self):
+        parser = build_parser()
+        for command in (
+            "train", "attack", "sweep-dim", "sweep-epochs", "reconstruct", "synth", "perturb-attack"
+        ):
+            args = parser.parse_args([command, "--config", "c.json", "--threads", "2"])
+            assert args.threads == 2
 
     def test_runtime_failure_exits_two(self, tmp_path, capsys):
         # A malformed dataset passes config validation but fails at load time.
@@ -277,7 +309,7 @@ class TestReconstructCommand:
         assert code == 0
         report = json.loads((out / "reconstruction_report.json").read_text())
         assert report["config"]["seed"] == 77
-        assert report["config"]["threads"] == 2
+        assert "threads" not in report["config"]
 
 
 class TestPerturbAttackCommand:

@@ -151,11 +151,11 @@ class TestTopkExplain:
 
 
 class TestLooCache:
-    def test_thread_count_does_not_change_models(self, blob_dataset):
-        serial = build_loo_cache(blob_dataset, FULL_BATCH, threads=1)
-        parallel = build_loo_cache(blob_dataset, FULL_BATCH, threads=4)
-        np.testing.assert_array_equal(serial.base.w, parallel.base.w)
-        for a, b in zip(serial.loo_models, parallel.loo_models):
+    def test_rebuild_gives_identical_models(self, blob_dataset):
+        first = build_loo_cache(blob_dataset, FULL_BATCH)
+        second = build_loo_cache(blob_dataset, FULL_BATCH)
+        np.testing.assert_array_equal(first.base.w, second.base.w)
+        for a, b in zip(first.loo_models, second.loo_models):
             np.testing.assert_array_equal(a.w, b.w)
             assert a.b == b.b
 
