@@ -80,7 +80,7 @@ def load_csv_dataset(
     """Load a headered CSV with numeric feature columns and integer labels.
 
     Every column other than the label (and optional group) column is treated
-    as a feature. Parse failures report the offending row and column.
+    as a feature. Parse failures and nan/inf features name the row and column.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -132,8 +132,17 @@ def load_csv_dataset(
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    features = np.array(rows, dtype=np.float64)
+    # min and max are non-finite exactly when some cell is, and need no
+    # n x d mask on the common path.
+    if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(
+            f"{path}: row {row + 2}, column {header[feature_idx[col]]!r}: "
+            f"non-finite value {float(features[row, col])!r}"
+        )
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
         groups=groups if group_column is not None else None,
     )

@@ -9,11 +9,11 @@ tractable stand-in for the (NP-hard) optimal choice of seed queries.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .influence import InfluenceExplainer, topk_explain
+from .influence import InfluenceExplainer, self_reveals, topk_explain
 
 
 @dataclass
@@ -29,13 +29,7 @@ class InfluenceGraph:
 def build_influence_graph(expl: InfluenceExplainer, k: int | None = None) -> InfluenceGraph:
     """Out-edges of node i are the top-k reveals of querying x_i."""
     k = expl.k if k is None else k
-    edges = []
-    for i in range(expl.n_points):
-        result = topk_explain(
-            expl, expl.dataset.features[i], int(expl.dataset.labels[i]), k
-        )
-        edges.append([int(j) for j in result.indices])
-    return InfluenceGraph(edges=edges, k=k)
+    return InfluenceGraph(edges=self_reveals(expl, k).tolist(), k=k)
 
 
 def strongly_connected_components(edges: list[list[int]]) -> list[list[int]]:
@@ -96,13 +90,7 @@ class GraphMetrics:
     zero_in_degree_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "scc_count": self.scc_count,
-            "singleton_count": self.singleton_count,
-            "largest_scc_size": self.largest_scc_size,
-            "max_in_degree": self.max_in_degree,
-            "zero_in_degree_count": self.zero_in_degree_count,
-        }
+        return asdict(self)
 
 
 def scc_metrics(graph: InfluenceGraph | list[list[int]]) -> GraphMetrics:

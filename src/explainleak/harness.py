@@ -341,50 +341,44 @@ def _run_repetition(
                     model.accuracy(dataset.features[split.test], dataset.labels[split.test]),
                 )
             )
-        except Exception as exc:  # keep the experiment alive, log the failure
+        except (ValueError, RuntimeError) as exc:  # keep the experiment alive, log it
             models.append(None)
             model_accs.append((float("nan"), float("nan")))
             warnings.append(f"rep {rep} target {t}: training failed: {exc}")
 
-    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    # One entry per (target, statistic), computed once: member values,
+    # non-member values and the optimal tau, which serves the target's own
+    # optimal record and its siblings' shadow records.
+    entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
 
-    def stat_values_for(t: int, si: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (t, si)
-        if key not in cache:
-            stat = cfg.statistics[si]
-            split = splits[t]
-            cache[key] = (
-                statistic_values(stat, models[t], dataset.features[split.train], dataset.labels[split.train]),
-                statistic_values(stat, models[t], dataset.features[split.test], dataset.labels[split.test]),
-            )
-        return cache[key]
+    def calibrated(t: int, si: int) -> tuple[np.ndarray, np.ndarray, float]:
+        if models[t] is None:  # only reachable through a sibling's shadow record
+            raise RuntimeError(f"shadow model {t} unavailable")
+        if (t, si) not in entries:
+            stat, split, X, y = cfg.statistics[si], splits[t], dataset.features, dataset.labels
+            member = statistic_values(stat, models[t], X[split.train], y[split.train])
+            nonmember = statistic_values(stat, models[t], X[split.test], y[split.test])
+            tau = optimal_threshold(member, nonmember, stat.member_if)[0]
+            entries[(t, si)] = (member, nonmember, tau)
+        return entries[(t, si)]
 
     for t, split in enumerate(splits):
         if models[t] is None:
             continue
         for si, stat in enumerate(cfg.statistics):
             try:
-                member_vals, nonmember_vals = stat_values_for(t, si)
-            except Exception as exc:
+                member_vals, nonmember_vals, optimal_tau = calibrated(t, si)
+            except (ValueError, RuntimeError) as exc:
                 warnings.append(f"rep {rep} target {t} stat {stat.label}: {exc}")
                 continue
             for ci, calibration in enumerate(cfg.calibrations):
                 kind, s = parse_calibration(calibration)
+                siblings = [u for u in range(len(splits)) if u != t][:s]
                 try:
-                    if kind == "optimal":
-                        tau, _ = optimal_threshold(member_vals, nonmember_vals, stat.member_if)
-                    else:
-                        shadow_ids = [u for u in range(len(splits)) if u != t][:s]
-                        taus = []
-                        for sh in shadow_ids:
-                            if models[sh] is None:
-                                raise RuntimeError(f"shadow model {sh} unavailable")
-                            shadow_member, shadow_nonmember = stat_values_for(sh, si)
-                            taus.append(
-                                optimal_threshold(shadow_member, shadow_nonmember, stat.member_if)[0]
-                            )
-                        tau = aggregate_shadow_taus(taus, s)
-                except Exception as exc:
+                    tau = optimal_tau if kind == "optimal" else aggregate_shadow_taus(
+                        [calibrated(u, si)[2] for u in siblings], s
+                    )
+                except (ValueError, RuntimeError) as exc:
                     warnings.append(
                         f"rep {rep} target {t} stat {stat.label} {calibration}: {exc}"
                     )
@@ -434,7 +428,9 @@ def run_threshold_experiment(
     each statistic once per (target, statistic), then calibrate and score
     every configured attack. Shadow calibration for target t averages the
     optimal thresholds of the first s sibling models in index order, each
-    computed on that sibling's own member/non-member halves.
+    computed on that sibling's own member/non-member halves. Each (target,
+    statistic) is scanned at most once per repetition: its tau serves the
+    target's own optimal record and every sibling's shadow records.
     """
     if dataset is None:
         dataset = load_experiment_dataset(cfg)

@@ -10,7 +10,7 @@ the sign).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (leakbench's tracer patches it)
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,27 +28,19 @@ class RevealResult:
     label: int
 
 
-@dataclass
-class InfluenceExplainer:
-    dataset: Dataset
-    base: LogisticModel
-    loo_models: list[LogisticModel]
-    k: int
-    train_config: TrainConfig
-    _loo_w: np.ndarray = field(init=False, repr=False)
-    _loo_b: np.ndarray = field(init=False, repr=False)
+class LooInfluence:
+    """A base logistic model and its stacked leave-one-out twins: the one
+    influence kernel under both the explainer and the reconstruction oracle."""
 
-    def __post_init__(self) -> None:
-        if len(self.loo_models) != self.dataset.n_points:
-            raise ValueError("need one leave-one-out model per training point")
-        if not 1 <= self.k <= self.dataset.n_points:
-            raise ValueError("k must lie in [1, n_points]")
+    def __init__(self, base: LogisticModel, loo_models: list[LogisticModel]):
+        self.base = base
+        self.loo_models = list(loo_models)
         self._loo_w = np.stack([m.w for m in self.loo_models])
         self._loo_b = np.array([m.b for m in self.loo_models])
 
     @property
     def n_points(self) -> int:
-        return self.dataset.n_points
+        return len(self.loo_models)
 
     def predicted_label(self, y: np.ndarray) -> int:
         return 1 if self.base.positive_prob(y) >= 0.5 else 0
@@ -66,6 +58,32 @@ class InfluenceExplainer:
         f_loo = 1.0 / (1.0 + np.exp(-(self._loo_w @ y - self._loo_b)))
         signed = f_base - f_loo
         return signed if label == 0 else -signed
+
+    def top_k(self, y: np.ndarray, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and influences of the k largest |I|, ties to the lower index;
+        any NaN influence raises ValueError (lexsort puts NaN last)."""
+        influences = self.influence(y, label)
+        order = np.lexsort((np.arange(self.n_points), -np.abs(influences)))
+        if np.isnan(influences[order[-1]]):
+            raise ValueError(f"influence of training point {order[-1]} is NaN")
+        top = order[:k].copy()  # a view would keep all n entries of order alive
+        return top, influences[top]
+
+
+@dataclass
+class InfluenceExplainer(LooInfluence):
+    dataset: Dataset
+    base: LogisticModel
+    loo_models: list[LogisticModel]
+    k: int
+    train_config: TrainConfig
+
+    def __post_init__(self) -> None:
+        if len(self.loo_models) != self.dataset.n_points:
+            raise ValueError("need one leave-one-out model per training point")
+        if not 1 <= self.k <= self.dataset.n_points:
+            raise ValueError("k must lie in [1, n_points]")
+        LooInfluence.__init__(self, self.base, self.loo_models)
 
 
 def _train_without(dataset: Dataset, cfg: TrainConfig, i: int) -> LogisticModel:
@@ -102,38 +120,32 @@ def topk_explain(
     y = np.asarray(y, dtype=np.float64)
     if label is None:
         label = expl.predicted_label(y)
-    influences = expl.influence(y, label)
-    order = np.lexsort((np.arange(expl.n_points), -np.abs(influences)))
-    top = order[:k]
-    return RevealResult(indices=top, influences=influences[top], query=y, label=label)
+    top, influences = expl.top_k(y, label, k)
+    return RevealResult(indices=top, influences=influences, query=y, label=label)
+
+
+def self_reveals(expl: InfluenceExplainer, k: int | None = None) -> np.ndarray:
+    """(n, k) top-k reveals of every training point queried with its own label."""
+    k = expl.k if k is None else k
+    X, labels = expl.dataset.features, expl.dataset.labels
+    return np.array(
+        [topk_explain(expl, X[i], int(labels[i]), k).indices for i in range(expl.n_points)]
+    )
+
+
+def _self_hits(expl: InfluenceExplainer, k: int | None) -> np.ndarray:
+    """Whether each training point is among the top-k reveals of its own query."""
+    return (self_reveals(expl, k) == np.arange(expl.n_points)[:, None]).any(axis=1)
 
 
 def self_reveal_rate(expl: InfluenceExplainer, k: int | None = None) -> float:
     """Fraction of training points revealed by their own query."""
-    k = expl.k if k is None else k
-    hits = 0
-    for i in range(expl.n_points):
-        result = topk_explain(
-            expl, expl.dataset.features[i], int(expl.dataset.labels[i]), k
-        )
-        if i in result.indices:
-            hits += 1
-    return hits / expl.n_points
+    return float(_self_hits(expl, k).mean())
 
 
 def group_reveal_rates(expl: InfluenceExplainer, k: int | None = None) -> dict[str, float]:
     """Per-group self-reveal rates; only groups present in the data appear."""
     if expl.dataset.groups is None:
         raise ValueError("dataset carries no group tags")
-    k = expl.k if k is None else k
-    hits: dict[str, int] = {}
-    totals: dict[str, int] = {}
-    for i in range(expl.n_points):
-        tag = expl.dataset.groups[i]
-        totals[tag] = totals.get(tag, 0) + 1
-        result = topk_explain(
-            expl, expl.dataset.features[i], int(expl.dataset.labels[i]), k
-        )
-        if i in result.indices:
-            hits[tag] = hits.get(tag, 0) + 1
-    return {tag: hits.get(tag, 0) / total for tag, total in totals.items()}
+    hits, groups = _self_hits(expl, k), np.asarray(expl.dataset.groups)
+    return {tag: float(hits[groups == tag].mean()) for tag in dict.fromkeys(expl.dataset.groups)}

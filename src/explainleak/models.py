@@ -486,7 +486,7 @@ def train_logistic(dataset, cfg: TrainConfig) -> LogisticModel:
 
     Deterministic by construction: the ascent path depends only on the data
     and on cfg.lr / cfg.epochs. Labels must be binary 0/1. Gradients are
-    mean-normalized over the batch.
+    mean-normalized over the batch; a non-finite fit raises TrainingDivergedError.
     """
     X = dataset.features
     labels = dataset.labels
@@ -500,4 +500,6 @@ def train_logistic(dataset, cfg: TrainConfig) -> LogisticModel:
         resid = y - f
         w += cfg.lr * (resid @ X) / len(y)
         b += cfg.lr * float(np.mean(f - y))
+    if not (np.isfinite(w).all() and np.isfinite(b)):
+        raise TrainingDivergedError(cfg.epochs - 1, cfg.epochs - 1, float("nan"))
     return LogisticModel(w=w, b=b)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import null_space
 
-from .influence import InfluenceExplainer, topk_explain
+from .influence import InfluenceExplainer, LooInfluence, topk_explain
 from .models import LogisticModel
 
 _PROB_CLAMP = 1e-12
@@ -34,21 +34,18 @@ class OracleAnswer:
     influence: float
 
 
-class InfluenceOracle:
+class InfluenceOracle(LooInfluence):
     """Top-1 influence oracle over a base model and its leave-one-out twins.
 
     Influence of training point x on query y is the change in the likelihood
     that the model assigns to the wrong class at y when x is dropped from
     training, signed, with the label taken to be the base model's prediction
-    at y. Ties in absolute influence go to the lowest training index. Every
-    call increments ``query_count``.
+    at y. Ties in absolute influence go to the lowest training index and a
+    NaN influence raises ValueError. Every call increments ``query_count``.
     """
 
     def __init__(self, base: LogisticModel, loo_models: list[LogisticModel]):
-        self.base = base
-        self.loo_models = list(loo_models)
-        self._loo_w = np.stack([m.w for m in self.loo_models])
-        self._loo_b = np.array([m.b for m in self.loo_models])
+        super().__init__(base, loo_models)
         self.query_count = 0
 
     @classmethod
@@ -59,18 +56,12 @@ class InfluenceOracle:
     def n_features(self) -> int:
         return self.base.w.shape[0]
 
-    @property
-    def n_points(self) -> int:
-        return len(self.loo_models)
-
     def query(self, y: np.ndarray) -> OracleAnswer:
         y = np.asarray(y, dtype=np.float64)
         self.query_count += 1
         f = self.base.positive_prob(y)
-        f_loo = 1.0 / (1.0 + np.exp(-(self._loo_w @ y - self._loo_b)))
-        influences = (f_loo - f) if f >= 0.5 else (f - f_loo)
-        idx = int(np.argmax(np.abs(influences)))
-        return OracleAnswer(prediction=float(f), index=idx, influence=float(influences[idx]))
+        (idx,), (influence,) = self.top_k(y, 1 if f >= 0.5 else 0, 1)
+        return OracleAnswer(prediction=float(f), index=int(idx), influence=float(influence))
 
 
 def _logit(p: np.ndarray | float) -> np.ndarray | float:

@@ -125,6 +125,19 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_csv_cell_exits_two(self, tmp_path, capsys):
+        rows = [f"{i % 7}.5,{(i * 3) % 5}.25,{i % 2}" for i in range(40)]
+        rows[5], rows[20] = "nan,1.0,1", "2.0,inf,0"
+        data = tmp_path / "nonfinite.csv"
+        data.write_text("x0,x1,label\n" + "\n".join(rows) + "\n")
+        payload = {k: v for k, v in ATTACK_PAYLOAD.items() if k != "synth"}
+        payload["dataset_csv"] = str(data)
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["attack", "--config", config, "--out", str(out)]) == 2
+        assert "row 7, column 'x0': non-finite value nan" in capsys.readouterr().err
+        assert not (out / "threshold_decisions.csv").exists()
+
 
 class TestSynthCommand:
     def test_writes_csv_and_manifest(self, tmp_path, capsys):

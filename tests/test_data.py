@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from explainleak import Dataset, SynthConfig, generate_synthetic
 from explainleak.data import load_csv_dataset, write_csv_dataset
@@ -31,3 +32,16 @@ def test_cells_are_plain_float_literals(tmp_path):
     first_row = path.read_text().splitlines()[1].split(",")
     assert first_row[0] == repr(float(dataset.features[0, 0]))
     assert not any("np." in cell for cell in first_row)
+
+
+@pytest.mark.parametrize(
+    "cell, row, column", [("nan", 4, "x1"), ("inf", 7, "x0"), ("-Infinity", 41, "x1")]
+)
+def test_non_finite_cell_names_row_and_column(tmp_path, cell, row, column):
+    lines = ["x0,x1,label"] + [f"{i}.0,{-i}.5,{i % 2}" for i in range(40)]
+    x0, x1, label = lines[row - 1].split(",")
+    lines[row - 1] = ",".join([cell if column == "x0" else x0, cell if column == "x1" else x1, label])
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"row {row}, column '{column}': non-finite value"):
+        load_csv_dataset(path, "label")

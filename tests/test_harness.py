@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import two_blob_dataset
-from explainleak.attacks import AttackStatistic
+from explainleak.attacks import AttackStatistic, aggregate_shadow_taus
 from explainleak.harness import (
     DECISION_CSV_COLUMNS,
     RECORD_CSV_COLUMNS,
@@ -29,7 +29,7 @@ from explainleak.harness import (
     validate_protocol,
     write_manifest,
 )
-from explainleak.models import TrainConfig
+from explainleak.models import TrainConfig, TrainingDivergedError
 from explainleak.reconstruct import reconstruction_query_budget
 from explainleak.synth import SynthConfig
 
@@ -451,6 +451,90 @@ class TestThresholdExperiment:
         by_id = {r.run_id: r for r in result.records}
         for run_id, hits in recomputed.items():
             assert by_id[run_id].attack_accuracy == pytest.approx(np.mean(hits))
+
+
+def shadow3_config() -> ExperimentConfig:
+    return make_experiment_config(
+        statistics=[AttackStatistic("loss")], calibrations=["optimal", "shadow(3)"]
+    )
+
+
+class TestCalibrationCache:
+    """Each (target, statistic) is scanned once; shadows reuse siblings' taus."""
+
+    def test_one_scan_per_target_and_statistic(self, monkeypatch):
+        import explainleak.harness as harness_module
+
+        calls = []
+        real = harness_module.optimal_threshold
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness_module, "optimal_threshold", counting)
+        result = run_threshold_experiment(shadow3_config())
+        assert len(result.records) == 2 * 4 * 2
+        assert len(calls) == 2 * 4  # repetitions x targets x statistics
+
+    def test_shadow_tau_is_mean_of_sibling_optimal_taus(self):
+        result = run_threshold_experiment(shadow3_config())
+        optimal = {
+            (r.repetition, r.target): r.tau for r in result.records if r.calibration == "optimal"
+        }
+        shadows = [r for r in result.records if r.calibration == "shadow(3)"]
+        assert len(shadows) == 2 * 4
+        for record in shadows:
+            siblings = [u for u in range(4) if u != record.target][:3]
+            taus = [optimal[(record.repetition, u)] for u in siblings]
+            assert record.tau == aggregate_shadow_taus(taus, 3)
+
+
+class TestWarningChannel:
+    def test_training_failure_warns_and_blocks_shadows(self, monkeypatch):
+        import explainleak.harness as harness_module
+
+        cfg = shadow3_config()
+        failing_seed = child_seed(cfg.seed, "target", 0, 1)
+        real = harness_module.train
+
+        def flaky(model, dataset, train_cfg):
+            if train_cfg.seed == failing_seed:
+                raise TrainingDivergedError(0, 0, float("nan"))
+            return real(model, dataset, train_cfg)
+
+        monkeypatch.setattr(harness_module, "train", flaky)
+        result = run_threshold_experiment(cfg)
+        assert result.warnings[0].startswith("rep 0 target 1: training failed: training diverged")
+        assert result.warnings[1:] == [
+            f"rep 0 target {t} stat loss shadow(3): shadow model 1 unavailable"
+            for t in (0, 2, 3)
+        ]
+        rep0 = [(r.target, r.calibration) for r in result.records if r.repetition == 0]
+        assert rep0 == [(0, "optimal"), (2, "optimal"), (3, "optimal")]
+        assert sum(r.repetition == 1 for r in result.records) == 4 * 2
+
+    def test_statistic_value_error_warns(self, monkeypatch):
+        import explainleak.harness as harness_module
+
+        def broken(*args, **kwargs):
+            raise ValueError("bad statistic")
+
+        monkeypatch.setattr(harness_module, "statistic_values", broken)
+        result = run_threshold_experiment(shadow3_config())
+        assert result.records == []
+        assert result.warnings[0] == "rep 0 target 0 stat loss: bad statistic"
+        assert len(result.warnings) == 2 * 4
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import explainleak.harness as harness_module
+
+        def broken(*args, **kwargs):
+            raise TypeError("statistic_values() got an unexpected argument")
+
+        monkeypatch.setattr(harness_module, "statistic_values", broken)
+        with pytest.raises(TypeError):
+            run_threshold_experiment(shadow3_config())
 
 
 class TestOverfitSweep:

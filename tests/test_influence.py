@@ -9,12 +9,14 @@ from explainleak import (
     InfluenceExplainer,
     LogisticModel,
     TrainConfig,
+    build_influence_graph,
     build_loo_cache,
     group_reveal_rates,
     self_reveal_rate,
     topk_explain,
 )
 from conftest import two_blob_dataset
+from explainleak.influence import self_reveals
 
 FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
 
@@ -229,3 +231,49 @@ class TestRevealRates:
         expl = build_loo_cache(blob_dataset, FULL_BATCH)
         with pytest.raises(ValueError):
             group_reveal_rates(expl)
+
+
+class TestNanInfluence:
+    def test_topk_rejects_nan_loo_model(self):
+        # lexsort would rank the NaN influence last and report the rest as if
+        # nothing were wrong.
+        base = LogisticModel(w=np.array([1.0]), b=0.0)
+        loos = [
+            LogisticModel(np.array([0.5]), 0.0),
+            LogisticModel(np.array([np.nan]), 0.0),
+            LogisticModel(np.array([2.0]), 0.1),
+        ]
+        expl = fake_explainer(base, loos)
+        with pytest.raises(ValueError, match="training point 1 is NaN"):
+            topk_explain(expl, np.array([0.7]), k=1)
+
+    def test_topk_rejects_nan_query(self):
+        base = LogisticModel(w=np.array([1.0, 0.5]), b=0.0)
+        expl = fake_explainer(base, [LogisticModel(np.array([0.5, 1.0]), 0.2)] * 3)
+        with pytest.raises(ValueError, match="NaN"):
+            topk_explain(expl, np.array([np.nan, 0.8]), label=0, k=3)
+
+
+class TestSelfRevealSweep:
+    @pytest.mark.parametrize("k", [1, 3, None])
+    def test_matches_per_point_queries(self, k):
+        ds = two_blob_dataset(n=14, n_features=3, seed=36)
+        n = ds.n_points
+        k = n if k is None else k
+        groups = ["left" if i % 3 else "right" for i in range(n)]
+        expl = build_loo_cache(Dataset(ds.features, ds.labels, groups=groups), FULL_BATCH)
+        per_point = [
+            topk_explain(expl, ds.features[i], int(ds.labels[i]), k).indices.tolist()
+            for i in range(n)
+        ]
+        assert self_reveals(expl, k).tolist() == per_point
+        assert build_influence_graph(expl, k).edges == per_point
+        hits = [i in row for i, row in enumerate(per_point)]
+        assert self_reveal_rate(expl, k) == sum(hits) / n
+        expected = {
+            tag: sum(h for h, g in zip(hits, groups) if g == tag) / groups.count(tag)
+            for tag in ("right", "left")
+        }
+        rates = group_reveal_rates(expl, k)
+        assert rates == expected
+        assert list(rates) == ["right", "left"]  # order of first appearance

@@ -350,3 +350,16 @@ class TestLogisticModel:
         ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 2]))
         with pytest.raises(ValueError):
             train_logistic(ds, TrainConfig(epochs=1))
+
+    def test_train_logistic_divergence_raises(self):
+        # Gradient ascent at lr=1e308 overflows to inf and then nan; the fit
+        # must not come back as a model.
+        from explainleak import SynthConfig, generate_synthetic
+
+        ds = generate_synthetic(SynthConfig(n_features=3, n_samples=40, seed=1))
+        cfg = TrainConfig(optimizer="gd", lr=1e308, epochs=50, batch_size=None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as excinfo:
+                train_logistic(ds, cfg)
+        assert excinfo.value.epoch == 49
+        assert not np.isfinite(excinfo.value.loss)

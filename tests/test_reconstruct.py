@@ -93,6 +93,22 @@ class TestOracle:
         assert answer.index == reveal.indices[0]
         assert answer.influence == pytest.approx(reveal.influences[0], abs=1e-12)
 
+    def test_answers_equal_topk_explain(self):
+        ds = two_blob_dataset(n=30, n_features=3, seed=81)
+        expl = build_loo_cache(ds, FULL_BATCH)
+        oracle = InfluenceOracle.from_explainer(expl)
+        for y in np.random.default_rng(82).normal(scale=2.0, size=(50, 3)):
+            answer = oracle.query(y)
+            reveal = topk_explain(expl, y, None, 1)
+            assert answer.index == reveal.indices[0]
+            assert answer.influence == reveal.influences[0]
+            assert answer.prediction == expl.base.positive_prob(y)
+
+    def test_nan_query_raises(self):
+        base, loos = theorem_regime(n_points=4, n_features=2)
+        with pytest.raises(ValueError, match="NaN"):
+            InfluenceOracle(base, loos).query(np.array([np.nan, 0.8]))
+
     def test_answers_are_frozen(self):
         answer = OracleAnswer(prediction=0.5, index=0, influence=0.1)
         with pytest.raises(AttributeError):
