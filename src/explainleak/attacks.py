@@ -103,10 +103,6 @@ def compute_statistic(
     return float(statistic_values(stat, model, np.asarray(x)[None, :], labels)[0])
 
 
-def _balanced_accuracy(member_member: np.ndarray, nonmember_nonmember: np.ndarray) -> float:
-    return 0.5 * (float(member_member.mean()) + float(nonmember_nonmember.mean()))
-
-
 def optimal_threshold(
     member_stats, nonmember_stats, member_if: str
 ) -> tuple[float, float]:
@@ -115,7 +111,8 @@ def optimal_threshold(
     Candidates are the midpoints between consecutive distinct pooled values
     plus -inf and +inf; ties resolve to the smallest tau. Returns
     (tau, balanced accuracy); the accuracy can never fall below 0.5 because
-    the infinite cuts classify everything one way.
+    the infinite cuts classify everything one way. Each population is sorted
+    once and counted at every candidate by binary search; NaN compares false.
     """
     member_stats = np.asarray(member_stats, dtype=np.float64)
     nonmember_stats = np.asarray(nonmember_stats, dtype=np.float64)
@@ -125,17 +122,17 @@ def optimal_threshold(
         raise ValueError("member_if must be 'leq' or 'geq'")
     uniq = np.unique(np.concatenate([member_stats, nonmember_stats]))
     candidates = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
-    best_tau = None
-    best_acc = -1.0
-    for tau in candidates:
-        if member_if == "leq":
-            acc = _balanced_accuracy(member_stats <= tau, nonmember_stats > tau)
-        else:
-            acc = _balanced_accuracy(member_stats >= tau, nonmember_stats < tau)
-        if acc > best_acc:
-            best_acc = acc
-            best_tau = tau
-    return float(best_tau), float(best_acc)
+    side = "right" if member_if == "leq" else "left"
+    members = np.sort(member_stats[~np.isnan(member_stats)])
+    nonmembers = np.sort(nonmember_stats[~np.isnan(nonmember_stats)])
+    below_m = np.searchsorted(members, candidates, side)  # m <= tau (leq) or m < tau (geq)
+    below_nm = np.searchsorted(nonmembers, candidates, side)
+    hits_m = below_m if member_if == "leq" else members.size - below_m
+    hits_nm = nonmembers.size - below_nm if member_if == "leq" else below_nm
+    accuracy = 0.5 * (hits_m / member_stats.size + hits_nm / nonmember_stats.size)
+    accuracy[np.isnan(candidates)] = 0.0
+    best = int(np.argmax(accuracy))  # the first maximum: the smallest tau
+    return float(candidates[best]), float(accuracy[best])
 
 
 def aggregate_shadow_taus(taus, s: int) -> float:

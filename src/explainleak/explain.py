@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import MlpModel
+from .models import _BLOCK_FLOATS, MlpModel
 
 
 @dataclass
@@ -79,9 +79,6 @@ class SurrogateConfig:
             raise ValueError("kernel_width must be positive")
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
-
-
-_BLOCK_FLOATS = 1 << 16  # 512 KiB of perturbed copies of X per row block
 
 
 def _row_blocks(n_rows: int, floats_per_row: int):

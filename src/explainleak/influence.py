@@ -5,7 +5,7 @@ likelihood-form loss when x is dropped and the logistic model retrained:
 I_y(x) = L(y, base) - L(y, without-x). Training is deterministic, so the
 leave-one-out cache is exactly reproducible, and reveal operations rank
 training points by |I| (dropping either of the label orientations flips only
-the sign).
+the sign). All n leave-one-out models train in one batch (`train_logistic_loo`).
 """
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import LogisticModel, TrainConfig, train_logistic
+from .models import LogisticModel, TrainConfig, TrainingDivergedError, sigmoid
+from .models import train_logistic, train_logistic_loo
 
 
 @dataclass
@@ -55,15 +56,15 @@ class LooInfluence:
         if label is None:
             label = self.predicted_label(y)
         f_base = self.base.positive_prob(y)
-        f_loo = 1.0 / (1.0 + np.exp(-(self._loo_w @ y - self._loo_b)))
+        f_loo = sigmoid(self._loo_w @ y - self._loo_b)
         signed = f_base - f_loo
         return signed if label == 0 else -signed
 
     def top_k(self, y: np.ndarray, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and influences of the k largest |I|, ties to the lower index;
-        any NaN influence raises ValueError (lexsort puts NaN last)."""
+        """Indices and influences of the k largest |I|, ties to the lower index (a
+        stable sort); any NaN influence raises ValueError (the sort puts NaN last)."""
         influences = self.influence(y, label)
-        order = np.lexsort((np.arange(self.n_points), -np.abs(influences)))
+        order = np.argsort(-np.abs(influences), kind="stable")
         if np.isnan(influences[order[-1]]):
             raise ValueError(f"influence of training point {order[-1]} is NaN")
         top = order[:k].copy()  # a view would keep all n entries of order alive
@@ -86,25 +87,17 @@ class InfluenceExplainer(LooInfluence):
         LooInfluence.__init__(self, self.base, self.loo_models)
 
 
-def _train_without(dataset: Dataset, cfg: TrainConfig, i: int) -> LogisticModel:
-    keep = np.concatenate([np.arange(i), np.arange(i + 1, dataset.n_points)])
-    try:
-        return train_logistic(dataset.subset(keep), cfg)
-    except Exception as exc:
-        raise RuntimeError(f"leave-one-out retraining failed for index {i}: {exc}") from exc
-
-
 def build_loo_cache(dataset: Dataset, cfg: TrainConfig, k: int = 1) -> InfluenceExplainer:
-    """Train the base model and one retrained model per left-out point.
-
-    Training is deterministic and the retrainings run in index order, so the
-    cache is identical on every call.
-    """
+    """The base `train_logistic` fit plus one `train_logistic_loo` batch, identical
+    on every call. A non-finite model without point i raises RuntimeError naming i."""
     base = train_logistic(dataset, cfg)
-    loo_models = [_train_without(dataset, cfg, i) for i in range(dataset.n_points)]
-    return InfluenceExplainer(
-        dataset=dataset, base=base, loo_models=loo_models, k=k, train_config=cfg
-    )
+    W, b = train_logistic_loo(dataset, cfg)
+    bad = np.flatnonzero(~(np.isfinite(W).all(axis=1) & np.isfinite(b)))
+    if bad.size:
+        exc = TrainingDivergedError(cfg.epochs - 1, cfg.epochs - 1, float("nan"))
+        raise RuntimeError(f"leave-one-out retraining failed for index {bad[0]}: {exc}") from exc
+    loo_models = [LogisticModel(w=w, b=bias) for w, bias in zip(W, b)]
+    return InfluenceExplainer(dataset, base, loo_models, k, train_config=cfg)
 
 
 def topk_explain(

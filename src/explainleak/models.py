@@ -5,7 +5,7 @@ per-layer activations and a probability head (softmax over k logits, or a
 single-logit sigmoid for binary heads). `LogisticModel` is a linear classifier
 f(x) = 1 / (1 + exp(-(w.x - b))) trained by full-batch gradient ascent on the
 log-likelihood; it is the model family the influence and reconstruction
-machinery operates on.
+machinery operates on; `train_logistic_loo` trains all n leave-one-out fits at once.
 
 Everything is deterministic under explicit seeds: weight init draws from a
 seeded generator, and epoch shuffles come from a generator derived from the
@@ -26,6 +26,8 @@ OPTIMIZERS = ("adagrad", "adam", "gd")
 FINAL_HEADS = ("softmax", "sigmoid")
 
 _LOSS_CLAMP = 1e-12
+# Floats (512 KiB) per block of explain's perturbed rows or of train_logistic_loo's models
+_BLOCK_FLOATS = 1 << 16
 
 
 class TrainingDivergedError(RuntimeError):
@@ -40,13 +42,22 @@ class TrainingDivergedError(RuntimeError):
         self.loss = loss
 
 
+@np.errstate(over="ignore")  # as a decorator it costs half of a `with` block per call
+def sigmoid(z, out: np.ndarray | None = None):
+    """1 / (1 + exp(-z)), into out if given; exp(-z) overflowing (f = 0) is not warned."""
+    if out is None:  # ufuncs given out= cost about 1 µs more each on a scalar
+        return 1.0 / (1.0 + np.exp(-z))
+    denominator = np.add(np.exp(np.negative(z, out=out), out=out), 1.0, out=out)
+    return np.divide(1.0, denominator, out=out)
+
+
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(z)
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return sigmoid(z)
     if name == "identity":
         return z
     raise ValueError(f"unknown activation {name!r}")
@@ -181,7 +192,7 @@ class MlpModel:
         if self.final == "softmax":
             probs = _softmax(a)
         else:
-            p = 1.0 / (1.0 + np.exp(-a[..., 0]))
+            p = sigmoid(a[..., 0])
             probs = np.stack([1.0 - p, p], axis=-1)
         return zs, acts, probs
 
@@ -352,14 +363,8 @@ def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
     batch_size = cfg.batch_size if cfg.batch_size is not None else n
     rng = np.random.default_rng(cfg.seed)
 
-    accum = [
-        (np.zeros_like(W), np.zeros_like(b))
-        for W, b in zip(model.weights, model.biases)
-    ]
-    adam_m = [
-        (np.zeros_like(W), np.zeros_like(b))
-        for W, b in zip(model.weights, model.biases)
-    ]
+    accum = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)]
+    adam_m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)]
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -427,10 +432,10 @@ class LogisticModel:
         return np.asarray(X, dtype=np.float64) @ self.w - self.b
 
     def positive_prob(self, x: np.ndarray) -> float:
-        return float(1.0 / (1.0 + np.exp(-(np.dot(x, self.w) - self.b))))
+        return float(sigmoid(np.dot(x, self.w) - self.b))
 
     def positive_prob_batch(self, X: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.decision_batch(X)))
+        return sigmoid(self.decision_batch(X))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         f = self.positive_prob(x)
@@ -481,6 +486,12 @@ class LogisticModel:
         return cls(w=np.array(payload["w"], dtype=np.float64), b=payload["b"])
 
 
+def _binary_targets(labels: np.ndarray) -> np.ndarray:
+    if np.any(labels > 1):
+        raise ValueError("train_logistic requires binary 0/1 labels")
+    return labels.astype(np.float64)
+
+
 def train_logistic(dataset, cfg: TrainConfig) -> LogisticModel:
     """Full-batch gradient ascent on the log-likelihood, from zero init.
 
@@ -489,17 +500,36 @@ def train_logistic(dataset, cfg: TrainConfig) -> LogisticModel:
     mean-normalized over the batch; a non-finite fit raises TrainingDivergedError.
     """
     X = dataset.features
-    labels = dataset.labels
-    if np.any(labels > 1):
-        raise ValueError("train_logistic requires binary 0/1 labels")
-    y = labels.astype(np.float64)
+    y = _binary_targets(dataset.labels)
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(cfg.epochs):
-        f = 1.0 / (1.0 + np.exp(-(X @ w - b)))
+        f = sigmoid(X @ w - b)
         resid = y - f
         w += cfg.lr * (resid @ X) / len(y)
         b += cfg.lr * float(np.mean(f - y))
     if not (np.isfinite(w).all() and np.isfinite(b)):
         raise TrainingDivergedError(cfg.epochs - 1, cfg.epochs - 1, float("nan"))
     return LogisticModel(w=w, b=b)
+
+
+def train_logistic_loo(dataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """All n leave-one-out `train_logistic` fits, (n, d) weights and (n,) biases, in
+    blocks of models. Row i trains on all points with point i's residual zeroed, so
+    each step is the mean gradient of the other n - 1 (the bias is the weight of a
+    constant -1 feature). Rows equal per-subset fits up to summation order; they are
+    returned unchecked, so the caller can name a non-finite row."""
+    y = _binary_targets(dataset.labels)
+    n = len(y)
+    X = np.hstack([dataset.features, -np.ones((n, 1))])
+    W = np.zeros((n, X.shape[1]))
+    step = max(1, _BLOCK_FLOATS // n)
+    for start in range(0, n, step):
+        w_blk = W[start:start + step]  # a view: the block trains in place
+        resid = np.empty((len(w_blk), n))
+        for _ in range(cfg.epochs):
+            np.matmul(w_blk, X.T, out=resid)
+            np.subtract(y, sigmoid(resid, out=resid), out=resid)
+            np.fill_diagonal(resid[:, start:], 0.0)  # row r leaves out point start + r
+            w_blk += cfg.lr * (resid @ X) / (n - 1)
+    return W[:, :-1], W[:, -1]

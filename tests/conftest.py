@@ -3,8 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from explainleak import Dataset, LayerSpec, TrainConfig, init_model, train
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# CI failure reproduces locally; tests keep their own example counts.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def finite_difference_gradient(func, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from explainleak import (
     AttackStatistic,
@@ -141,7 +143,46 @@ def _brute_force_best_accuracy(members, nonmembers, member_if) -> float:
     return best
 
 
+def _scan_optimal_threshold(member_stats, nonmember_stats, member_if):
+    """The candidate-by-candidate scan `optimal_threshold` replaced, O(n^2)."""
+    member_stats = np.asarray(member_stats, dtype=np.float64)
+    nonmember_stats = np.asarray(nonmember_stats, dtype=np.float64)
+    uniq = np.unique(np.concatenate([member_stats, nonmember_stats]))
+    candidates = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
+    best_tau, best_acc = None, -1.0
+    for tau in candidates:
+        if member_if == "leq":
+            hits = (member_stats <= tau, nonmember_stats > tau)
+        else:
+            hits = (member_stats >= tau, nonmember_stats < tau)
+        acc = 0.5 * (float(hits[0].mean()) + float(hits[1].mean()))
+        if acc > best_acc:
+            best_tau, best_acc = tau, acc
+    return float(best_tau), float(best_acc)
+
+
+TIE_HEAVY = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+CONTINUOUS = st.floats(-1e6, 1e6, allow_nan=False)
+HOSTILE = st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf, np.nan])
+
+
 class TestOptimalThreshold:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([TIE_HEAVY, CONTINUOUS, HOSTILE]).flatmap(
+               lambda values: st.tuples(st.lists(values, min_size=1, max_size=40),
+                                        st.lists(values, min_size=1, max_size=40))),
+           st.sampled_from(["leq", "geq"]))
+    @example(([1.0, 3.0], [2.0, 4.0]), "leq")
+    @example(([0.5, 0.5, 0.5], [0.5, 0.5]), "geq")
+    @example(([np.nan], [np.nan, 1.0]), "leq")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+    def test_equals_candidate_scan(self, populations, member_if):
+        """Bit-identical tau and accuracy, smallest-tau ties included."""
+        members, nonmembers = populations
+        assert optimal_threshold(members, nonmembers, member_if) == _scan_optimal_threshold(
+            members, nonmembers, member_if
+        )
+
     def test_separable_case_perfect(self):
         tau, acc = optimal_threshold([1.0, 2.0], [3.0, 4.0], "leq")
         assert acc == 1.0

@@ -1,22 +1,32 @@
 """Leave-one-out influence explanations against hand-derived values."""
 from __future__ import annotations
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from explainleak import (
     Dataset,
     InfluenceExplainer,
     LogisticModel,
     TrainConfig,
+    TrainingDivergedError,
     build_influence_graph,
     build_loo_cache,
     group_reveal_rates,
     self_reveal_rate,
     topk_explain,
+    train_logistic,
 )
 from conftest import two_blob_dataset
+from explainleak import influence as influence_module
+from explainleak import models as models_module
 from explainleak.influence import self_reveals
+from explainleak.models import train_logistic_loo
 
 FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
 
@@ -167,19 +177,30 @@ class TestLooCache:
         assert expl.k == 3
 
     def test_failure_tagged_with_point_index(self, monkeypatch, blob_dataset):
-        import explainleak.influence as influence_module
+        # The leave-one-out models come from one batched fit, so a failed
+        # retraining is a non-finite row of that batch.
+        real = influence_module.train_logistic_loo
 
-        real = influence_module.train_logistic
-        target_row = blob_dataset.features[3]
+        def diverged_without_point_3(ds, cfg):
+            W, b = real(ds, cfg)
+            W[3, 1] = np.inf
+            return W, b
 
-        def flaky(ds, cfg):
-            missing_target = not np.any(np.all(ds.features == target_row, axis=1))
-            if ds.n_points == blob_dataset.n_points - 1 and missing_target:
-                raise ValueError("synthetic failure")
-            return real(ds, cfg)
+        monkeypatch.setattr(influence_module, "train_logistic_loo", diverged_without_point_3)
+        with pytest.raises(RuntimeError, match="index 3") as failure:
+            build_loo_cache(blob_dataset, FULL_BATCH)
+        assert isinstance(failure.value.__cause__, TrainingDivergedError)
 
-        monkeypatch.setattr(influence_module, "train_logistic", flaky)
-        with pytest.raises(RuntimeError, match="index 3"):
+    def test_lowest_failed_index_named(self, monkeypatch, blob_dataset):
+        real = influence_module.train_logistic_loo
+
+        def nan_biases(ds, cfg):
+            W, b = real(ds, cfg)
+            b[[7, 12]] = np.nan
+            return W, b
+
+        monkeypatch.setattr(influence_module, "train_logistic_loo", nan_biases)
+        with pytest.raises(RuntimeError, match="index 7:"):
             build_loo_cache(blob_dataset, FULL_BATCH)
 
     def test_model_count_validated(self):
@@ -187,6 +208,45 @@ class TestLooCache:
         base = LogisticModel(np.zeros(1), 0.0)
         with pytest.raises(ValueError):
             InfluenceExplainer(ds, base, [base], k=1, train_config=FULL_BATCH)
+
+
+class TestBatchedLoo:
+    """train_logistic_loo against the per-subset train_logistic fits it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 30), d=st.integers(1, 5), lr=st.floats(0.05, 2.0),
+           epochs=st.integers(1, 80), block_rows=st.integers(1, 7), seed=st.integers(0, 2**16))
+    @example(n=2, d=3, lr=1.0, epochs=40, block_rows=1, seed=0)
+    @example(n=23, d=2, lr=0.5, epochs=60, block_rows=5, seed=1)  # last block of 3
+    def test_rows_equal_per_subset_fits(self, n, d, lr, epochs, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        ds = Dataset(rng.normal(size=(n, d)), rng.integers(0, 2, n))
+        cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, batch_size=None)
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", block_rows * n):
+            W, b = train_logistic_loo(ds, cfg)
+        for i in range(n):
+            fit = train_logistic(ds.subset(np.delete(np.arange(n), i)), cfg)
+            assert np.max(np.abs(W[i] - fit.w)) <= 1e-12
+            assert abs(b[i] - fit.b) <= 1e-12
+
+    def test_cache_holds_the_batched_rows(self, blob_dataset):
+        expl = build_loo_cache(blob_dataset, FULL_BATCH)
+        W, b = train_logistic_loo(blob_dataset, FULL_BATCH)
+        np.testing.assert_array_equal(np.stack([m.w for m in expl.loo_models]), W)
+        np.testing.assert_array_equal([m.b for m in expl.loo_models], b)
+
+    def test_rejects_multiclass_labels(self):
+        with pytest.raises(ValueError, match="binary"):
+            train_logistic_loo(Dataset(np.zeros((3, 1)), np.array([0, 1, 2])), FULL_BATCH)
+
+    def test_saturated_query_raises_no_overflow_warning(self):
+        # exp(-z) overflows for z below about -709; the probability is then 0.
+        base = LogisticModel(w=np.array([1.0]), b=0.0)
+        expl = fake_explainer(base, [LogisticModel(np.array([2.0]), 0.0)] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            influences = expl.influence(np.array([-1000.0]), label=0)
+        np.testing.assert_array_equal(influences, [0.0, 0.0])
 
 
 class TestRevealRates:
@@ -235,7 +295,7 @@ class TestRevealRates:
 
 class TestNanInfluence:
     def test_topk_rejects_nan_loo_model(self):
-        # lexsort would rank the NaN influence last and report the rest as if
+        # The sort would rank the NaN influence last and report the rest as if
         # nothing were wrong.
         base = LogisticModel(w=np.array([1.0]), b=0.0)
         loos = [

@@ -1,6 +1,8 @@
 """Model forward/gradient/training behavior against independent oracles."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from explainleak import (
     train_logistic,
 )
 from conftest import finite_difference_gradient, relative_error, two_blob_dataset
+from explainleak.models import sigmoid
 
 
 def _hand_network() -> MlpModel:
@@ -294,6 +297,20 @@ class TestSerialization:
 
 
 class TestLogisticModel:
+    def test_sigmoid_is_the_plain_formula_and_saturates_quietly(self):
+        z = np.array([-1000.0, -709.0, -30.0, -0.5, 0.0, 2.0, 40.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = sigmoid(z)
+            scalar = sigmoid(np.float64(-800.0))
+            buffer = z.copy()
+            in_place = sigmoid(buffer, out=buffer)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(f, 1.0 / (1.0 + np.exp(-z)))
+        assert f[0] == 0.0 and f[-1] == 1.0 and scalar == 0.0
+        assert in_place is buffer
+        np.testing.assert_array_equal(buffer, f)
+
     def test_probability_formula(self):
         model = LogisticModel(w=np.array([2.0, -1.0]), b=0.5)
         x = np.array([0.3, 0.4])
