@@ -5,8 +5,9 @@ variance of its predicted distribution, or the variance of its explanation)
 and compares against a calibrated cut. Low loss, low explanation variance,
 and high prediction variance all vote "training member". Thresholds come
 either from an exhaustive optimal scan (requires ground-truth membership) or
-from shadow models that mimic the target. A learned attack alternatively
-trains a binary classifier on explanation/prediction/loss features.
+from shadow models that mimic the target. The paper's learned attack instead
+trains a binary classifier on explanation/prediction/loss features
+(`combine_sources`, `train_attack_network`).
 """
 from __future__ import annotations
 
@@ -78,9 +79,7 @@ def statistic_values(
     stat: AttackStatistic, model, X: np.ndarray, labels: np.ndarray | None = None
 ) -> np.ndarray:
     """The statistic for every row of X; an explanation statistic reduces each
-    row of one `explain_batch` call to its variance or 1-norm. The rows share
-    the seeded noise, so the local surrogate solves one ridge system for all
-    of them, [beta, c'] = M t, and recovers each intercept as c' - x.beta."""
+    row of one `explain_batch` call to its variance or 1-norm."""
     X = np.asarray(X, dtype=np.float64)
     if stat.kind == "loss":
         if labels is None:
@@ -96,13 +95,6 @@ def statistic_values(
     return np.square(values, out=values).sum(axis=1)
 
 
-def compute_statistic(
-    stat: AttackStatistic, model, x: np.ndarray, label: int | None = None
-) -> float:
-    labels = None if label is None else np.array([label])
-    return float(statistic_values(stat, model, np.asarray(x)[None, :], labels)[0])
-
-
 def optimal_threshold(
     member_stats, nonmember_stats, member_if: str
 ) -> tuple[float, float]:
@@ -112,7 +104,8 @@ def optimal_threshold(
     plus -inf and +inf; ties resolve to the smallest tau. Returns
     (tau, balanced accuracy); the accuracy can never fall below 0.5 because
     the infinite cuts classify everything one way. Each population is sorted
-    once and counted at every candidate by binary search; NaN compares false.
+    once and counted at every candidate by binary search. A NaN or infinite
+    statistic raises ValueError naming its population and count.
     """
     member_stats = np.asarray(member_stats, dtype=np.float64)
     nonmember_stats = np.asarray(nonmember_stats, dtype=np.float64)
@@ -120,17 +113,20 @@ def optimal_threshold(
         raise ValueError("both populations must be non-empty")
     if member_if not in ("leq", "geq"):
         raise ValueError("member_if must be 'leq' or 'geq'")
+    for name, values in (("member", member_stats), ("non-member", nonmember_stats)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise ValueError(f"{name} population holds {bad} non-finite statistic value(s)")
     uniq = np.unique(np.concatenate([member_stats, nonmember_stats]))
     candidates = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
     side = "right" if member_if == "leq" else "left"
-    members = np.sort(member_stats[~np.isnan(member_stats)])
-    nonmembers = np.sort(nonmember_stats[~np.isnan(nonmember_stats)])
+    members = np.sort(member_stats)
+    nonmembers = np.sort(nonmember_stats)
     below_m = np.searchsorted(members, candidates, side)  # m <= tau (leq) or m < tau (geq)
     below_nm = np.searchsorted(nonmembers, candidates, side)
     hits_m = below_m if member_if == "leq" else members.size - below_m
     hits_nm = nonmembers.size - below_nm if member_if == "leq" else below_nm
     accuracy = 0.5 * (hits_m / member_stats.size + hits_nm / nonmember_stats.size)
-    accuracy[np.isnan(candidates)] = 0.0
     best = int(np.argmax(accuracy))  # the first maximum: the smallest tau
     return float(candidates[best]), float(accuracy[best])
 
@@ -142,29 +138,6 @@ def aggregate_shadow_taus(taus, s: int) -> float:
     if s > len(taus):
         raise ValueError(f"requested {s} shadows but only {len(taus)} available")
     return float(np.mean(np.asarray(taus, dtype=np.float64)[:s]))
-
-
-def shadow_threshold(shadow_models, shadow_sets, stat: AttackStatistic, s: int) -> float:
-    """Calibrate a threshold from shadow models with known membership.
-
-    Each shadow's optimal tau is computed on that shadow's own member and
-    non-member halves; the attack threshold is the mean over the first s
-    shadows (shadows are consumed in the order given).
-    """
-    if len(shadow_models) != len(shadow_sets):
-        raise ValueError("need one flagged dataset per shadow model")
-    if s > len(shadow_models):
-        raise ValueError(f"requested {s} shadows but only {len(shadow_models)} available")
-    taus = []
-    for model, ds in list(zip(shadow_models, shadow_sets))[:s]:
-        if ds.membership is None:
-            raise ValueError("shadow datasets must carry membership flags")
-        values = statistic_values(stat, model, ds.features, ds.labels)
-        tau, _ = optimal_threshold(
-            values[ds.membership], values[~ds.membership], stat.member_if
-        )
-        taus.append(tau)
-    return aggregate_shadow_taus(taus, s)
 
 
 @dataclass
@@ -184,49 +157,9 @@ class ThresholdRule:
         return values <= self.tau if self.member_if == "leq" else values >= self.tau
 
 
-@dataclass
-class AttackResult:
-    accuracy: float
-    tau: float
-    member_if: str
-    statistic_label: str
-    decisions: np.ndarray
-    stat_values: np.ndarray
-    n_members: int
-    n_nonmembers: int
-    warning: str | None = None
-
-
-def evaluate_attack(rule: ThresholdRule, model, eval_set: Dataset) -> AttackResult:
-    """Apply a threshold rule to a flagged evaluation set."""
-    if eval_set.membership is None:
-        raise ValueError("evaluation set must carry membership flags")
-    values = statistic_values(rule.statistic, model, eval_set.features, eval_set.labels)
-    decisions = rule.decide(values)
-    truth = eval_set.membership
-    n_members = int(truth.sum())
-    n_nonmembers = int((~truth).sum())
-    warning = None
-    if n_members != n_nonmembers:
-        warning = (
-            f"evaluation set is unbalanced: {n_members} members, "
-            f"{n_nonmembers} non-members"
-        )
-    return AttackResult(
-        accuracy=float(np.mean(decisions == truth)),
-        tau=rule.tau,
-        member_if=rule.member_if,
-        statistic_label=rule.statistic.label,
-        decisions=decisions,
-        stat_values=values,
-        n_members=n_members,
-        n_nonmembers=n_nonmembers,
-        warning=warning,
-    )
-
-
 def combine_sources(parts) -> np.ndarray:
-    """Concatenate per-point feature blocks column-wise in the given order.
+    """Concatenate per-point feature blocks column-wise in the given order, as
+    the input of the paper's learned attack (`train_attack_network`).
 
     The conventional order is (explanation values, prediction vector, loss).
     1-D blocks are treated as single columns. All blocks must agree on the
@@ -253,6 +186,8 @@ def combine_sources(parts) -> np.ndarray:
 
 @dataclass
 class AttackNetResult:
+    """The paper's learned attack network and its train/test accuracies."""
+
     model: object
     train_accuracy: float
     test_accuracy: float
@@ -270,7 +205,7 @@ def train_attack_network(
     lr_decay: float = 1e-7,
     train_fraction: float = 0.7,
 ) -> AttackNetResult:
-    """Train the learned membership classifier on attack features.
+    """Train the paper's learned membership classifier on attack features.
 
     The network is a scaled copy of the published wide/wide/narrow/wide/
     narrow stack with ReLU activations and a single sigmoid logit, trained

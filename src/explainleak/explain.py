@@ -1,18 +1,17 @@
 """Feature-attribution methods for the classifiers in this package.
 
 Every method explains the model's *predicted* class at the query point and
-returns a signed `Explanation` whose values align with the input features.
-Methods that only need probabilities and input gradients (gradient,
-gradient-times-input, integrated gradients, smoothgrad, local surrogate)
-accept any model exposing `forward`/`forward_batch`/`input_gradient_batch`;
-the structural methods (guided backprop, layer-wise relevance) walk MlpModel
-internals and require one. `explain_batch` explains every row of a matrix in
-one call; the per-point functions are its one-row case.
+returns signed values aligned with the input features. Methods that only need
+probabilities and input gradients (gradient, gradient-times-input, integrated
+gradients, smoothgrad, local surrogate) accept any model exposing
+`forward_batch`/`input_gradient_batch`; the structural methods (guided
+backprop, layer-wise relevance) walk MlpModel internals and require one.
+`explain_batch` explains every row of a matrix in one call; `explain` explains
+one point and records the settings used.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,17 +26,6 @@ class Explanation:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"method": self.method, "params": self.params, "values": self.values.tolist()},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Explanation":
-        payload = json.loads(text)
-        return cls(payload["method"], payload["values"], payload["params"])
 
 
 @dataclass
@@ -133,7 +121,13 @@ def _smoothgrad(model, X: np.ndarray, cfg: SmoothGradConfig) -> np.ndarray:
 
 
 def _local_surrogate(model, X: np.ndarray, cfg: SurrogateConfig):
-    """(coefficients, intercepts, classes, kernel width, lambda) for the rows of X."""
+    """(coefficients, intercepts, classes, kernel width, lambda) for the rows of X.
+
+    Every row shares the seeded noise E and so the kernel weights W. The
+    intercept is unpenalized, so fitting t on D = [E, 1] instead of [x + E, 1]
+    keeps the slopes beta and moves the intercept to c' = c + x.beta:
+    [beta, c'] = M t with M = (D^T W D + lambda P)^-1 D^T W, solved once.
+    """
     n, d = X.shape
     kernel_width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(d)
     noise = np.random.default_rng(cfg.seed).standard_normal((cfg.num_samples, d))
@@ -176,8 +170,8 @@ def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None)
     """Explanations of every row of X as an (N, d) array; params as in `explain`.
 
     Row i is `explain(model, X[i], method, params).values` up to summation
-    order. Sampling methods draw their seeded noise once for the batch and
-    reduce each row block of perturbed copies before building the next.
+    order (see `explain`). Sampling methods draw their seeded noise once for
+    the batch and reduce each row block of perturbed copies before the next.
     """
     if method not in _BATCH_METHODS:
         raise ValueError(f"unknown explanation method {method!r}")
@@ -190,7 +184,29 @@ def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None)
 
 
 def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Explanation:
-    """One point's explanation (row 0 of `explain_batch`) with the settings used."""
+    """One point's explanation of its predicted class, with the settings used.
+
+    Methods, with their params and defaults:
+      gradient: the predicted-class probability's input gradient at x.
+      grad_times_input: x times that gradient.
+      integrated_gradients (steps=50, baseline=0): x - baseline times the mean
+        gradient at `steps` right-endpoint points on the path from the baseline
+        to x, the class held fixed.
+      guided_backprop (MlpModel): the gradient, also zeroed at each ReLU where
+        the gradient arriving from above is negative.
+      lrp (MlpModel; epsilon=1e-7): the class probability, passed back through
+        each affine layer by shares a_j*w_ji / (z_i + eps*sign(z_i)), sign(0)=+1.
+      smoothgrad (sigma=0.1, scalar or per feature; samples=25; seed=0): mean
+        gradient at seeded Gaussian perturbations of x; sigma=0 is the gradient.
+      local_surrogate (num_samples=500, kernel_width=0.75*sqrt(d),
+        ridge_lambda=1e-3, seed=0): coefficients of a ridge fit (intercept
+        unpenalized) of the class probability at x + z, z unit Gaussian, with
+        weights exp(-||z||^2 / kernel_width^2); lambda >= 1e-8 if singular.
+
+    The result is row 0 of a one-row `explain_batch`. It is not bit-identical
+    to row i of a many-row batch: numpy computes a one-row matmul with BLAS
+    gemv and a many-row one with gemm, which round differently.
+    """
     x = np.asarray(x, dtype=np.float64)
     params = dict(params or {})
     if method == "local_surrogate":
@@ -205,7 +221,7 @@ def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Ex
         sigma = np.asarray(cfg.sigma, dtype=np.float64).tolist()  # a float or a list
         info = {"sigma": sigma, "samples": cfg.samples, "seed": cfg.seed}
     else:
-        info = {"target_class": int(np.argmax(model.forward(x)))}
+        info = {"target_class": int(np.argmax(model.forward_batch(x[None, :])[0]))}
         if method == "integrated_gradients":
             info["steps"] = IgConfig(**params).steps
         elif method == "lrp":
@@ -213,82 +229,11 @@ def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Ex
     return Explanation(method, values, info)
 
 
-def explain_gradient(model, x: np.ndarray) -> Explanation:
-    """Signed gradient of the predicted-class probability at x."""
-    return explain(model, x, "gradient")
-
-
-def explain_grad_times_input(model, x: np.ndarray) -> Explanation:
-    return explain(model, x, "grad_times_input")
-
-
-def explain_integrated_gradients(
-    model, x: np.ndarray, cfg: IgConfig | None = None
-) -> Explanation:
-    """Path-integrated gradient from a baseline to x.
-
-    The integral is approximated by a right-endpoint Riemann sum over
-    `steps` points (the sampled path includes x and excludes the baseline),
-    then multiplied coordinatewise by (x - baseline). The target class is
-    the predicted class at x, held fixed along the path.
-    """
-    return explain(model, x, "integrated_gradients", asdict(cfg or IgConfig()))
-
-
 def ig_completeness_gap(model, x: np.ndarray, cfg: IgConfig | None = None) -> float:
     """|sum of attributions - (c(x) - c(baseline))| for the predicted class."""
     cfg = cfg if cfg is not None else IgConfig()
     x = np.asarray(x, dtype=np.float64)
     baseline = np.zeros_like(x) if cfg.baseline is None else cfg.baseline
-    result = explain_integrated_gradients(model, x, cfg)
-    cls = result.params["target_class"]
-    delta = model.forward(x)[cls] - model.forward(baseline)[cls]
-    return float(abs(result.values.sum() - delta))
-
-
-def explain_guided_backprop(model: MlpModel, x: np.ndarray) -> Explanation:
-    """Gradient backward pass with double gating at every ReLU layer: there the
-    flowing gradient is zeroed both where the forward pre-activation was
-    non-positive and where the gradient arriving from above is negative."""
-    return explain(model, x, "guided_backprop")
-
-
-def explain_lrp(model: MlpModel, x: np.ndarray, epsilon: float = 1e-7) -> Explanation:
-    """Epsilon-rule relevance propagation through the affine layers.
-
-    The predicted-class output probability seeds the relevance at the last
-    layer's unit; each affine layer then redistributes relevance by signed
-    contribution share a_j*w_ji / (z_i + eps*sign(z_i)), with sign(0) taken
-    as +1 so dead units divide by +eps.
-    """
-    return explain(model, x, "lrp", {"epsilon": epsilon})
-
-
-def explain_smoothgrad(
-    model, x: np.ndarray, cfg: SmoothGradConfig | None = None
-) -> Explanation:
-    """Mean of explain_gradient over seeded Gaussian perturbations of x.
-
-    sigma may be a scalar or a per-feature vector. sigma = 0 degenerates to
-    the plain gradient (returned directly, so the equality is bit-exact).
-    """
-    return explain(model, x, "smoothgrad", asdict(cfg or SmoothGradConfig()))
-
-
-def explain_local_surrogate(
-    model, x: np.ndarray, cfg: SurrogateConfig | None = None
-) -> Explanation:
-    """Weighted ridge fit of a local linear surrogate around x.
-
-    Perturbations are unit Gaussians centred at x; sample j receives weight
-    exp(-||z_j - x||^2 / kernel_width^2), and a ridge-penalized weighted
-    least squares (intercept unpenalized) predicts the model's probability
-    for the class predicted at x. The surrogate's coefficients are the
-    explanation. A singular normal system is re-solved with the lambda floor
-    1e-8. The seeded noise E = Z - x, and so W, is the same for every x.
-    The intercept is unpenalized, so regressing the targets t on D = [E, 1]
-    instead of [x + E, 1] keeps the slopes beta and moves the intercept to
-    c' = c + x.beta: [beta, c'] = M t with M = (D^T W D + lambda P)^-1 D^T W.
-    A batch solves M once and reports the intercept c' - x.beta.
-    """
-    return explain(model, x, "local_surrogate", asdict(cfg or SurrogateConfig()))
+    result = explain(model, x, "integrated_gradients", vars(cfg))
+    probs = model.forward_batch(np.stack([x, baseline]))[:, result.params["target_class"]]
+    return float(abs(result.values.sum() - (probs[0] - probs[1])))

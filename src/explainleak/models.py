@@ -14,7 +14,7 @@ training seed, so identical configs reproduce bit-identical parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -138,9 +138,7 @@ class MlpModel:
         seed: int | None = None,
         train_config: TrainConfig | None = None,
     ):
-        layers = [
-            l if isinstance(l, LayerSpec) else LayerSpec(**l) for l in layers
-        ]
+        layers = [l if isinstance(l, LayerSpec) else LayerSpec(**l) for l in layers]
         if not layers:
             raise ValueError("at least one layer is required")
         if input_dim < 1:
@@ -196,11 +194,6 @@ class MlpModel:
             probs = np.stack([1.0 - p, p], axis=-1)
         return zs, acts, probs
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class-probability vector for a single point."""
-        x = np.asarray(x, dtype=np.float64)
-        return self.forward_stack(x[None, :])[2][0]
-
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return self.forward_stack(X)[2]
@@ -210,11 +203,6 @@ class MlpModel:
 
     def accuracy(self, X: np.ndarray, labels: np.ndarray) -> float:
         return float(np.mean(self.predict_batch(X) == np.asarray(labels)))
-
-    def loss(self, x: np.ndarray, label: int) -> float:
-        """Cross-entropy of the predicted distribution at one point."""
-        p = self.forward(x)[int(label)]
-        return float(-np.log(max(p, _LOSS_CLAMP)))
 
     def loss_batch(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         probs = self.forward_batch(X)
@@ -234,11 +222,8 @@ class MlpModel:
         return (probs[:, 1] - labels)[:, None]
 
     def param_gradients(self, X: np.ndarray, labels: np.ndarray):
-        """Mean cross-entropy gradients for every layer: list of (dW, db)."""
-        grads, _ = self._param_gradients_with_loss(X, labels)
-        return grads
-
-    def _param_gradients_with_loss(self, X: np.ndarray, labels: np.ndarray):
+        """Mean cross-entropy gradients for every layer, a list of (dW, db), and
+        the mean cross-entropy itself: (grads, loss)."""
         X = np.asarray(X, dtype=np.float64)
         labels = np.asarray(labels)
         if X.ndim != 2 or X.shape[0] == 0:
@@ -256,15 +241,6 @@ class MlpModel:
             if l > 0:
                 delta = dz @ self.weights[l].T
         return grads, loss
-
-    def input_gradient(self, x: np.ndarray, target_class: int | None = None) -> np.ndarray:
-        """Gradient of the target-class probability with respect to the input.
-
-        Defaults to the predicted class (argmax of the forward pass).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        targets = None if target_class is None else np.array([int(target_class)])
-        return self.input_gradient_batch(x[None, :], targets)[0]
 
     def input_gradient_batch(
         self, X: np.ndarray, target_classes: np.ndarray | None = None, guided: bool = False
@@ -370,7 +346,7 @@ def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            grads, loss = model._param_gradients_with_loss(X[batch], labels[batch])
+            grads, loss = model.param_gradients(X[batch], labels[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, step, loss)
             lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
@@ -428,18 +404,12 @@ class LogisticModel:
     def n_classes(self) -> int:
         return 2
 
-    def decision_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.w - self.b
-
     def positive_prob(self, x: np.ndarray) -> float:
+        """f(x) at one point: the scalar path of every oracle query."""
         return float(sigmoid(np.dot(x, self.w) - self.b))
 
     def positive_prob_batch(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_batch(X))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        f = self.positive_prob(x)
-        return np.array([1.0 - f, f])
+        return sigmoid(np.asarray(X, dtype=np.float64) @ self.w - self.b)
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         f = self.positive_prob_batch(X)
@@ -451,13 +421,6 @@ class LogisticModel:
     def accuracy(self, X: np.ndarray, labels: np.ndarray) -> float:
         return float(np.mean(self.predict_batch(X) == np.asarray(labels)))
 
-    def input_gradient(self, x: np.ndarray, target_class: int | None = None) -> np.ndarray:
-        f = self.positive_prob(x)
-        if target_class is None:
-            target_class = 1 if f >= 0.5 else 0
-        sign = 1.0 if target_class == 1 else -1.0
-        return sign * f * (1.0 - f) * self.w
-
     def input_gradient_batch(
         self, X: np.ndarray, target_classes: np.ndarray | None = None
     ) -> np.ndarray:
@@ -467,12 +430,8 @@ class LogisticModel:
         sign = np.where(np.asarray(target_classes) == 1, 1.0, -1.0)
         return (sign * f * (1.0 - f))[:, None] * self.w[None, :]
 
-    def loss(self, x: np.ndarray, label: int) -> float:
-        """Likelihood-form value (1-f)^l * f^(1-l); lies in [0, 1]."""
-        f = self.positive_prob(x)
-        return f if int(label) == 0 else 1.0 - f
-
     def loss_batch(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Likelihood-form value (1-f)^l * f^(1-l) per row; lies in [0, 1]."""
         f = self.positive_prob_batch(X)
         labels = np.asarray(labels)
         return np.where(labels == 0, f, 1.0 - f)

@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .attacks import AttackStatistic, statistic_values
 from .config import Config
 from .data import Dataset
 from .models import (
@@ -98,16 +99,6 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     return Dataset(features=features[order], labels=label_arr[order])
 
 
-def grad_norm_l1(model, x: np.ndarray) -> float:
-    """1-norm of the predicted-class input gradient at x."""
-    return float(np.abs(model.input_gradient(np.asarray(x, dtype=np.float64))).sum())
-
-
-def grad_norm_l1_batch(model, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    return np.abs(model.input_gradient_batch(X, None)).sum(axis=1)
-
-
 class CorrelationResult(NamedTuple):
     value: float
     degenerate: bool
@@ -167,21 +158,12 @@ def _run_dimension(
     try:
         train(model, train_set, replace(train_cfg, seed=seed))
     except TrainingDivergedError:
-        return DimensionResult(
-            dim=dim,
-            arch=arch,
-            correlation=float("nan"),
-            degenerate=True,
-            train_accuracy=float("nan"),
-            test_accuracy=float("nan"),
-            seed=seed,
-            diverged=True,
-        )
+        nan = float("nan")
+        return DimensionResult(dim=dim, arch=arch, correlation=nan, degenerate=True,
+                               train_accuracy=nan, test_accuracy=nan, seed=seed, diverged=True)
+    stat = AttackStatistic("expl_var", "gradient", use_l1=True)  # input-gradient 1-norm
     norms = np.concatenate(
-        [
-            grad_norm_l1_batch(model, train_set.features),
-            grad_norm_l1_batch(model, test_set.features),
-        ]
+        [statistic_values(stat, model, part.features) for part in (train_set, test_set)]
     )
     membership = np.concatenate(
         [np.ones(train_set.n_points, bool), np.zeros(test_set.n_points, bool)]

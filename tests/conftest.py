@@ -1,11 +1,11 @@
-"""Shared fixtures and finite-difference helpers for the test suite."""
+"""Shared fixtures, worst-case oracle families and finite-difference helpers."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from explainleak import Dataset, LayerSpec, TrainConfig, init_model, train
+from explainleak import Dataset, LayerSpec, LogisticModel, TrainConfig, init_model, train
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
 # CI failure reproduces locally; tests keep their own example counts.
@@ -51,6 +51,44 @@ def two_blob_dataset(
     labels = np.concatenate([np.zeros(half, np.int64), np.ones(n - half, np.int64)])
     order = rng.permutation(n)
     return Dataset(features[order], labels[order])
+
+
+def tangent_fixture(m: int) -> tuple[LogisticModel, list[LogisticModel], np.ndarray]:
+    """One-dimensional oracle family where reveals follow tangent lines of t -> t^2.
+
+    Base model is flat (w=0, b=0); dropping point k yields w=2k, b=k^2, so
+    the leave-one-out logit at query t is the tangent line 2kt - k^2 of the
+    parabola at t=k. Queries t=1..m are returned alongside the models: the
+    oracle's reveal at t is the k whose tangent value is largest in absolute
+    terms, which is generally not the nearest k.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    base = LogisticModel(w=np.zeros(1), b=0.0)
+    loos = [
+        LogisticModel(w=np.array([2.0 * k]), b=float(k * k)) for k in range(1, m + 1)
+    ]
+    queries = np.arange(1, m + 1, dtype=np.float64)[:, None]
+    return base, loos, queries
+
+
+def same_direction_fixture(
+    w: np.ndarray, b: float, deltas: np.ndarray
+) -> tuple[LogisticModel, list[LogisticModel]]:
+    """Leave-one-out models that differ from the base only in the offset.
+
+    With a shared weight vector the influence ordering is the same at every
+    query point (larger offset shift wins), so a top-1 oracle can never be
+    steered to reveal anything but the extreme point: the reconstruction
+    attack must detect the linear dependence and stop at one recovery.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if np.unique(deltas).size != deltas.size:
+        raise ValueError("offset shifts must be distinct")
+    base = LogisticModel(w=w.copy(), b=float(b))
+    loos = [LogisticModel(w=w.copy(), b=float(b + d)) for d in deltas]
+    return base, loos
 
 
 @pytest.fixture

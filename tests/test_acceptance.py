@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import finite_difference_gradient, relative_error
+from conftest import (
+    finite_difference_gradient,
+    relative_error,
+    same_direction_fixture,
+    tangent_fixture,
+)
 from explainleak.attacks import AttackStatistic, optimal_threshold
 from explainleak.cli import main as cli_main
 from explainleak.data import Dataset
@@ -42,8 +47,6 @@ from explainleak.reconstruct import (
     InfluenceOracle,
     algorithm1_reconstruct,
     reconstruction_query_budget,
-    same_direction_fixture,
-    tangent_fixture,
 )
 from explainleak.synth import SynthConfig, dimension_sweep, generate_synthetic
 
@@ -72,9 +75,9 @@ def test_criterion_01_gradient_matches_finite_differences():
     start = time.perf_counter()
     worst = 0.0
     for model, x in _gradient_fixtures():
-        target = int(np.argmax(model.forward(x)))
-        grad = model.input_gradient(x, target)
-        fd = finite_difference_gradient(lambda z: model.forward(z)[target], x)
+        target = int(np.argmax(model.forward_batch(x[None])[0]))
+        grad = model.input_gradient_batch(x[None], [target])[0]
+        fd = finite_difference_gradient(lambda z: model.forward_batch(z[None])[0][target], x)
         worst = max(worst, relative_error(grad, fd))
     elapsed = time.perf_counter() - start
     assert worst < 1e-4, f"max relative gradient error {worst:.2e}"

@@ -19,13 +19,6 @@ from explainleak import (
     SurrogateConfig,
     explain,
     explain_batch,
-    explain_grad_times_input,
-    explain_gradient,
-    explain_guided_backprop,
-    explain_integrated_gradients,
-    explain_local_surrogate,
-    explain_lrp,
-    explain_smoothgrad,
     ig_completeness_gap,
     init_model,
 )
@@ -44,18 +37,9 @@ class LinearStub:
     def _score(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coef + self.intercept
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        t = float(self._score(np.asarray(x, dtype=np.float64)[None, :])[0])
-        return np.array([1.0 - t, t])
-
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         t = self._score(np.asarray(X, dtype=np.float64))
         return np.stack([1.0 - t, t], axis=1)
-
-    def input_gradient(self, x, target_class=None):
-        return self.input_gradient_batch(np.asarray(x)[None, :],
-                                         None if target_class is None
-                                         else np.array([target_class]))[0]
 
     def input_gradient_batch(self, X, target_classes=None):
         X = np.asarray(X, dtype=np.float64)
@@ -74,17 +58,17 @@ def stub() -> LinearStub:
 class TestGradient:
     def test_matches_predicted_class_input_gradient(self, small_trained_model):
         x = np.array([0.3, -0.2, 0.5, 0.1])
-        cls = int(np.argmax(small_trained_model.forward(x)))
-        result = explain_gradient(small_trained_model, x)
+        cls = int(np.argmax(small_trained_model.forward_batch(x[None])[0]))
+        result = explain(small_trained_model, x, "gradient")
         np.testing.assert_array_equal(
-            result.values, small_trained_model.input_gradient(x, cls)
+            result.values, small_trained_model.input_gradient_batch(x[None], [cls])[0]
         )
         assert result.params["target_class"] == cls
         assert result.method == "gradient"
 
     def test_linear_stub_exact(self, stub):
         x = np.array([0.2, 0.1, -0.3])
-        np.testing.assert_array_equal(explain_gradient(stub, x).values, stub.coef)
+        np.testing.assert_array_equal(explain(stub, x, "gradient").values, stub.coef)
 
     def test_logistic_closed_form(self):
         model = LogisticModel(w=np.array([1.5, -0.8]), b=0.3)
@@ -93,20 +77,20 @@ class TestGradient:
         expected = f * (1.0 - f) * model.w  # class 1 predicted at this x
         assert f > 0.5
         np.testing.assert_allclose(
-            explain_gradient(model, x).values, expected, rtol=1e-12
+            explain(model, x, "gradient").values, expected, rtol=1e-12
         )
 
 
 class TestGradTimesInput:
     def test_is_elementwise_product(self, small_trained_model):
         x = np.array([0.7, -0.1, 0.4, -0.6])
-        grad = explain_gradient(small_trained_model, x).values
+        grad = explain(small_trained_model, x, "gradient").values
         np.testing.assert_array_equal(
-            explain_grad_times_input(small_trained_model, x).values, x * grad
+            explain(small_trained_model, x, "grad_times_input").values, x * grad
         )
 
     def test_zero_input_gives_zero(self, stub):
-        values = explain_grad_times_input(stub, np.zeros(3)).values
+        values = explain(stub, np.zeros(3), "grad_times_input").values
         np.testing.assert_array_equal(values, np.zeros(3))
 
 
@@ -114,7 +98,7 @@ class TestIntegratedGradients:
     def test_linear_model_exact_at_any_steps(self, stub):
         x = np.array([0.4, -0.2, 0.6])
         for steps in (1, 7, 50):
-            values = explain_integrated_gradients(stub, x, IgConfig(steps=steps)).values
+            values = explain(stub, x, "integrated_gradients", {"steps": steps}).values
             np.testing.assert_allclose(values, stub.coef * x, rtol=1e-12)
 
     def test_completeness_gap_zero_for_linear(self, stub):
@@ -130,24 +114,22 @@ class TestIntegratedGradients:
 
     def test_baseline_equal_to_x_gives_zero(self, small_trained_model):
         x = np.array([0.3, 0.3, -0.1, 0.2])
-        values = explain_integrated_gradients(
-            small_trained_model, x, IgConfig(steps=20, baseline=x.copy())
+        values = explain(
+            small_trained_model, x, "integrated_gradients", {"steps": 20, "baseline": x.copy()}
         ).values
         np.testing.assert_array_equal(values, np.zeros_like(x))
 
     def test_right_endpoint_single_step_is_gradient_at_x(self, small_trained_model):
         x = np.array([0.5, -0.4, 0.2, 0.1])
-        values = explain_integrated_gradients(
-            small_trained_model, x, IgConfig(steps=1)
-        ).values
-        cls = int(np.argmax(small_trained_model.forward(x)))
-        expected = x * small_trained_model.input_gradient(x, cls)
+        values = explain(small_trained_model, x, "integrated_gradients", {"steps": 1}).values
+        cls = int(np.argmax(small_trained_model.forward_batch(x[None])[0]))
+        expected = x * small_trained_model.input_gradient_batch(x[None], [cls])[0]
         np.testing.assert_allclose(values, expected, rtol=1e-12)
 
     def test_baseline_shape_mismatch_rejected(self, stub):
         with pytest.raises(ValueError):
-            explain_integrated_gradients(
-                stub, np.zeros(3), IgConfig(steps=5, baseline=np.zeros(2))
+            explain(
+                stub, np.zeros(3), "integrated_gradients", {"steps": 5, "baseline": np.zeros(2)}
             )
 
     def test_step_count_validated(self):
@@ -210,7 +192,7 @@ class TestGuidedBackprop:
         gate = (np.array([1.5, -1.5]) > 0) & (d_hidden > 0)
         d_hidden = d_hidden * gate
         expected = w1 @ d_hidden
-        got = explain_guided_backprop(model, x)
+        got = explain(model, x, "guided_backprop")
         np.testing.assert_allclose(got.values, expected, rtol=1e-12)
         assert got.params["target_class"] == 0
 
@@ -220,8 +202,8 @@ class TestGuidedBackprop:
         )
         x = np.random.default_rng(32).normal(size=4)
         np.testing.assert_allclose(
-            explain_guided_backprop(model, x).values,
-            explain_gradient(model, x).values,
+            explain(model, x, "guided_backprop").values,
+            explain(model, x, "gradient").values,
             rtol=1e-10,
         )
 
@@ -234,7 +216,7 @@ class TestGuidedBackprop:
         )
         x = np.random.default_rng(100 + seed).normal(size=4)
         np.testing.assert_allclose(
-            explain_guided_backprop(model, x).values,
+            explain(model, x, "guided_backprop").values,
             _naive_guided_backprop(model, x),
             rtol=1e-10,
             atol=1e-14,
@@ -242,7 +224,7 @@ class TestGuidedBackprop:
 
     def test_requires_mlp(self):
         with pytest.raises(TypeError):
-            explain_guided_backprop(LogisticModel(np.ones(2), 0.0), np.zeros(2))
+            explain(LogisticModel(np.ones(2), 0.0), np.zeros(2), "guided_backprop")
 
 
 def _naive_lrp(model: MlpModel, x: np.ndarray, eps: float) -> np.ndarray:
@@ -275,7 +257,7 @@ class TestLrp:
         )
         x = np.random.default_rng(200 + seed).normal(size=3)
         np.testing.assert_allclose(
-            explain_lrp(model, x).values,
+            explain(model, x, "lrp").values,
             _naive_lrp(model, x, 1e-7),
             rtol=1e-9,
             atol=1e-14,
@@ -290,33 +272,31 @@ class TestLrp:
         for b in model.biases:
             b[:] = 0.0
         x = np.random.default_rng(42).normal(size=4)
-        probs = model.forward(x)
+        probs = model.forward_batch(x[None])[0]
         seed_value = probs[int(np.argmax(probs))]
-        total = explain_lrp(model, x).values.sum()
+        total = explain(model, x, "lrp").values.sum()
         assert total == pytest.approx(seed_value, abs=1e-5)
 
     def test_requires_mlp(self):
         with pytest.raises(TypeError):
-            explain_lrp(LogisticModel(np.ones(2), 0.0), np.zeros(2))
+            explain(LogisticModel(np.ones(2), 0.0), np.zeros(2), "lrp")
 
     def test_epsilon_validated(self, small_trained_model):
         with pytest.raises(ValueError):
-            explain_lrp(small_trained_model, np.zeros(4), epsilon=0.0)
+            explain(small_trained_model, np.zeros(4), "lrp", {"epsilon": 0.0})
 
 
 class TestSmoothGrad:
     def test_sigma_zero_bit_equal_to_gradient(self, small_trained_model):
         x = np.array([0.2, -0.5, 0.3, 0.8])
-        smooth = explain_smoothgrad(
-            small_trained_model, x, SmoothGradConfig(sigma=0.0, samples=10)
-        )
-        plain = explain_gradient(small_trained_model, x)
+        smooth = explain(small_trained_model, x, "smoothgrad", {"sigma": 0.0, "samples": 10})
+        plain = explain(small_trained_model, x, "gradient")
         np.testing.assert_array_equal(smooth.values, plain.values)
 
     def test_matches_manual_average(self, small_trained_model):
         x = np.array([0.1, 0.4, -0.2, 0.0])
         cfg = SmoothGradConfig(sigma=0.25, samples=12, seed=9)
-        got = explain_smoothgrad(small_trained_model, x, cfg).values
+        got = explain(small_trained_model, x, "smoothgrad", vars(cfg)).values
         rng = np.random.default_rng(9)
         noise = rng.standard_normal((12, 4))
         grads = small_trained_model.input_gradient_batch(x[None, :] + 0.25 * noise)
@@ -324,18 +304,17 @@ class TestSmoothGrad:
 
     def test_seed_determinism(self, small_trained_model):
         x = np.array([0.3, 0.3, 0.3, 0.3])
-        a = explain_smoothgrad(small_trained_model, x, SmoothGradConfig(seed=5)).values
-        b = explain_smoothgrad(small_trained_model, x, SmoothGradConfig(seed=5)).values
-        c = explain_smoothgrad(small_trained_model, x, SmoothGradConfig(seed=6)).values
+        a = explain(small_trained_model, x, "smoothgrad", {"seed": 5}).values
+        b = explain(small_trained_model, x, "smoothgrad", {"seed": 5}).values
+        c = explain(small_trained_model, x, "smoothgrad", {"seed": 6}).values
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_per_feature_sigma_vector(self, small_trained_model):
         x = np.zeros(4)
         sigma = np.array([0.5, 0.0, 0.1, 0.0])
-        values = explain_smoothgrad(
-            small_trained_model, x, SmoothGradConfig(sigma=sigma, samples=8, seed=1)
-        ).values
+        params = {"sigma": sigma, "samples": 8, "seed": 1}
+        values = explain(small_trained_model, x, "smoothgrad", params).values
         assert values.shape == (4,)
 
     def test_negative_sigma_rejected(self):
@@ -346,38 +325,29 @@ class TestSmoothGrad:
 class TestLocalSurrogate:
     def test_recovers_linear_model(self, stub):
         x = np.array([0.1, -0.2, 0.3])
-        exact = explain_local_surrogate(
-            stub, x, SurrogateConfig(num_samples=400, ridge_lambda=0.0, seed=2)
-        ).values
+        params = {"num_samples": 400, "ridge_lambda": 0.0, "seed": 2}
+        exact = explain(stub, x, "local_surrogate", params).values
         np.testing.assert_allclose(exact, stub.coef, atol=1e-8)
         # The default ridge penalty only biases the fit at the ~1e-5 level.
-        default = explain_local_surrogate(
-            stub, x, SurrogateConfig(num_samples=400, seed=2)
-        ).values
+        default = explain(stub, x, "local_surrogate", {"num_samples": 400, "seed": 2}).values
         np.testing.assert_allclose(default, stub.coef, atol=1e-4)
 
     def test_huge_ridge_shrinks_coefficients(self, stub):
         x = np.zeros(3)
-        small = explain_local_surrogate(
-            stub, x, SurrogateConfig(num_samples=300, ridge_lambda=1e-3, seed=3)
-        ).values
-        big = explain_local_surrogate(
-            stub, x, SurrogateConfig(num_samples=300, ridge_lambda=1e9, seed=3)
-        ).values
+        params = {"num_samples": 300, "seed": 3}
+        small = explain(stub, x, "local_surrogate", {**params, "ridge_lambda": 1e-3}).values
+        big = explain(stub, x, "local_surrogate", {**params, "ridge_lambda": 1e9}).values
         assert np.abs(big).max() < 1e-4 * np.abs(small).max()
 
     def test_seed_determinism(self, small_trained_model):
         x = np.array([0.2, 0.2, -0.1, 0.4])
-        a = explain_local_surrogate(
-            small_trained_model, x, SurrogateConfig(num_samples=100, seed=7)
-        ).values
-        b = explain_local_surrogate(
-            small_trained_model, x, SurrogateConfig(num_samples=100, seed=7)
-        ).values
+        params = {"num_samples": 100, "seed": 7}
+        a = explain(small_trained_model, x, "local_surrogate", params).values
+        b = explain(small_trained_model, x, "local_surrogate", params).values
         np.testing.assert_array_equal(a, b)
 
     def test_records_intercept_and_kernel(self, stub):
-        result = explain_local_surrogate(stub, np.zeros(3), SurrogateConfig(seed=1))
+        result = explain(stub, np.zeros(3), "local_surrogate", {"seed": 1})
         assert "intercept" in result.params
         assert result.params["kernel_width"] == pytest.approx(0.75 * np.sqrt(3))
 
@@ -397,21 +367,13 @@ class TestDispatcher:
         via_dispatch = explain(
             small_trained_model, x, "integrated_gradients", {"steps": 13}
         )
-        direct = explain_integrated_gradients(small_trained_model, x, IgConfig(steps=13))
-        np.testing.assert_array_equal(via_dispatch.values, direct.values)
+        direct = explain_batch(small_trained_model, x[None], "integrated_gradients", {"steps": 13})
+        np.testing.assert_array_equal(via_dispatch.values, direct[0])
         assert via_dispatch.params["steps"] == 13
 
     def test_unknown_method_rejected(self, small_trained_model):
         with pytest.raises(ValueError):
             explain(small_trained_model, np.zeros(4), "saliency_maps")
-
-    def test_explanation_json_round_trip(self, small_trained_model):
-        from explainleak import Explanation
-
-        original = explain(small_trained_model, np.array([0.1, 0.2, 0.3, 0.4]), "gradient")
-        clone = Explanation.from_json(original.to_json())
-        np.testing.assert_array_equal(original.values, clone.values)
-        assert clone.method == original.method
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +474,7 @@ class TestExplainBatch:
         cfg = SurrogateConfig(num_samples=4 * d + 4, ridge_lambda=lam, seed=seed)
         with mock.patch.object(explain_module, "_BLOCK_FLOATS", BLOCK_ROWS * cfg.num_samples * d):
             batch = explain_batch(model, X, "local_surrogate", vars(cfg))
-            points = [explain_local_surrogate(model, x, cfg) for x in X]
+            points = [explain(model, x, "local_surrogate", vars(cfg)) for x in X]
         fits = [_reference_surrogate(model, x, cfg) for x in X]
         assert_rows_close(batch, np.vstack([f[:d] for f in fits]), SAMPLING_RTOL)
         for point, fit in zip(points, fits):
@@ -547,7 +509,7 @@ def _reference_surrogate(model, x: np.ndarray, cfg: SurrogateConfig) -> np.ndarr
     n = x.shape[0]
     width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(n)
     samples = x + np.random.default_rng(cfg.seed).standard_normal((cfg.num_samples, n))
-    cls = int(np.argmax(model.forward(x)))
+    cls = int(np.argmax(model.forward_batch(x[None])[0]))
     target = model.forward_batch(samples)[:, cls]
     weights = np.exp(-((samples - x) ** 2).sum(axis=1) / width**2)
     design = np.hstack([samples, np.ones((cfg.num_samples, 1))]) * np.sqrt(weights)[:, None]

@@ -526,6 +526,29 @@ class TestWarningChannel:
         assert result.warnings[0] == "rep 0 target 0 stat loss: bad statistic"
         assert len(result.warnings) == 2 * 4
 
+    def test_nan_statistic_warns_and_records_nothing(self, monkeypatch):
+        import explainleak.harness as harness_module
+
+        calls = []
+        real = harness_module.statistic_values
+
+        def first_call_nan(*args, **kwargs):
+            values = real(*args, **kwargs)
+            if not calls:  # rep 0, target 0, member values
+                values[0] = np.nan
+            calls.append(1)
+            return values
+
+        monkeypatch.setattr(harness_module, "statistic_values", first_call_nan)
+        cfg = make_experiment_config(statistics=[AttackStatistic("loss")], calibrations=["optimal"])
+        result = run_threshold_experiment(cfg)
+        assert result.warnings == [
+            "rep 0 target 0 stat loss: member population holds 1 non-finite statistic value(s)"
+        ]
+        targets = [(r.repetition, r.target) for r in result.records]
+        assert (0, 0) not in targets and len(targets) == 2 * 4 - 1
+        assert all(np.isfinite(value) for _, _, value, _, _ in result.decisions)
+
     def test_programming_errors_propagate(self, monkeypatch):
         import explainleak.harness as harness_module
 

@@ -55,7 +55,7 @@ class TestForward:
             ]
         )
         expected = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(model.forward(x), expected, rtol=1e-12)
+        np.testing.assert_allclose(model.forward_batch(x[None])[0], expected, rtol=1e-12)
 
     def test_probabilities_normalized(self):
         model = init_model([LayerSpec(5, "relu"), LayerSpec(3, "identity")], 4, seed=0)
@@ -70,7 +70,7 @@ class TestForward:
         X = np.random.default_rng(4).normal(size=(7, 3))
         batch = model.forward_batch(X)
         for i in range(7):
-            np.testing.assert_allclose(model.forward(X[i]), batch[i], rtol=1e-12)
+            np.testing.assert_allclose(model.forward_batch(X[i : i + 1])[0], batch[i], rtol=1e-12)
 
     def test_sigmoid_head_two_columns(self):
         model = init_model([LayerSpec(4, "relu"), LayerSpec(1, "identity")], 3,
@@ -83,9 +83,9 @@ class TestForward:
     def test_loss_is_cross_entropy_of_label_prob(self):
         model = _hand_network()
         x = np.array([0.3, 0.7])
-        probs = model.forward(x)
-        assert model.loss(x, 0) == pytest.approx(-np.log(probs[0]), rel=1e-12)
-        assert model.loss(x, 1) == pytest.approx(-np.log(probs[1]), rel=1e-12)
+        probs = model.forward_batch(x[None])[0]
+        losses = model.loss_batch(np.vstack([x, x]), np.array([0, 1]))
+        np.testing.assert_allclose(losses, -np.log(probs), rtol=1e-12)
 
     def test_loss_batch_duplicated_rows_agree(self):
         model = _hand_network()
@@ -111,9 +111,9 @@ class TestInputGradients:
             # Offset from zero so relu kinks are not sampled at the boundary.
             x = rng.normal(size=5) + 0.1
             for target in range(2 if final == "sigmoid" else out_width):
-                exact = model.input_gradient(x, target_class=target)
+                exact = model.input_gradient_batch(x[None], [target])[0]
                 fd = finite_difference_gradient(
-                    lambda p, t=target: model.forward(p)[t], x
+                    lambda p, t=target: model.forward_batch(p[None])[0][t], x
                 )
                 assert relative_error(fd, exact) < 1e-4
 
@@ -133,8 +133,8 @@ class TestInputGradients:
             seed=21,
         )
         x = np.random.default_rng(22).normal(size=6) + 0.05
-        exact = model.input_gradient(x, target_class=2)
-        fd = finite_difference_gradient(lambda p: model.forward(p)[2], x)
+        exact = model.input_gradient_batch(x[None], [2])[0]
+        fd = finite_difference_gradient(lambda p: model.forward_batch(p[None])[0][2], x)
         assert relative_error(fd, exact) < 1e-4
 
 
@@ -148,7 +148,8 @@ class TestParamGradients:
         def mean_loss() -> float:
             return float(np.mean(model.loss_batch(X, labels)))
 
-        grads = model.param_gradients(X, labels)
+        grads, loss = model.param_gradients(X, labels)
+        assert loss == mean_loss()
         h = 1e-6
         for layer, (dW, db) in enumerate(grads):
             for idx in [(0, 0), (dW.shape[0] - 1, dW.shape[1] - 1)]:
@@ -235,7 +236,7 @@ class TestTraining:
     def test_single_adagrad_step_hand_computed(self):
         ds = two_blob_dataset(n=20, seed=17)
         model = init_model([LayerSpec(3, "tanh"), LayerSpec(2, "identity")], 4, seed=17)
-        grads = model.param_gradients(ds.features, ds.labels)
+        grads, _ = model.param_gradients(ds.features, ds.labels)
         expected = [
             W - 0.5 * dW / (np.sqrt(dW * dW) + 1e-10)
             for W, (dW, _) in zip([W.copy() for W in model.weights], grads)
@@ -321,16 +322,18 @@ class TestLogisticModel:
         model = LogisticModel(w=np.array([1.0]), b=0.0)
         x = np.array([2.0])
         f = model.positive_prob(x)
-        assert model.loss(x, 0) == pytest.approx(f)
-        assert model.loss(x, 1) == pytest.approx(1.0 - f)
-        assert 0.0 <= model.loss(x, 0) <= 1.0
+        losses = model.loss_batch(np.vstack([x, x]), np.array([0, 1]))
+        assert losses == pytest.approx([f, 1.0 - f])
+        assert np.all((0.0 <= losses) & (losses <= 1.0))
 
     def test_gradient_finite_difference(self):
         model = LogisticModel(w=np.array([0.7, -1.2, 0.4]), b=0.2)
         x = np.array([0.5, 0.1, -0.3])
         for target in (0, 1):
-            exact = model.input_gradient(x, target_class=target)
-            fd = finite_difference_gradient(lambda p, t=target: model.forward(p)[t], x)
+            exact = model.input_gradient_batch(x[None], [target])[0]
+            fd = finite_difference_gradient(
+                lambda p, t=target: model.forward_batch(p[None])[0][t], x
+            )
             assert relative_error(fd, exact) < 1e-6
 
     def test_train_logistic_deterministic_and_separating(self):

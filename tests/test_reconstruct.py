@@ -16,12 +16,10 @@ from explainleak import (
     baseline_attack,
     build_loo_cache,
     reconstruction_query_budget,
-    same_direction_fixture,
-    tangent_fixture,
     topk_explain,
 )
 from explainleak.reconstruct import OracleAnswer
-from conftest import two_blob_dataset
+from conftest import same_direction_fixture, tangent_fixture, two_blob_dataset
 
 FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
 
@@ -261,9 +259,7 @@ class TestTheoremRegime:
         flags = [s.rank_deficient for s in result.steps]
         assert flags[0] is False
         assert all(flags[1:])
-        assert [idx for idx, *_ in result.recovered_weights] == [
-            s.index for s in result.steps
-        ]
+        assert [s.index for s in result.steps] == result.recovered[: len(result.steps)]
 
     def test_anchors_respect_all_prior_constraints(self, run):
         _, _, _, result = run

@@ -6,6 +6,7 @@ import pytest
 
 import explainleak.synth as synth_mod
 from conftest import finite_difference_gradient
+from explainleak.attacks import AttackStatistic, statistic_values
 from explainleak.models import TrainConfig, TrainingDivergedError, train_logistic
 from explainleak.synth import (
     ARCHS,
@@ -14,10 +15,11 @@ from explainleak.synth import (
     SynthConfig,
     dimension_sweep,
     generate_synthetic,
-    grad_norm_l1,
-    grad_norm_l1_batch,
     membership_correlation,
 )
+
+# The statistic the dimension sweep correlates with membership.
+GRAD_NORM_L1 = AttackStatistic("expl_var", "gradient", use_l1=True)
 
 
 def pearson_oracle(x: np.ndarray, y: np.ndarray) -> float:
@@ -174,20 +176,33 @@ class TestGradNorms:
     def test_matches_finite_difference_gradient(self, small_trained_model):
         model = small_trained_model
         x = np.array([0.3, -0.2, 0.8, 0.1])
-        target = int(np.argmax(model.forward(x)))
-        fd = finite_difference_gradient(lambda z: model.forward(z)[target], x)
-        assert grad_norm_l1(model, x) == pytest.approx(np.abs(fd).sum(), rel=1e-5)
+        target = int(np.argmax(model.forward_batch(x[None])[0]))
+        fd = finite_difference_gradient(lambda z: model.forward_batch(z[None])[0][target], x)
+        norm = statistic_values(GRAD_NORM_L1, model, x[None])[0]
+        assert norm == pytest.approx(np.abs(fd).sum(), rel=1e-5)
 
     def test_accepts_list_input(self, small_trained_model):
-        assert grad_norm_l1(small_trained_model, [0.1, 0.2, 0.3, 0.4]) >= 0.0
+        assert statistic_values(GRAD_NORM_L1, small_trained_model, [[0.1, 0.2, 0.3, 0.4]])[0] >= 0.0
 
     def test_batch_matches_single(self, small_trained_model, blob_dataset):
         model = small_trained_model
         X = blob_dataset.features[:7]
-        batch = grad_norm_l1_batch(model, X)
-        single = np.array([grad_norm_l1(model, x) for x in X])
+        batch = statistic_values(GRAD_NORM_L1, model, X)
+        single = np.array([statistic_values(GRAD_NORM_L1, model, x[None])[0] for x in X])
         assert batch == pytest.approx(single, abs=1e-12)
         assert batch.shape == (7,)
+
+    def test_sweep_correlates_this_statistic(self, monkeypatch):
+        seen = []
+
+        def recording(stat, model, X, labels=None):
+            seen.append(stat)
+            return statistic_values(stat, model, X, labels)
+
+        monkeypatch.setattr(synth_mod, "statistic_values", recording)
+        template = SynthConfig(n_features=2, n_samples=40, seed=0)
+        dimension_sweep([2], template, arch="small", train_cfg=TrainConfig(epochs=2))
+        assert seen == [GRAD_NORM_L1, GRAD_NORM_L1]
 
 
 class TestMembershipCorrelation:
