@@ -17,6 +17,7 @@ from explainleak.influence import (
     build_loo_cache,
     group_reveal_rates,
     self_reveal_rate,
+    self_reveals,
     topk_explain,
 )
 from explainleak.models import TrainConfig
@@ -58,9 +59,10 @@ def main() -> None:
 
     print("\nself-reveal rate: how often a point appears in its own top-k")
     print(f"{'k':>3} {'overall':>9} {'majority':>10} {'minority':>10}")
+    reveals = self_reveals(expl, 10)  # its first k columns are the top-k reveals
     for k in (1, 3, 5, 10):
-        rates = group_reveal_rates(expl, k)
-        print(f"{k:>3} {self_reveal_rate(expl, k):>9.3f} "
+        rates = group_reveal_rates(reveals[:, :k], data.groups)
+        print(f"{k:>3} {self_reveal_rate(reveals[:, :k]):>9.3f} "
               f"{rates['majority']:>10.3f} {rates['minority']:>10.3f}")
     print("\n(the 4-point minority cluster fights the local decision, so "
           "removing any\n of its points moves the model: every one is a "

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .influence import InfluenceExplainer, self_reveals, topk_explain
+from .influence import InfluenceExplainer, topk_explain
 
 
 @dataclass
@@ -26,10 +26,10 @@ class InfluenceGraph:
         return len(self.edges)
 
 
-def build_influence_graph(expl: InfluenceExplainer, k: int | None = None) -> InfluenceGraph:
-    """Out-edges of node i are the top-k reveals of querying x_i."""
-    k = expl.k if k is None else k
-    return InfluenceGraph(edges=self_reveals(expl, k).tolist(), k=k)
+def build_influence_graph(reveals: np.ndarray) -> InfluenceGraph:
+    """Out-edges of node i are row i of an (n, k) `self_reveals` table: the
+    top-k reveals of querying x_i with its own label."""
+    return InfluenceGraph(edges=reveals.tolist(), k=reveals.shape[1])
 
 
 def strongly_connected_components(edges: list[list[int]]) -> list[list[int]]:
@@ -116,10 +116,25 @@ class TraversalResult:
     query_count: int
 
 
+def _crawl(edges: list[list[int]], seeds, dfs: bool = False) -> list[int]:
+    """The seeds, then every node reached from them along ``edges``, in the
+    order a breadth-first (or, with ``dfs``, depth-first) crawl discovers them."""
+    found = list(dict.fromkeys(int(v) for v in seeds))
+    seen = set(found)
+    frontier = deque(found)
+    while frontier:
+        for w in edges[frontier.pop() if dfs else frontier.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                found.append(w)
+                frontier.append(w)
+    return found
+
+
 def traverse_attack(
     expl: InfluenceExplainer,
+    graph: InfluenceGraph,
     start_query: np.ndarray,
-    k: int | None = None,
     schedule: str = "bfs",
     start_label: int | None = None,
 ) -> TraversalResult:
@@ -128,38 +143,17 @@ def traverse_attack(
     The start query is an arbitrary point (``start_label`` overrides the
     predicted label for it); each revealed training point is queried at most
     once with its true label (BFS by default, DFS optional), and the
-    recovered set is everything revealed along the way. The query count is
-    therefore at most the number recovered plus the opening query.
+    recovered set is everything revealed along the way. Only the start query
+    asks ``expl``: a follow-up's answer is its row of ``graph``, built from
+    ``expl``'s `self_reveals`. The query count is the number recovered plus one.
     """
     if schedule not in ("bfs", "dfs"):
         raise ValueError("schedule must be 'bfs' or 'dfs'")
-    k = expl.k if k is None else k
     start = topk_explain(
-        expl, np.asarray(start_query, dtype=np.float64), start_label, k
+        expl, np.asarray(start_query, dtype=np.float64), start_label, graph.k
     )
-    queries = 1
-    recovered: list[int] = []
-    seen: set[int] = set()
-    frontier: deque[int] = deque()
-    for idx in start.indices:
-        idx = int(idx)
-        if idx not in seen:
-            seen.add(idx)
-            recovered.append(idx)
-            frontier.append(idx)
-    while frontier:
-        node = frontier.popleft() if schedule == "bfs" else frontier.pop()
-        result = topk_explain(
-            expl, expl.dataset.features[node], int(expl.dataset.labels[node]), k
-        )
-        queries += 1
-        for idx in result.indices:
-            idx = int(idx)
-            if idx not in seen:
-                seen.add(idx)
-                recovered.append(idx)
-                frontier.append(idx)
-    return TraversalResult(recovered=recovered, query_count=queries)
+    recovered = _crawl(graph.edges, start.indices, dfs=schedule == "dfs")
+    return TraversalResult(recovered=recovered, query_count=len(recovered) + 1)
 
 
 @dataclass
@@ -176,19 +170,7 @@ class GreedyCoverResult:
 
 def _reachable_sets(edges: list[list[int]]) -> list[set[int]]:
     """reach[v] = every node revealed by crawling outward from a query at v."""
-    n = len(edges)
-    reach: list[set[int]] = []
-    for v in range(n):
-        seen: set[int] = set(edges[v])
-        frontier = deque(seen)
-        while frontier:
-            u = frontier.popleft()
-            for w in edges[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        reach.append(seen)
-    return reach
+    return [set(_crawl(edges, row)) for row in edges]
 
 
 def greedy_omniscient_baseline(graph: InfluenceGraph | list[list[int]]) -> GreedyCoverResult:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .attacks import (
     AttackStatistic,
@@ -34,7 +33,7 @@ from .attacks import (
 from .config import Config, ConfigError
 from .data import Dataset, load_csv_dataset
 from .graph import build_influence_graph, greedy_omniscient_baseline, scc_metrics, traverse_attack
-from .influence import build_loo_cache, group_reveal_rates, self_reveal_rate
+from .influence import build_loo_cache, group_reveal_rates, self_reveal_rate, self_reveals
 from .models import LayerSpec, TrainConfig, init_model, train, train_logistic
 from .reconstruct import (
     InfluenceOracle,
@@ -629,7 +628,11 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         "steps": step_log,
     }
 
-    graph = build_influence_graph(expl, cfg.graph_k)
+    # One own-label reveal table serves the graph, the crawls and every rate:
+    # its first k columns are the top-k reveals.
+    reveal_ks = [min(int(k), train_set.n_points) for k in cfg.reveal_ks]
+    reveals = self_reveals(expl, max(cfg.graph_k, *reveal_ks))
+    graph = build_influence_graph(reveals[:, : cfg.graph_k])
     metrics = scc_metrics(graph)
     greedy = greedy_omniscient_baseline(graph)
 
@@ -648,7 +651,7 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
     traverse_counts = []
     traverse_queries = []
     for start in starts:
-        outcome = traverse_attack(expl, start, cfg.graph_k)
+        outcome = traverse_attack(expl, graph, start)
         traverse_counts.append(len(outcome.recovered))
         traverse_queries.append(outcome.query_count)
 
@@ -676,11 +679,11 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         )
 
     reveal = {}
-    for k in cfg.reveal_ks:
-        k_eff = min(int(k), train_set.n_points)
-        entry = {"self_reveal_rate": self_reveal_rate(expl, k_eff)}
+    for k, k_eff in zip(cfg.reveal_ks, reveal_ks):
+        top = reveals[:, :k_eff]
+        entry = {"self_reveal_rate": self_reveal_rate(top)}
         if train_set.groups is not None:
-            entry["group_reveal_rates"] = group_reveal_rates(expl, k_eff)
+            entry["group_reveal_rates"] = group_reveal_rates(top, train_set.groups)
         reveal[str(k)] = entry
 
     return {
@@ -740,7 +743,6 @@ def package_versions() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "explainleak": own,
     }
 

@@ -118,7 +118,8 @@ def topk_explain(
 
 
 def self_reveals(expl: InfluenceExplainer, k: int | None = None) -> np.ndarray:
-    """(n, k) top-k reveals of every training point queried with its own label."""
+    """(n, k) top-k reveals of every training point queried with its own label.
+    The ranking is stable, so the first j <= k columns are exactly the top-j."""
     k = expl.k if k is None else k
     X, labels = expl.dataset.features, expl.dataset.labels
     return np.array(
@@ -126,19 +127,19 @@ def self_reveals(expl: InfluenceExplainer, k: int | None = None) -> np.ndarray:
     )
 
 
-def _self_hits(expl: InfluenceExplainer, k: int | None) -> np.ndarray:
-    """Whether each training point is among the top-k reveals of its own query."""
-    return (self_reveals(expl, k) == np.arange(expl.n_points)[:, None]).any(axis=1)
+def _self_hits(reveals: np.ndarray) -> np.ndarray:
+    """Whether each training point is in its own row of a `self_reveals` table."""
+    return (reveals == np.arange(reveals.shape[0])[:, None]).any(axis=1)
 
 
-def self_reveal_rate(expl: InfluenceExplainer, k: int | None = None) -> float:
+def self_reveal_rate(reveals: np.ndarray) -> float:
     """Fraction of training points revealed by their own query."""
-    return float(_self_hits(expl, k).mean())
+    return float(_self_hits(reveals).mean())
 
 
-def group_reveal_rates(expl: InfluenceExplainer, k: int | None = None) -> dict[str, float]:
+def group_reveal_rates(reveals: np.ndarray, groups: list[str] | None) -> dict[str, float]:
     """Per-group self-reveal rates; only groups present in the data appear."""
-    if expl.dataset.groups is None:
+    if groups is None:
         raise ValueError("dataset carries no group tags")
-    hits, groups = _self_hits(expl, k), np.asarray(expl.dataset.groups)
-    return {tag: float(hits[groups == tag].mean()) for tag in dict.fromkeys(expl.dataset.groups)}
+    hits, tags = _self_hits(reveals), np.asarray(groups)
+    return {tag: float(hits[tags == tag].mean()) for tag in dict.fromkeys(groups)}

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .influence import InfluenceExplainer, LooInfluence, topk_explain
 from .models import LogisticModel
@@ -282,7 +281,7 @@ def algorithm1_reconstruct(
         constraints.append((normal, float(normal @ anchor - d_value)))
         g_particular = -d_value * d_slope / float(d_slope @ d_slope)
         anchor_base = anchor + basis @ g_particular
-        basis = basis @ null_space(d_slope[None, :])
+        basis = basis @ _orthogonal_complement(d_slope)
 
     return ReconstructionResult(
         recovered=recovered,
@@ -296,6 +295,12 @@ def algorithm1_reconstruct(
         termination_queries=termination_queries,
         retries=total_retries,
     )
+
+
+def _orthogonal_complement(row: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the vectors orthogonal to a non-zero row,
+    row-major: a column-major copy sends ``basis @ Q`` down another BLAS path."""
+    return np.ascontiguousarray(np.linalg.svd(row[None, :])[2][1:].T)
 
 
 def _draw_anchor(

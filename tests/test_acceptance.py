@@ -36,7 +36,12 @@ from explainleak.harness import (
     run_overfit_sweep,
     run_threshold_experiment,
 )
-from explainleak.influence import build_loo_cache, group_reveal_rates, self_reveal_rate
+from explainleak.influence import (
+    build_loo_cache,
+    group_reveal_rates,
+    self_reveal_rate,
+    self_reveals,
+)
 from explainleak.models import (
     LayerSpec,
     LogisticModel,
@@ -408,7 +413,7 @@ def test_criterion_12_traversal_tracks_largest_component():
             )
         )
         expl = build_loo_cache(data, train_cfg, k=5)
-        graph = build_influence_graph(expl, 5)
+        graph = build_influence_graph(self_reveals(expl, 5))
         components = sorted(
             strongly_connected_components(graph.edges), key=len, reverse=True
         )
@@ -417,7 +422,7 @@ def test_criterion_12_traversal_tracks_largest_component():
 
         inside = min(largest)
         outcome = traverse_attack(
-            expl, data.features[inside], 5, start_label=int(data.labels[inside])
+            expl, graph, data.features[inside], start_label=int(data.labels[inside])
         )
         assert largest <= set(outcome.recovered), (
             f"seed {seed}: start inside the component must recover all of it"
@@ -435,7 +440,7 @@ def test_criterion_12_traversal_tracks_largest_component():
         )
         mean_recovered = float(
             np.mean(
-                [len(traverse_attack(expl, x, 5).recovered) for x in fresh.features]
+                [len(traverse_attack(expl, graph, x).recovered) for x in fresh.features]
             )
         )
         assert len(largest) <= mean_recovered <= len(largest) + 0.2 * n_points, (
@@ -522,9 +527,10 @@ def test_criterion_14_minority_group_is_more_exposed():
     train_cfg = TrainConfig(optimizer="gd", lr=1.0, epochs=150, batch_size=None)
     wins = 0
     for seed in range(10):
-        expl = build_loo_cache(_minority_dataset(seed), train_cfg, k=5)
-        overall = self_reveal_rate(expl, 5)
-        minority = group_reveal_rates(expl, 5)[1]
+        data = _minority_dataset(seed)
+        reveals = self_reveals(build_loo_cache(data, train_cfg, k=5), 5)
+        overall = self_reveal_rate(reveals)
+        minority = group_reveal_rates(reveals, data.groups)[1]
         wins += minority > overall
     elapsed = time.perf_counter() - start
     assert wins >= 8, f"minority exposure held in only {wins}/10 runs"

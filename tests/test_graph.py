@@ -1,9 +1,13 @@
 """Influence-graph construction, SCC metrics, and crawling attacks."""
 from __future__ import annotations
 
+from collections import deque
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explainleak import (
     LogisticModel,
@@ -12,19 +16,55 @@ from explainleak import (
     build_loo_cache,
     greedy_omniscient_baseline,
     scc_metrics,
+    self_reveals,
     strongly_connected_components,
     topk_explain,
     traverse_attack,
 )
 from explainleak.graph import InfluenceGraph
 from conftest import two_blob_dataset
-from test_influence import fake_explainer
+from test_influence import fake_explainer, tie_heavy_explainer
 
 FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
 
 
 def _as_canonical(components) -> set[frozenset]:
     return {frozenset(c) for c in components}
+
+
+@st.composite
+def _edge_lists(draw) -> list[list[int]]:
+    """Random digraphs: 0-40 nodes, out-degree 0-4, self-loops allowed."""
+    n = draw(st.integers(0, 40))
+    return [draw(st.lists(st.integers(0, n - 1), max_size=4)) for _ in range(n)]
+
+
+def reference_traverse(expl, start_query, k, schedule="bfs", start_label=None):
+    """The crawl `traverse_attack` replaced: one `topk_explain` per revealed point."""
+    start = topk_explain(expl, np.asarray(start_query, dtype=np.float64), start_label, k)
+    queries = 1
+    recovered: list[int] = []
+    seen: set[int] = set()
+    frontier: deque[int] = deque()
+    for idx in start.indices:
+        idx = int(idx)
+        if idx not in seen:
+            seen.add(idx)
+            recovered.append(idx)
+            frontier.append(idx)
+    while frontier:
+        node = frontier.popleft() if schedule == "bfs" else frontier.pop()
+        result = topk_explain(
+            expl, expl.dataset.features[node], int(expl.dataset.labels[node]), k
+        )
+        queries += 1
+        for idx in result.indices:
+            idx = int(idx)
+            if idx not in seen:
+                seen.add(idx)
+                recovered.append(idx)
+                frontier.append(idx)
+    return recovered, queries
 
 
 def _random_edges(rng, n: int, out_degree: int) -> list[list[int]]:
@@ -58,6 +98,16 @@ class TestStronglyConnectedComponents:
         graph.add_nodes_from(range(n))
         for u, targets in enumerate(edges):
             graph.add_edges_from((u, v) for v in targets)
+        assert _as_canonical(strongly_connected_components(edges)) == _as_canonical(
+            nx.strongly_connected_components(graph)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(edges=_edge_lists())
+    def test_matches_networkx_on_random_digraphs(self, edges):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(len(edges)))
+        graph.add_edges_from((u, v) for u, targets in enumerate(edges) for v in targets)
         assert _as_canonical(strongly_connected_components(edges)) == _as_canonical(
             nx.strongly_connected_components(graph)
         )
@@ -114,7 +164,7 @@ class TestBuildGraph:
         features = rng.normal(size=(6, 2))
         labels = rng.integers(0, 2, size=6).astype(np.int64)
         expl = fake_explainer(base, loos, features=features, labels=labels, k=2)
-        graph = build_influence_graph(expl)
+        graph = build_influence_graph(self_reveals(expl))
         assert graph.n_nodes == 6 and graph.k == 2
         for i in range(6):
             reveal = topk_explain(expl, features[i], int(labels[i]), 2)
@@ -125,7 +175,7 @@ class TestBuildGraph:
         base = LogisticModel(w=rng.normal(size=2), b=0.0)
         loos = [LogisticModel(w=rng.normal(size=2), b=0.0) for _ in range(5)]
         expl = fake_explainer(base, loos, features=rng.normal(size=(5, 2)), k=1)
-        graph = build_influence_graph(expl, k=3)
+        graph = build_influence_graph(self_reveals(expl, 3))
         assert all(len(row) == 3 for row in graph.edges)
 
 
@@ -135,11 +185,14 @@ class TestTraversal:
         ds = two_blob_dataset(n=20, n_features=2, seed=70)
         return build_loo_cache(ds, FULL_BATCH, k=2)
 
-    def test_recovers_closure_of_initial_reveal(self, trained_explainer):
+    @pytest.fixture
+    def graph(self, trained_explainer):
+        return build_influence_graph(self_reveals(trained_explainer, 2))
+
+    def test_recovers_closure_of_initial_reveal(self, trained_explainer, graph):
         expl = trained_explainer
         start = np.array([0.25, -0.4])
-        outcome = traverse_attack(expl, start, k=2)
-        graph = build_influence_graph(expl, k=2)
+        outcome = traverse_attack(expl, graph, start)
         digraph = nx.DiGraph()
         digraph.add_nodes_from(range(graph.n_nodes))
         for u, targets in enumerate(graph.edges):
@@ -150,27 +203,40 @@ class TestTraversal:
             expected |= nx.descendants(digraph, node)
         assert set(outcome.recovered) == expected
 
-    def test_query_count_is_recovered_plus_start(self, trained_explainer):
-        outcome = traverse_attack(trained_explainer, np.array([1.0, 1.0]), k=2)
+    def test_query_count_is_recovered_plus_start(self, trained_explainer, graph):
+        outcome = traverse_attack(trained_explainer, graph, np.array([1.0, 1.0]))
         assert outcome.query_count == len(outcome.recovered) + 1
 
-    def test_bfs_and_dfs_recover_same_set(self, trained_explainer):
+    def test_bfs_and_dfs_recover_same_set(self, trained_explainer, graph):
         start = np.array([-0.8, 0.3])
-        bfs = traverse_attack(trained_explainer, start, k=2, schedule="bfs")
-        dfs = traverse_attack(trained_explainer, start, k=2, schedule="dfs")
+        bfs = traverse_attack(trained_explainer, graph, start, schedule="bfs")
+        dfs = traverse_attack(trained_explainer, graph, start, schedule="dfs")
         assert set(bfs.recovered) == set(dfs.recovered)
         assert bfs.query_count == dfs.query_count
 
-    def test_no_duplicate_recoveries(self, trained_explainer):
-        outcome = traverse_attack(trained_explainer, np.array([0.0, 0.0]), k=2)
+    def test_no_duplicate_recoveries(self, trained_explainer, graph):
+        outcome = traverse_attack(trained_explainer, graph, np.array([0.0, 0.0]))
         assert len(outcome.recovered) == len(set(outcome.recovered))
 
-    def test_schedule_validated(self, trained_explainer):
-        with pytest.raises(ValueError):
-            traverse_attack(trained_explainer, np.zeros(2), schedule="random")
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 14), distinct=st.integers(1, 5), seed=st.integers(0, 2**16),
+           schedule=st.sampled_from(["bfs", "dfs"]), data=st.data())
+    def test_matches_per_node_query_crawl(self, n, distinct, seed, schedule, data):
+        expl = tie_heavy_explainer(n, min(distinct, n), seed)
+        k = data.draw(st.integers(1, n), label="k")
+        start = np.random.default_rng(seed + 1).normal(size=2)
+        label = data.draw(st.sampled_from([None, 0, 1]), label="start_label")
+        graph = build_influence_graph(self_reveals(expl, k))
+        outcome = traverse_attack(expl, graph, start, schedule=schedule, start_label=label)
+        expected = reference_traverse(expl, start, k, schedule, label)
+        assert (outcome.recovered, outcome.query_count) == expected
 
-    def test_start_label_accepted(self, trained_explainer):
-        outcome = traverse_attack(trained_explainer, np.zeros(2), k=2, start_label=1)
+    def test_schedule_validated(self, trained_explainer, graph):
+        with pytest.raises(ValueError):
+            traverse_attack(trained_explainer, graph, np.zeros(2), schedule="random")
+
+    def test_start_label_accepted(self, trained_explainer, graph):
+        outcome = traverse_attack(trained_explainer, graph, np.zeros(2), start_label=1)
         assert outcome.query_count >= 1
 
 

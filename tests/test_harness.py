@@ -434,7 +434,7 @@ class TestThresholdExperiment:
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["config_hash"] == config_hash(cfg.to_dict())
         assert manifest["seed"] == cfg.seed
-        assert {"python", "numpy", "scipy", "explainleak"} <= set(manifest["versions"])
+        assert {"python", "numpy", "explainleak"} <= set(manifest["versions"])
         assert manifest["audits"] == result.audits
 
     def test_decisions_csv_round_trip(self, threshold_run, tmp_path):

@@ -19,13 +19,13 @@ from explainleak import (
     build_loo_cache,
     group_reveal_rates,
     self_reveal_rate,
+    self_reveals,
     topk_explain,
     train_logistic,
 )
 from conftest import two_blob_dataset
 from explainleak import influence as influence_module
 from explainleak import models as models_module
-from explainleak.influence import self_reveals
 from explainleak.models import train_logistic_loo
 
 FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
@@ -253,7 +253,7 @@ class TestRevealRates:
     def test_rate_is_one_when_k_covers_everything(self):
         ds = two_blob_dataset(n=12, n_features=2, seed=33)
         expl = build_loo_cache(ds, FULL_BATCH)
-        assert self_reveal_rate(expl, k=ds.n_points) == 1.0
+        assert self_reveal_rate(self_reveals(expl, ds.n_points)) == 1.0
 
     def test_outlier_reveals_itself_at_k1(self):
         # A mislabeled far point moves the decision surface near itself more
@@ -273,7 +273,7 @@ class TestRevealRates:
         groups = ["left" if i < 8 else "right" for i in range(16)]
         grouped = Dataset(ds.features, ds.labels, groups=groups)
         expl = build_loo_cache(grouped, FULL_BATCH, k=2)
-        rates = group_reveal_rates(expl)
+        rates = group_reveal_rates(self_reveals(expl), grouped.groups)
         expected = {"left": 0, "right": 0}
         for i in range(16):
             result = topk_explain(expl, grouped.features[i], int(grouped.labels[i]), 2)
@@ -283,14 +283,14 @@ class TestRevealRates:
             "left": expected["left"] / 8,
             "right": expected["right"] / 8,
         }
-        assert self_reveal_rate(expl) == pytest.approx(
+        assert self_reveal_rate(self_reveals(expl)) == pytest.approx(
             (expected["left"] + expected["right"]) / 16
         )
 
     def test_group_rates_require_group_tags(self, blob_dataset):
         expl = build_loo_cache(blob_dataset, FULL_BATCH)
         with pytest.raises(ValueError):
-            group_reveal_rates(expl)
+            group_reveal_rates(self_reveals(expl), blob_dataset.groups)
 
 
 class TestNanInfluence:
@@ -327,13 +327,36 @@ class TestSelfRevealSweep:
             for i in range(n)
         ]
         assert self_reveals(expl, k).tolist() == per_point
-        assert build_influence_graph(expl, k).edges == per_point
+        assert build_influence_graph(self_reveals(expl, k)).edges == per_point
         hits = [i in row for i, row in enumerate(per_point)]
-        assert self_reveal_rate(expl, k) == sum(hits) / n
+        assert self_reveal_rate(self_reveals(expl, k)) == sum(hits) / n
         expected = {
             tag: sum(h for h, g in zip(hits, groups) if g == tag) / groups.count(tag)
             for tag in ("right", "left")
         }
-        rates = group_reveal_rates(expl, k)
+        rates = group_reveal_rates(self_reveals(expl, k), groups)
         assert rates == expected
         assert list(rates) == ["right", "left"]  # order of first appearance
+
+
+def tie_heavy_explainer(n: int, distinct: int, seed: int, k: int = 1):
+    """A fake explainer whose n leave-one-out models repeat `distinct` models, so
+    the influences of points sharing a model tie exactly at every query."""
+    rng = np.random.default_rng(seed)
+    base = LogisticModel(w=rng.normal(size=2), b=float(rng.normal()))
+    pool = [LogisticModel(w=rng.normal(size=2), b=float(rng.normal())) for _ in range(distinct)]
+    loos = [pool[j] for j in rng.integers(0, distinct, size=n)]
+    labels = rng.integers(0, 2, size=n).astype(np.int64)
+    return fake_explainer(base, loos, features=rng.normal(size=(n, 2)), labels=labels, k=k)
+
+
+class TestOneRevealTable:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), distinct=st.integers(1, 4), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_prefix_columns_are_the_smaller_tables(self, n, distinct, seed, data):
+        expl = tie_heavy_explainer(n, min(distinct, n), seed)
+        big_k = data.draw(st.integers(1, n), label="big_k")
+        table = self_reveals(expl, big_k)
+        for k in range(1, big_k + 1):
+            np.testing.assert_array_equal(table[:, :k], self_reveals(expl, k))

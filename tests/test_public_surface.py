@@ -1,7 +1,13 @@
-"""The package's public surface: `explainleak.__all__` and the retired per-point API."""
+"""The package's public surface: `explainleak.__all__`, the retired per-point API and the
+numpy-only runtime."""
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +56,33 @@ def test_retired_methods_are_gone(owner):
     cls = getattr(explainleak, owner)
     for name in RETIRED_METHODS[owner]:
         assert not hasattr(cls, name)
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(explainleak.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    """The CLI imports no scipy, and a reconstruction runs where scipy cannot load."""
+    loaded = _run_python("import sys, explainleak.cli; print('scipy' in sys.modules)")
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.strip() == "False"
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synth": {"n_features": 3, "n_samples": 12, "seed": 1},
+        "train": {"optimizer": "gd", "lr": 1.0, "epochs": 20, "batch_size": None},
+        "reveal_ks": [1, 3], "graph_k": 2, "traverse_starts": 2, "baseline_queries": 5,
+    }))
+    args = ["reconstruct", "--config", str(config), "--out", str(tmp_path / "out")]
+    run = _run_python(
+        "import sys; sys.modules['scipy'] = None\n"  # any `import scipy` now fails
+        f"from explainleak.cli import main; sys.exit(main({args!r}))"
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "reconstruction_report.json").exists()

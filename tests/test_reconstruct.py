@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import null_space
 
 from explainleak import (
     InfluenceOracle,
@@ -18,7 +22,7 @@ from explainleak import (
     reconstruction_query_budget,
     topk_explain,
 )
-from explainleak.reconstruct import OracleAnswer
+from explainleak.reconstruct import OracleAnswer, _orthogonal_complement
 from conftest import same_direction_fixture, tangent_fixture, two_blob_dataset
 
 FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
@@ -219,6 +223,27 @@ class TestAlgorithmSmallCases:
             InfluenceOracle(base, loos), y0=np.zeros(4), max_points=1, seed=0
         )
         np.testing.assert_array_equal(result.steps[0].eps, np.full(4, 1e-4))
+
+
+class TestOrthogonalComplement:
+    """The numpy null space of one row against scipy's `null_space`, which it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        row=arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e3, 1e3)).filter(
+            lambda r: r.any()
+        ),
+        extra_rows=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_bit_equal_to_null_space(self, row, extra_rows, seed):
+        # Equal columns are not enough: a column-major result sends the product
+        # down another BLAS path, which rounds differently. The basis is shaped
+        # like algorithm1's, n x r with n >= r.
+        basis = np.random.default_rng(seed).normal(size=(row.size + extra_rows, row.size))
+        complement = _orthogonal_complement(row)
+        assert complement.flags.c_contiguous
+        np.testing.assert_array_equal(basis @ complement, basis @ null_space(row[None]))
 
 
 @pytest.fixture(scope="module")
