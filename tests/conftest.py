@@ -1,11 +1,21 @@
-"""Shared fixtures, worst-case oracle families and finite-difference helpers."""
+"""Shared fixtures, worst-case oracle families, finite-difference helpers and
+the per-query reveal ranking that the block paths are held to."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from explainleak import Dataset, LayerSpec, LogisticModel, TrainConfig, init_model, train
+from explainleak import (
+    Dataset,
+    LayerSpec,
+    LogisticModel,
+    TrainConfig,
+    build_loo_cache,
+    init_model,
+    train,
+)
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
 # CI failure reproduces locally; tests keep their own example counts.
@@ -89,6 +99,51 @@ def same_direction_fixture(
     base = LogisticModel(w=w.copy(), b=float(b))
     loos = [LogisticModel(w=w.copy(), b=float(b + d)) for d in deltas]
     return base, loos
+
+
+def reference_top_k(expl, y, k):
+    """The per-query ranking the block paths replaced: a full stable argsort of
+    -|I| at the predicted label, and the NaN check on its last entry."""
+    influences = expl.influence(y)
+    order = np.argsort(-np.abs(influences), kind="stable")
+    if np.isnan(influences[order[-1]]):
+        raise ValueError(f"influence of training point {order[-1]} is NaN")
+    return order[:k].copy()
+
+
+def clear_gap(expl, y, j: int) -> bool:
+    """Whether the j-th and (j+1)-th largest |I| at y differ by more than 1e-12
+    (|I| is at most 1): gemm and gemv round differently, so a block answer
+    matches the per-query ranking only up to gaps of that size."""
+    a = np.sort(np.abs(expl.influence(y)))[::-1]
+    return j == a.size or a[j - 1] - a[j] > 1e-12
+
+
+def assert_same_reveals(top, expl, Y, k):
+    """Row i of a block answer against the per-query ranking of Y[i]: every
+    prefix of the ranking that ends at a clear gap holds the same indices."""
+    assert top.shape == (len(Y), k)
+    for row, y in zip(top, Y):
+        ref = reference_top_k(expl, y, k)
+        for j in range(1, k + 1):
+            if clear_gap(expl, y, j):
+                assert sorted(row[:j]) == sorted(ref[:j]), (j, row, ref)
+
+
+@st.composite
+def loo_caches(draw):
+    """A real leave-one-out cache, n 2-40 and d 1-6; with `duplicated`, every
+    point is a copy of one of a few distinct points, so influences tie."""
+    n, d = draw(st.integers(2, 40), label="n"), draw(st.integers(1, 6), label="d")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16), label="seed"))
+    features = rng.normal(size=(n, d))
+    labels = (features[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
+    if draw(st.booleans(), label="duplicated"):
+        source = rng.integers(0, max(1, n // 4), size=n)
+        features, labels = features[source], labels[source]
+    epochs = draw(st.integers(1, 40), label="epochs")
+    cfg = TrainConfig(optimizer="gd", lr=1.0, epochs=epochs, batch_size=None)
+    return build_loo_cache(Dataset(features, labels), cfg)
 
 
 @pytest.fixture

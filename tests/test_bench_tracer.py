@@ -9,7 +9,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from explainleak import harness, influence, models
+from explainleak import harness, influence, models, reconstruct
 
 TRACING = Path(__file__).resolve().parent.parent / "leakbench" / "tracing.py"
 
@@ -27,6 +27,7 @@ def test_install_then_restore_returns_the_originals():
         harness.optimal_threshold,
         influence.topk_explain,
         models.MlpModel.forward_stack,
+        reconstruct.topk_explain,
     )
     restore = tracing.install(tracing.Tracer())
     try:
@@ -34,6 +35,7 @@ def test_install_then_restore_returns_the_originals():
             harness.optimal_threshold,
             influence.topk_explain,
             models.MlpModel.forward_stack,
+            reconstruct.topk_explain,
         )
         assert all(p is not o for p, o in zip(patched, originals))
     finally:
@@ -41,3 +43,4 @@ def test_install_then_restore_returns_the_originals():
     assert harness.optimal_threshold is originals[0]
     assert influence.topk_explain is originals[1]
     assert models.MlpModel.forward_stack is originals[2]
+    assert reconstruct.topk_explain is originals[3]

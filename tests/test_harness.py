@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import two_blob_dataset
 from explainleak.attacks import AttackStatistic, aggregate_shadow_taus
@@ -55,6 +57,31 @@ class TestChildSeed:
         for master in (0, 1, 2**40):
             seed = child_seed(master, "x")
             assert 0 <= seed < 2**32
+
+    # The master seed is taken mod 2**32 and every index is one 32-bit entropy
+    # word, so both are drawn from [0, 2**32).
+    ROLES = st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["protocol", "target", "split", "traverse", "baseline"])
+        | st.text(max_size=6),
+        st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=ROLES, b=ROLES, edit=st.sampled_from(
+        ["none", "append_zero", "strip_zeros", "swap", "retag", "remaster"]))
+    def test_distinct_roles_never_alias(self, a, b, edit):
+        master, tag, indices = a
+        b = {
+            "none": b,
+            "append_zero": (master, tag, indices + (0,)),
+            "strip_zeros": (master, tag, tuple(np.trim_zeros(indices, "b"))),
+            "swap": (master, tag, indices[::-1]),
+            "retag": (master, b[1], indices),
+            "remaster": (b[0], tag, indices),
+        }[edit]
+        assume(a != b)
+        assert child_seed(master, tag, *indices) != child_seed(b[0], b[1], *b[2])
 
 
 class TestParseCalibration:

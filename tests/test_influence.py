@@ -23,7 +23,7 @@ from explainleak import (
     topk_explain,
     train_logistic,
 )
-from conftest import two_blob_dataset
+from conftest import assert_same_reveals, loo_caches, reference_top_k, two_blob_dataset
 from explainleak import influence as influence_module
 from explainleak import models as models_module
 from explainleak.models import train_logistic_loo
@@ -360,3 +360,102 @@ class TestOneRevealTable:
         table = self_reveals(expl, big_k)
         for k in range(1, big_k + 1):
             np.testing.assert_array_equal(table[:, :k], self_reveals(expl, k))
+
+
+def block_queries(expl, rng, q):
+    """q queries around the training data, some scaled far out (saturated)."""
+    Y = rng.normal(size=(q, expl.base.w.size)) * 2.0
+    far = rng.random(q) < 0.3
+    Y[far] *= rng.choice([1e2, 1e4, 1e8], size=(int(far.sum()), 1))
+    return Y
+
+
+class TestBlockKernel:
+    """`top_k_rows` and `self_reveals` against the per-query stable argsort."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(expl=loo_caches(), block_rows=st.integers(1, 7), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_top_k_rows_matches_per_query_ranking(self, expl, block_rows, seed, data):
+        n = expl.n_points
+        k = data.draw(st.integers(1, n), label="k")
+        Y = block_queries(expl, np.random.default_rng(seed), data.draw(st.integers(0, 25)))
+        with mock.patch.object(influence_module, "_BLOCK_FLOATS", block_rows * n):
+            top = expl.top_k_rows(Y, k)
+        assert_same_reveals(top, expl, Y, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(expl=loo_caches(), block_rows=st.integers(1, 7), data=st.data())
+    def test_self_reveals_matches_per_query_ranking(self, expl, block_rows, data):
+        n = expl.n_points
+        k = data.draw(st.integers(1, n), label="k")
+        with mock.patch.object(influence_module, "_BLOCK_FLOATS", block_rows * n):
+            table = self_reveals(expl, k)
+        assert_same_reveals(table, expl, expl.dataset.features, k)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), d=st.integers(2, 4), q=st.integers(1, 12),
+           block_rows=st.integers(1, 7), seed=st.integers(0, 2**16))
+    def test_nan_names_the_same_point_on_both_paths(self, n, d, q, block_rows, seed):
+        # An infinite weight of point j on feature c makes I_j NaN exactly at
+        # queries whose feature c is 0, so rows fail at different points.
+        rng = np.random.default_rng(seed)
+        base = LogisticModel(w=rng.normal(size=d), b=0.1)
+        loos = [LogisticModel(w=rng.normal(size=d), b=float(rng.normal())) for _ in range(n)]
+        for j in rng.choice(n, size=rng.integers(1, n + 1), replace=False):
+            loos[j].w[rng.integers(0, d)] = np.inf
+        Y = rng.normal(size=(q, d))
+        Y[rng.random((q, d)) < 0.3] = 0.0
+        expl, expected = fake_explainer(base, loos), None
+        for y in Y:
+            try:
+                reference_top_k(expl, y, 1)
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        with mock.patch.object(influence_module, "_BLOCK_FLOATS", block_rows * n):
+            if expected is None:
+                assert_same_reveals(expl.top_k_rows(Y, 1), expl, Y, 1)
+            else:
+                with pytest.raises(ValueError) as failure:
+                    expl.top_k_rows(Y, 1)
+                assert str(failure.value) == expected
+
+    def test_self_reveals_names_the_nan_point(self):
+        base = LogisticModel(w=np.array([1.0]), b=0.0)
+        loos = [LogisticModel(np.array([0.5]), 0.0), LogisticModel(np.array([np.nan]), 0.0),
+                LogisticModel(np.array([np.nan]), 0.0), LogisticModel(np.array([2.0]), 0.1)]
+        expl = fake_explainer(base, loos, features=np.array([[0.3], [0.1], [0.2], [0.4]]))
+        with pytest.raises(ValueError, match="training point 2 is NaN"):
+            self_reveals(expl, 2)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_validated(self, k):
+        base = LogisticModel(w=np.array([1.0]), b=0.0)
+        expl = fake_explainer(base, [base] * 3)
+        with pytest.raises(ValueError, match="k must lie"):
+            self_reveals(expl, k)
+        with pytest.raises(ValueError, match="k must lie"):
+            expl.top_k_rows(np.zeros((2, 1)), k)
+
+
+class TestRankBlock:
+    """The one ranking rule against the full stable argsort it stands in for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 8), n=st.integers(1, 60), kind=st.sampled_from(
+        ["random", "rounded", "saturated"]), seed=st.integers(0, 2**16), data=st.data())
+    def test_equals_stable_argsort_prefix(self, rows, n, kind, seed, data):
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(rows, n))
+        if kind == "rounded":  # a few distinct values: ties everywhere
+            block = np.round(block, 0)
+        elif kind == "saturated":  # mostly |I| = 0, as far from the data
+            block = np.where(rng.random((rows, n)) < 0.8, 0.0, block)
+        neg = -np.abs(block)
+        k = data.draw(st.integers(1, n), label="k")
+        np.testing.assert_array_equal(
+            influence_module._rank_block(neg, k),
+            np.argsort(neg, axis=1, kind="stable")[:, :k],
+        )

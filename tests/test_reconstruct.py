@@ -1,9 +1,11 @@
 """Oracle-driven training-set reconstruction and its baselines."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import null_space
@@ -22,8 +24,17 @@ from explainleak import (
     reconstruction_query_budget,
     topk_explain,
 )
+from explainleak import influence as influence_module
+from explainleak import reconstruct as reconstruct_module
 from explainleak.reconstruct import OracleAnswer, _orthogonal_complement
-from conftest import same_direction_fixture, tangent_fixture, two_blob_dataset
+from conftest import (
+    clear_gap,
+    loo_caches,
+    reference_top_k,
+    same_direction_fixture,
+    tangent_fixture,
+    two_blob_dataset,
+)
 
 FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
 
@@ -397,6 +408,51 @@ class TestSamplers:
         with pytest.raises(SamplerExhaustedError):
             sampler.sample()
 
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "marginal", "true_distribution"]),
+           d=st.integers(1, 9), n_rows=st.sampled_from([1, 2, 3, 7, 64, 1000]),
+           splits=st.lists(st.integers(0, 9), max_size=6), seed=st.integers(0, 2**32 - 1))
+    @example(kind="marginal", d=31, n_rows=200, splits=[3, 1, 4], seed=0)
+    @example(kind="marginal", d=33, n_rows=7, splits=[1, 2], seed=1)
+    def test_any_batch_split_is_the_single_draw_stream(self, kind, d, n_rows, splits, seed):
+        rng = np.random.default_rng(seed)
+        q = sum(splits)
+        data = rng.normal(size=(max(n_rows, q) if kind == "true_distribution" else n_rows, d))
+        bounds = np.stack([data.min(axis=0), data.max(axis=0) + 1.0], axis=1)
+
+        def make():
+            if kind == "uniform":
+                return UniformSampler(bounds, seed=seed)
+            if kind == "marginal":
+                return MarginalSampler(data, seed=seed)
+            return TrueDistributionSampler(data, seed=seed)
+
+        batched, single = make(), make()
+        got = np.concatenate([batched.sample_batch(c) for c in splits] + [np.empty((0, d))])
+        want = np.array([single.sample() for _ in range(q)]).reshape(q, d)
+        np.testing.assert_array_equal(got, want)
+        # The draws the per-query samplers made before batching.
+        legacy = np.random.default_rng(seed)
+        if kind == "uniform":
+            draws = [legacy.uniform(bounds[:, 0], bounds[:, 1]) for _ in range(q)]
+        elif kind == "marginal":
+            draws = [data[legacy.integers(0, n_rows, size=d), np.arange(d)] for _ in range(q)]
+        else:
+            draws = list(data[legacy.permutation(len(data))[:q]])
+        np.testing.assert_array_equal(got, np.array(draws).reshape(q, d))
+
+    def test_true_distribution_batch_past_the_pool_draws_nothing(self):
+        sampler = TrueDistributionSampler(np.arange(10.0)[:, None], seed=8)
+        first = sampler.sample_batch(4)
+        with pytest.raises(SamplerExhaustedError):
+            sampler.sample_batch(sampler.remaining + 1)
+        assert sampler.remaining == 6
+        with pytest.raises(ValueError):
+            sampler.sample_batch(-1)
+        assert sampler.remaining == 6
+        rest = sampler.sample_batch(6)
+        assert sorted(np.concatenate([first, rest])[:, 0]) == list(range(10))
+
 
 @pytest.fixture(scope="module")
 def explainer():
@@ -443,3 +499,38 @@ class TestBaselineAttack:
         sampler = TrueDistributionSampler(np.zeros((3, 2)), seed=13)
         with pytest.raises(SamplerExhaustedError):
             baseline_attack(explainer, sampler, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(expl=loo_caches(), kind=st.sampled_from(["uniform", "marginal", "true_distribution"]),
+           n_queries=st.integers(0, 60), block_rows=st.integers(1, 7),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_curve_matches_per_query_loop(self, expl, kind, n_queries, block_rows, seed, data):
+        n, features = expl.n_points, expl.dataset.features
+        k = data.draw(st.integers(1, n), label="k")
+        far = data.draw(st.sampled_from([1.0, 1e4]), label="far")  # saturated queries
+
+        def make():
+            if kind == "uniform":
+                lo, hi = features.min(axis=0), features.max(axis=0)
+                return UniformSampler(np.stack([lo, hi], axis=1) * far, seed=seed)
+            pool = np.random.default_rng(seed).normal(size=(n_queries + 3, features.shape[1]))
+            if kind == "marginal":
+                return MarginalSampler(features * far, seed=seed)
+            return TrueDistributionSampler(pool * far, seed=seed)
+
+        patch = block_rows * n
+        with mock.patch.object(influence_module, "_BLOCK_FLOATS", patch), \
+                mock.patch.object(reconstruct_module, "_BLOCK_FLOATS", patch):
+            curve = baseline_attack(expl, make(), n_queries, k)
+            replay = make()
+            Y = np.array([replay.sample() for _ in range(n_queries)])
+            Y = Y.reshape(n_queries, features.shape[1])
+            block = expl.top_k_rows(Y, k)
+        # The per-query loop that blocking replaced, except that a query whose
+        # k-th and (k+1)-th |I| are within rounding takes the block's answer.
+        seen: set[int] = set()
+        expected = []
+        for y, row in zip(Y, block):
+            seen.update((reference_top_k(expl, y, k) if clear_gap(expl, y, k) else row).tolist())
+            expected.append(len(seen) / n)
+        assert curve == expected
