@@ -7,7 +7,11 @@ gradients, smoothgrad, local surrogate) accept any model exposing
 `forward_batch`/`input_gradient_batch`; the structural methods (guided
 backprop, layer-wise relevance) walk MlpModel internals and require one.
 `explain_batch` explains every row of a matrix in one call; `explain` explains
-one point and records the settings used.
+one point and records the settings used. The sampling methods (smoothgrad,
+local surrogate) share an MlpModel's first layer across each row's perturbed
+copies: (x + e) W1 + b1 = (x W1 + b1) + e W1, so only layers 2..L run per copy,
+and smoothgrad averages the first-layer gradients before the one W1^T. Any other
+model, and integrated gradients, evaluates the copies x + e themselves.
 """
 from __future__ import annotations
 
@@ -70,7 +74,7 @@ class SurrogateConfig:
 
 
 def _row_blocks(n_rows: int, floats_per_row: int):
-    """Row slices whose perturbed copies each fit in _BLOCK_FLOATS (one row at least)."""
+    """Row slices that fit in _BLOCK_FLOATS at floats_per_row floats a row (one row at least)."""
     step = max(1, _BLOCK_FLOATS // floats_per_row)
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
@@ -106,17 +110,39 @@ def _lrp(model: MlpModel, X: np.ndarray, epsilon: float = 1e-7) -> np.ndarray:
     return relevance
 
 
+def _perturbed_blocks(model, X: np.ndarray, noise: np.ndarray):
+    """(rows, inputs) per row block of the copies x + e of the rows of X, one per
+    row e of noise, as a (rows * S, .) array. An MlpModel gets the copies' first
+    pre-activations (x W1 + b1) + e W1, with E W1 computed once, in blocks whose
+    copies' activations over all layers fit in _BLOCK_FLOATS; any other model
+    gets the copies themselves."""
+    samples, d = noise.shape
+    if isinstance(model, MlpModel):
+        W1 = model.weights[0]
+        shift = noise @ W1
+        for rows in _row_blocks(len(X), samples * sum(l.width for l in model.layers)):
+            base = X[rows] @ W1 + model.biases[0]
+            yield rows, (base[:, None, :] + shift).reshape(-1, W1.shape[1])
+    else:
+        for rows in _row_blocks(len(X), samples * d):
+            yield rows, (X[rows, None, :] + noise).reshape(-1, d)
+
+
 def _smoothgrad(model, X: np.ndarray, cfg: SmoothGradConfig) -> np.ndarray:
+    """An MlpModel averages each row's first-layer gradients before the one W1^T."""
     sigma = np.asarray(cfg.sigma, dtype=np.float64)
     if np.all(sigma == 0.0):
         return model.input_gradient_batch(X, None)
     n, d = X.shape
     noise = sigma * np.random.default_rng(cfg.seed).standard_normal((cfg.samples, d))
     out = np.empty((n, d))
-    for rows in _row_blocks(n, cfg.samples * d):
-        points = (X[rows, None, :] + noise).reshape(-1, d)
-        grads = model.input_gradient_batch(points, None)
-        out[rows] = grads.reshape(-1, cfg.samples, d).mean(axis=1)
+    for rows, inputs in _perturbed_blocks(model, X, noise):
+        if isinstance(model, MlpModel):
+            dz = model._first_layer_delta(*model._forward_from(inputs))
+            out[rows] = dz.reshape(-1, cfg.samples, dz.shape[1]).mean(axis=1) @ model.weights[0].T
+        else:
+            grads = model.input_gradient_batch(inputs, None)
+            out[rows] = grads.reshape(-1, cfg.samples, d).mean(axis=1)
     return out
 
 
@@ -144,10 +170,12 @@ def _local_surrogate(model, X: np.ndarray, cfg: SurrogateConfig):
     del design, weighted_t, system, penalty
     classes = np.argmax(model.forward_batch(X), axis=1)
     fit = np.empty((n, d + 1))
-    for rows in _row_blocks(n, cfg.num_samples * d):
-        points = (X[rows, None, :] + noise).reshape(-1, d)
-        picked = np.repeat(classes[rows], cfg.num_samples)
-        target = model.forward_batch(points)[np.arange(len(points)), picked]
+    for rows, inputs in _perturbed_blocks(model, X, noise):
+        if isinstance(model, MlpModel):
+            probs = model._forward_from(inputs)[2]
+        else:
+            probs = model.forward_batch(inputs)
+        target = probs[np.arange(len(probs)), np.repeat(classes[rows], cfg.num_samples)]
         fit[rows] = target.reshape(-1, cfg.num_samples) @ solver.T
     coef = fit[:, :d]
     return coef, fit[:, d] - (X * coef).sum(axis=1), classes, float(kernel_width), float(lam)
@@ -171,7 +199,11 @@ def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None)
 
     Row i is `explain(model, X[i], method, params).values` up to summation
     order (see `explain`). Sampling methods draw their seeded noise once for
-    the batch and reduce each row block of perturbed copies before the next.
+    the batch and reduce each row block of perturbed copies before the next. An
+    MlpModel's copies share its first layer (x W1 + b1 per row, E W1 per noise
+    draw) and enter the network at the first pre-activation; other models, such
+    as LogisticModel or any object with `forward_batch`/`input_gradient_batch`,
+    get the copies x + E.
     """
     if method not in _BATCH_METHODS:
         raise ValueError(f"unknown explanation method {method!r}")

@@ -58,6 +58,12 @@ def child_seed(master: int, tag: str, *indices: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
+def _check_seed(seed: int) -> None:
+    """child_seed reads the master seed mod 2**32, so any other seed would alias one in range."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
+
+
 _SHADOW_RE = re.compile(r"^shadow\((\d+)\)$")
 
 
@@ -97,6 +103,7 @@ class ExperimentConfig(Config):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if (self.dataset_csv is None) == (self.synth is None):
             raise ConfigError("exactly one of dataset_csv / synth must be set")
         if self.model_kind not in ("mlp", "logistic"):
@@ -559,6 +566,7 @@ class CampaignConfig(Config):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if (self.dataset_csv is None) == (self.synth is None):
             raise ConfigError("exactly one of dataset_csv / synth must be set")
         if not 0.0 < self.train_fraction <= 1.0:

@@ -177,22 +177,28 @@ class MlpModel:
     # ------------------------------------------------------------------
     # forward passes
 
+    def _forward_from(self, z1: np.ndarray):
+        """(zs, outs, probs) from the first layer's pre-activation z1 = X W1 + b1;
+        outs[l] is layer l's output. Sampled explanations pass z1 directly."""
+        zs: list[np.ndarray] = []
+        outs: list[np.ndarray] = []
+        z = z1
+        for l, spec in enumerate(self.layers):
+            if l:
+                z = outs[-1] @ self.weights[l] + self.biases[l]
+            zs.append(z)
+            outs.append(_activate(spec.activation, z))
+        if self.final == "softmax":
+            probs = _softmax(outs[-1])
+        else:
+            p = sigmoid(outs[-1][..., 0])
+            probs = np.stack([1.0 - p, p], axis=-1)
+        return zs, outs, probs
+
     def forward_stack(self, X: np.ndarray):
         """All pre-activations and activations; returns (zs, acts, probs)."""
-        zs: list[np.ndarray] = []
-        acts: list[np.ndarray] = [X]
-        a = X
-        for spec, W, bvec in zip(self.layers, self.weights, self.biases):
-            z = a @ W + bvec
-            a = _activate(spec.activation, z)
-            zs.append(z)
-            acts.append(a)
-        if self.final == "softmax":
-            probs = _softmax(a)
-        else:
-            p = sigmoid(a[..., 0])
-            probs = np.stack([1.0 - p, p], axis=-1)
-        return zs, acts, probs
+        zs, outs, probs = self._forward_from(X @ self.weights[0] + self.biases[0])
+        return zs, [X, *outs], probs
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -242,19 +248,14 @@ class MlpModel:
                 delta = dz @ self.weights[l].T
         return grads, loss
 
-    def input_gradient_batch(
-        self, X: np.ndarray, target_classes: np.ndarray | None = None, guided: bool = False
-    ) -> np.ndarray:
-        """Per-row gradients of the target-class probability (default: predicted).
-        `guided` zeroes the gradient at a ReLU also where the gradient arriving
-        from above is negative, as guided backprop does."""
-        X = np.asarray(X, dtype=np.float64)
-        zs, acts, probs = self.forward_stack(X)
+    def _first_layer_delta(self, zs, outs, probs, target_classes=None, guided=False):
+        """Per-row gradients of the target-class probability (default: predicted)
+        with respect to z1, from `_forward_from`: the backward pass without W1^T."""
         if target_classes is None:
             target_classes = np.argmax(probs, axis=1)
         else:
             target_classes = np.asarray(target_classes, dtype=np.int64)
-        rows = np.arange(X.shape[0])
+        rows = np.arange(len(probs))
         if self.final == "softmax":
             pc = probs[rows, target_classes]
             delta = -probs * pc[:, None]
@@ -268,9 +269,21 @@ class MlpModel:
             if guided and spec.activation == "relu":
                 dz = delta * (zs[l] > 0.0) * (delta > 0.0)
             else:
-                dz = delta * _activation_deriv(spec.activation, zs[l], acts[l + 1])
+                dz = delta * _activation_deriv(spec.activation, zs[l], outs[l])
+            if l == 0:
+                return dz
             delta = dz @ self.weights[l].T
-        return delta
+
+    def input_gradient_batch(
+        self, X: np.ndarray, target_classes: np.ndarray | None = None, guided: bool = False
+    ) -> np.ndarray:
+        """Per-row gradients of the target-class probability (default: predicted).
+        `guided` zeroes the gradient at a ReLU also where the gradient arriving
+        from above is negative, as guided backprop does."""
+        X = np.asarray(X, dtype=np.float64)
+        zs, acts, probs = self.forward_stack(X)
+        delta = self._first_layer_delta(zs, acts[1:], probs, target_classes, guided)
+        return delta @ self.weights[0].T
 
     # ------------------------------------------------------------------
     # serialization

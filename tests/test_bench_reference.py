@@ -1,10 +1,11 @@
-"""The reconstruction CLI still reproduces the benchmark's recorded outputs.
+"""The CLI still reproduces the benchmark's recorded outputs.
 
 ``leakbench/run.py`` checks every output against the fingerprints in
 ``leakbench/reference/``, but only when the benchmark runs. Replaying two
 instances of each reconstruction workload here holds the influence read paths
 (blind baselines, the reveal table, the oracle) to those references on every
-test run.
+test run, and one instance of ``perturbation`` holds the sampled explanations
+(the surrogate and smoothgrad through an MLP's shared first layer) to them.
 """
 from __future__ import annotations
 
@@ -32,14 +33,22 @@ outputs = _load("outputs")
 workloads = _load("workloads")
 
 
-@pytest.mark.parametrize("instance", [0, 1])
-@pytest.mark.parametrize("workload", ["reconstruction", "influence_queries"])
-def test_report_matches_recorded_fingerprint(tmp_path, capsys, workload, instance):
+def _replay(tmp_path, workload: str, command: str, instance: int) -> None:
     config = tmp_path / "config.json"
     config.write_text(json.dumps(workloads.experiment_config(workload, instance, tmp_path)))
     out = tmp_path / "out"
-    assert main(["reconstruct", "--config", str(config), "--out", str(out)]) == 0
-    got = outputs.fingerprint(outputs.parse_outputs("reconstruct", out))
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    got = outputs.fingerprint(outputs.parse_outputs(command, out))
     reference = json.loads((BENCH / "reference" / f"{workload}.json").read_text())
     verdict, detail = outputs.compare(got, reference["instances"][str(instance)])
     assert verdict in ("exact", "tolerance"), detail
+
+
+@pytest.mark.parametrize("instance", [0, 1])
+@pytest.mark.parametrize("workload", ["reconstruction", "influence_queries"])
+def test_report_matches_recorded_fingerprint(tmp_path, capsys, workload, instance):
+    _replay(tmp_path, workload, "reconstruct", instance)
+
+
+def test_perturbation_records_match_recorded_fingerprint(tmp_path, capsys):
+    _replay(tmp_path, "perturbation", "perturb-attack", 0)

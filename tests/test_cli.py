@@ -339,6 +339,29 @@ class TestPerturbAttackCommand:
         assert len(lines) == 1 + 2 * 4  # header + targets x default statistics
 
 
+class TestSeedRange:
+    """Seeds m and m + 2**32 would give the same experiment, so a seed outside
+    [0, 2**32), from the config or from --seed, is a config error."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    @pytest.mark.parametrize("command, payload",
+                             [("attack", ATTACK_PAYLOAD), ("reconstruct", RECON_PAYLOAD)])
+    def test_config_seed_exits_1(self, tmp_path, capsys, command, payload, seed):
+        config = write_config(tmp_path, dict(payload, seed=seed))
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert f"seed must be in [0, 2**32), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    @pytest.mark.parametrize("command, payload",
+                             [("perturb-attack", ATTACK_PAYLOAD), ("reconstruct", RECON_PAYLOAD)])
+    def test_seed_override_exits_1(self, tmp_path, capsys, command, payload, seed):
+        config = write_config(tmp_path, payload)
+        argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--seed", str(seed)]
+        assert main(argv) == 1
+        assert f"seed must be in [0, 2**32), got {seed}" in capsys.readouterr().err
+
+
 class TestInstalledEntryPoints:
     def test_module_execution(self, tmp_path):
         config = write_config(tmp_path, {"n_features": 2, "n_samples": 6, "seed": 0})

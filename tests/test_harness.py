@@ -58,8 +58,8 @@ class TestChildSeed:
             seed = child_seed(master, "x")
             assert 0 <= seed < 2**32
 
-    # The master seed is taken mod 2**32 and every index is one 32-bit entropy
-    # word, so both are drawn from [0, 2**32).
+    # The master seed is taken mod 2**32 (configs reject any other seed) and
+    # every index is one 32-bit entropy word, so both are drawn from [0, 2**32).
     ROLES = st.tuples(
         st.integers(0, 2**32 - 1),
         st.sampled_from(["protocol", "target", "split", "traverse", "baseline"])
@@ -116,7 +116,19 @@ def make_experiment_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+SEED_RANGE_ERROR = r"seed must be in \[0, 2\*\*32\)"
+
+
 class TestExperimentConfig:
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_rejects_seed_that_would_alias(self, seed):
+        with pytest.raises(ConfigError, match=SEED_RANGE_ERROR):
+            make_experiment_config(seed=seed)
+
+    def test_accepts_32_bit_seed_bounds(self):
+        assert make_experiment_config(seed=2**32 - 1).seed == 2**32 - 1
+        assert make_experiment_config(seed=0).seed == 0
+
     def test_requires_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
             ExperimentConfig()
@@ -680,6 +692,15 @@ def make_campaign_config(**overrides) -> CampaignConfig:
 
 
 class TestCampaignConfig:
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_rejects_seed_that_would_alias(self, seed):
+        with pytest.raises(ConfigError, match=SEED_RANGE_ERROR):
+            make_campaign_config(seed=seed)
+
+    def test_accepts_32_bit_seed_bounds(self):
+        assert make_campaign_config(seed=2**32 - 1).seed == 2**32 - 1
+        assert make_campaign_config(seed=0).seed == 0
+
     def test_requires_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
             CampaignConfig()
