@@ -81,6 +81,15 @@ def _random_edges(rng, n: int, out_degree: int) -> list[list[int]]:
     ]
 
 
+def _assert_matches_networkx(edges: list[list[int]]) -> None:
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(edges)))
+    graph.add_edges_from((u, v) for u, targets in enumerate(edges) for v in targets)
+    assert _as_canonical(strongly_connected_components(edges)) == _as_canonical(
+        nx.strongly_connected_components(graph)
+    )
+
+
 class TestStronglyConnectedComponents:
     def test_three_cycle_plus_isolated_node(self):
         edges = [[1], [2], [0], []]
@@ -102,13 +111,14 @@ class TestStronglyConnectedComponents:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_matches_networkx(self, max_out_degree, data):
-        edges = data.draw(_digraphs(max_out_degree))
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(len(edges)))
-        graph.add_edges_from((u, v) for u, targets in enumerate(edges) for v in targets)
-        assert _as_canonical(strongly_connected_components(edges)) == _as_canonical(
-            nx.strongly_connected_components(graph)
-        )
+        _assert_matches_networkx(data.draw(_digraphs(max_out_degree)))
+
+    # Out-degree up to 4, the range of the seeded digraphs the property above
+    # replaced, drawn 200 times on its own.
+    @settings(max_examples=200, deadline=None)
+    @given(edges=_digraphs(4))
+    def test_matches_networkx_on_random_digraphs(self, edges):
+        _assert_matches_networkx(edges)
 
     def test_deep_path_no_recursion_limit(self):
         n = 5000
