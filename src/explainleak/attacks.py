@@ -144,17 +144,10 @@ def aggregate_shadow_taus(taus, s: int) -> float:
 class ThresholdRule:
     statistic: AttackStatistic
     tau: float
-    member_if: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.member_if is None:
-            self.member_if = self.statistic.member_if
-        if self.member_if not in ("leq", "geq"):
-            raise ValueError("member_if must be 'leq' or 'geq'")
 
     def decide(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        return values <= self.tau if self.member_if == "leq" else values >= self.tau
+        return values <= self.tau if self.statistic.member_if == "leq" else values >= self.tau
 
 
 def combine_sources(parts) -> np.ndarray:

@@ -1,9 +1,7 @@
 """Dataset container and CSV ingestion.
 
-A dataset is a dense float feature matrix plus integer class labels, with two
-optional per-point annotations: a group tag (used for per-group vulnerability
-reporting) and a membership flag (used when a split doubles as an attack
-evaluation set).
+A dataset is a dense float feature matrix plus integer class labels, with an
+optional per-point group tag (used for per-group vulnerability reporting).
 """
 from __future__ import annotations
 
@@ -19,7 +17,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     groups: list[str] | None = None
-    membership: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -41,10 +38,6 @@ class Dataset:
             raise ValueError("labels must be non-negative")
         if self.groups is not None and len(self.groups) != self.n_points:
             raise ValueError("groups must have one tag per point")
-        if self.membership is not None:
-            self.membership = np.asarray(self.membership, dtype=bool)
-            if self.membership.shape != (self.n_points,):
-                raise ValueError("membership must have one flag per point")
 
     @property
     def n_points(self) -> int:
@@ -58,18 +51,11 @@ class Dataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1
 
-    def subset(self, indices, membership: np.ndarray | None = None) -> "Dataset":
-        """Row-select a new dataset, carrying annotations along."""
+    def subset(self, indices) -> "Dataset":
+        """Row-select a new dataset, carrying the group tags along."""
         indices = np.asarray(indices)
         groups = [self.groups[i] for i in indices] if self.groups is not None else None
-        if membership is None and self.membership is not None:
-            membership = self.membership[indices]
-        return Dataset(
-            features=self.features[indices],
-            labels=self.labels[indices],
-            groups=groups,
-            membership=membership,
-        )
+        return Dataset(self.features[indices], self.labels[indices], groups)
 
 
 def load_csv_dataset(

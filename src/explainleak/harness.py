@@ -36,7 +36,6 @@ from .graph import build_influence_graph, greedy_omniscient_baseline, scc_metric
 from .influence import build_loo_cache, group_reveal_rates, self_reveal_rate, self_reveals
 from .models import LayerSpec, TrainConfig, init_model, train, train_logistic
 from .reconstruct import (
-    InfluenceOracle,
     MarginalSampler,
     TrueDistributionSampler,
     UniformSampler,
@@ -169,6 +168,11 @@ def sampling_protocol(
     rng = np.random.default_rng(seed)
     chunks: list[np.ndarray] = []
     if resample:
+        if subset_size > dataset.n_points:
+            raise ConfigError(
+                f"subsets of {subset_size} points need at least {subset_size} "
+                f"but only {dataset.n_points} are available"
+            )
         for _ in range(n_subsets):
             chunks.append(rng.choice(dataset.n_points, size=subset_size, replace=False))
     else:
@@ -579,6 +583,8 @@ class CampaignConfig(Config):
             raise ConfigError("traverse_starts must be >= 1")
         if self.baseline_queries < 0:
             raise ConfigError("baseline_queries must be >= 0")
+        if self.max_points is not None and self.max_points < 1:
+            raise ConfigError("max_points must be >= 1 (or null for no cap)")
 
 
 def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
@@ -600,9 +606,8 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
 
     expl = build_loo_cache(train_set, cfg.train, k=cfg.graph_k)
 
-    oracle = InfluenceOracle.from_explainer(expl)
     recon = algorithm1_reconstruct(
-        oracle,
+        expl,
         y0=np.zeros(dataset.n_features),
         max_points=cfg.max_points,
         seed=child_seed(cfg.seed, "reconstruct"),

@@ -6,6 +6,8 @@ I_y(x) = L(y, base) - L(y, without-x). Training is deterministic, so the
 leave-one-out cache is exactly reproducible, and reveal operations rank
 training points by |I| (dropping either of the label orientations flips only
 the sign). All n leave-one-out models train in one batch (`train_logistic_loo`).
+`InfluenceOracle` holds the stacked models once; the explainer's top-k reveals
+and the reconstruction attack's top-1 `query` both read it.
 """
 from __future__ import annotations
 
@@ -29,19 +31,39 @@ class RevealResult:
     label: int
 
 
-class LooInfluence:
+@dataclass(frozen=True)
+class OracleAnswer:
+    """One oracle response: prediction at y, top influencer, its influence."""
+
+    prediction: float
+    index: int
+    influence: float
+
+
+class InfluenceOracle:
     """A base logistic model and its stacked leave-one-out twins: the one
-    influence kernel under both the explainer and the reconstruction oracle."""
+    influence kernel, and the top-1 oracle the reconstruction attack queries.
+
+    `query` labels y with the base model's prediction, so the influence is the
+    signed change in the likelihood of the wrong class at y when a point is
+    dropped. Ties in |I| go to the lowest training index and a NaN influence
+    raises ValueError. Every `query` call increments ``query_count``.
+    """
 
     def __init__(self, base: LogisticModel, loo_models: list[LogisticModel]):
         self.base = base
         self.loo_models = list(loo_models)
         self._loo_w = np.stack([m.w for m in self.loo_models])
         self._loo_b = np.array([m.b for m in self.loo_models])
+        self.query_count = 0
 
     @property
     def n_points(self) -> int:
         return len(self.loo_models)
+
+    @property
+    def n_features(self) -> int:
+        return self.base.w.shape[0]
 
     def predicted_label(self, y: np.ndarray) -> int:
         return 1 if self.base.positive_prob(y) >= 0.5 else 0
@@ -88,6 +110,13 @@ class LooInfluence:
             top[start:start + step] = _rank_block(neg, k)
         return top
 
+    def query(self, y: np.ndarray) -> OracleAnswer:
+        y = np.asarray(y, dtype=np.float64)
+        self.query_count += 1
+        f = self.base.positive_prob(y)
+        (idx,), (influence,) = self.top_k(y, 1 if f >= 0.5 else 0, 1)
+        return OracleAnswer(prediction=float(f), index=int(idx), influence=float(influence))
+
 
 def _rank_block(neg: np.ndarray, k: int) -> np.ndarray:
     """Per row of a (rows, n) block of -|I|, the columns of its k smallest
@@ -108,20 +137,18 @@ def _rank_block(neg: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-@dataclass
-class InfluenceExplainer(LooInfluence):
-    dataset: Dataset
-    base: LogisticModel
-    loo_models: list[LogisticModel]
-    k: int
-    train_config: TrainConfig
+class InfluenceExplainer(InfluenceOracle):
+    """The oracle over its training set, with a default reveal size k."""
 
-    def __post_init__(self) -> None:
-        if len(self.loo_models) != self.dataset.n_points:
+    def __init__(self, dataset: Dataset, base: LogisticModel,
+                 loo_models: list[LogisticModel], k: int):
+        if len(loo_models) != dataset.n_points:
             raise ValueError("need one leave-one-out model per training point")
-        if not 1 <= self.k <= self.dataset.n_points:
+        if not 1 <= k <= dataset.n_points:
             raise ValueError("k must lie in [1, n_points]")
-        LooInfluence.__init__(self, self.base, self.loo_models)
+        super().__init__(base, loo_models)
+        self.dataset = dataset
+        self.k = k
 
 
 def build_loo_cache(dataset: Dataset, cfg: TrainConfig, k: int = 1) -> InfluenceExplainer:
@@ -134,7 +161,7 @@ def build_loo_cache(dataset: Dataset, cfg: TrainConfig, k: int = 1) -> Influence
         exc = TrainingDivergedError(cfg.epochs - 1, cfg.epochs - 1, float("nan"))
         raise RuntimeError(f"leave-one-out retraining failed for index {bad[0]}: {exc}") from exc
     loo_models = [LogisticModel(w=w, b=bias) for w, bias in zip(W, b)]
-    return InfluenceExplainer(dataset, base, loo_models, k, train_config=cfg)
+    return InfluenceExplainer(dataset, base, loo_models, k)
 
 
 def topk_explain(

@@ -138,7 +138,6 @@ class MlpModel:
         seed: int | None = None,
         train_config: TrainConfig | None = None,
     ):
-        layers = [l if isinstance(l, LayerSpec) else LayerSpec(**l) for l in layers]
         if not layers:
             raise ValueError("at least one layer is required")
         if input_dim < 1:
@@ -164,7 +163,7 @@ class MlpModel:
             self.weights.append(W)
             self.biases.append(bvec)
             fan_in = spec.width
-        self.layers = layers
+        self.layers = list(layers)
         self.input_dim = input_dim
         self.final = final
         self.seed = seed
@@ -237,16 +236,26 @@ class MlpModel:
         zs, acts, probs = self.forward_stack(X)
         picked = probs[np.arange(len(labels)), labels]
         loss = float(np.mean(-np.log(np.maximum(picked, _LOSS_CLAMP))))
-        batch = X.shape[0]
-        delta = self._head_delta(probs, labels) / batch
+        delta = self._head_delta(probs, labels) / X.shape[0]
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
+        for l, dz in self._backward(zs, acts[1:], delta):
+            grads[l] = (acts[l].T @ dz, dz.sum(axis=0))
+        return grads, loss
+
+    def _backward(self, zs, outs, delta, guided=False):
+        """The backward pass from delta, the gradient at the last activation:
+        yields (l, dz) for l = L-1 .. 0, dz the gradient at layer l's
+        pre-activation; outs[l] is layer l's output. `guided` as in
+        `input_gradient_batch`."""
         for l in range(len(self.layers) - 1, -1, -1):
             spec = self.layers[l]
-            dz = delta * _activation_deriv(spec.activation, zs[l], acts[l + 1])
-            grads[l] = (acts[l].T @ dz, dz.sum(axis=0))
-            if l > 0:
+            if guided and spec.activation == "relu":
+                dz = delta * (zs[l] > 0.0) * (delta > 0.0)
+            else:
+                dz = delta * _activation_deriv(spec.activation, zs[l], outs[l])
+            yield l, dz
+            if l:
                 delta = dz @ self.weights[l].T
-        return grads, loss
 
     def _first_layer_delta(self, zs, outs, probs, target_classes=None, guided=False):
         """Per-row gradients of the target-class probability (default: predicted)
@@ -264,15 +273,9 @@ class MlpModel:
             p = probs[:, 1]
             sign = np.where(target_classes == 1, 1.0, -1.0)
             delta = (sign * p * (1.0 - p))[:, None]
-        for l in range(len(self.layers) - 1, -1, -1):
-            spec = self.layers[l]
-            if guided and spec.activation == "relu":
-                dz = delta * (zs[l] > 0.0) * (delta > 0.0)
-            else:
-                dz = delta * _activation_deriv(spec.activation, zs[l], outs[l])
-            if l == 0:
-                return dz
-            delta = dz @ self.weights[l].T
+        for _, dz in self._backward(zs, outs, delta, guided):
+            pass
+        return dz
 
     def input_gradient_batch(
         self, X: np.ndarray, target_classes: np.ndarray | None = None, guided: bool = False
@@ -325,7 +328,6 @@ def init_model(
 ) -> MlpModel:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
     rng = np.random.default_rng(seed)
-    layers = [l if isinstance(l, LayerSpec) else LayerSpec(**l) for l in layers]
     weights = []
     biases = []
     fan_in = input_dim
@@ -386,8 +388,8 @@ def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
                     vb += (1 - b2) * db * db
                     corr1 = 1 - b1**step
                     corr2 = 1 - b2**step
-                    model.weights[l] -= cfg.lr * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
-                    model.biases[l] -= cfg.lr * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+                    model.weights[l] -= lr_t * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
+                    model.biases[l] -= lr_t * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
             else:  # plain full-batch gradient step
                 for l, (dW, db) in enumerate(grads):
                     model.weights[l] -= lr_t * dW

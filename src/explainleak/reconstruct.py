@@ -1,13 +1,14 @@
 """Training-set reconstruction from an influence-revealing oracle.
 
-The oracle answers a query point with the model's prediction, the single
-most influential training point (by absolute influence), and that point's
-influence value. Against a logistic model whose leave-one-out retrainings
-are also logistic, each answer pins down an affine restriction of the
-revealed point's leave-one-out model; constraining every further query to
-the subspace where that point's influence vanishes forces the oracle to
-reveal a different point next time. Repeating the slice recovers one new
-training point per round until influence, novelty, or dimensions run out.
+The oracle (`influence.InfluenceOracle.query`) answers a query point with the
+model's prediction, the single most influential training point (by absolute
+influence), and that point's influence value. Against a logistic model whose
+leave-one-out retrainings are also logistic, each answer pins down an affine
+restriction of the revealed point's leave-one-out model; constraining every
+further query to the subspace where that point's influence vanishes forces
+the oracle to reveal a different point next time. Repeating the slice
+recovers one new training point per round until influence, novelty, or
+dimensions run out.
 
 Also provides the random-query baselines (uniform / marginal / true
 distribution samplers) used to contextualise the reconstruction attack.
@@ -18,50 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .influence import InfluenceExplainer, LooInfluence
+from .influence import InfluenceExplainer, InfluenceOracle, OracleAnswer
 from .influence import topk_explain  # noqa: F401  (leakbench's tracer patches it)
-from .models import _BLOCK_FLOATS, LogisticModel
+from .models import _BLOCK_FLOATS
 
 _PROB_CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class OracleAnswer:
-    """One oracle response: prediction at y, top influencer, its influence."""
-
-    prediction: float
-    index: int
-    influence: float
-
-
-class InfluenceOracle(LooInfluence):
-    """Top-1 influence oracle over a base model and its leave-one-out twins.
-
-    Influence of training point x on query y is the change in the likelihood
-    that the model assigns to the wrong class at y when x is dropped from
-    training, signed, with the label taken to be the base model's prediction
-    at y. Ties in absolute influence go to the lowest training index and a
-    NaN influence raises ValueError. Every call increments ``query_count``.
-    """
-
-    def __init__(self, base: LogisticModel, loo_models: list[LogisticModel]):
-        super().__init__(base, loo_models)
-        self.query_count = 0
-
-    @classmethod
-    def from_explainer(cls, expl: InfluenceExplainer) -> "InfluenceOracle":
-        return cls(expl.base, expl.loo_models)
-
-    @property
-    def n_features(self) -> int:
-        return self.base.w.shape[0]
-
-    def query(self, y: np.ndarray) -> OracleAnswer:
-        y = np.asarray(y, dtype=np.float64)
-        self.query_count += 1
-        f = self.base.positive_prob(y)
-        (idx,), (influence,) = self.top_k(y, 1 if f >= 0.5 else 0, 1)
-        return OracleAnswer(prediction=float(f), index=int(idx), influence=float(influence))
+_EPS_MIN = 1e-8  # smallest probe step before the oracle counts as inconsistent
+_ZERO_TOL = 1e-8  # an anchor influence this close to zero ends the attack
+_DEPENDENCE_TOL = 1e-8  # relative slope gap below which no slice exists
+_LOGIT_CAP = 4.0  # largest |base logit| of a random anchor
+_ANCHOR_TRIES = 1000
 
 
 def _logit(p: np.ndarray | float) -> np.ndarray | float:
@@ -78,29 +45,21 @@ def _loo_probability(answer: OracleAnswer) -> float:
 
 @dataclass
 class ReconstructionStep:
-    """One completed probe cluster: everything needed to audit the slice.
-
-    ``dc``/``c_anchor`` are the revealed point's leave-one-out logit
-    restricted to the round's subspace (slope in basis coordinates and value
-    at the anchor); ``w_fit``/``b_fit`` are the full-space least-squares
-    solve from the same cluster, which is the minimum-norm pseudo-solution
-    (and flagged ``rank_deficient``) once earlier constraints have removed
-    directions the cluster can no longer measure.
+    """One completed probe cluster: the anchor, the probe steps ``eps`` along
+    the round's basis, and the full-space least-squares fit ``w_fit``/``b_fit``
+    of the revealed point's leave-one-out model. Once earlier constraints have
+    removed directions the cluster can no longer measure, that fit is the
+    minimum-norm pseudo-solution and is flagged ``rank_deficient``.
     """
 
     iteration: int
     index: int
     anchor: np.ndarray
-    basis: np.ndarray
     eps: np.ndarray
-    dc: np.ndarray
-    c_anchor: float
-    da: np.ndarray
-    a_anchor: float
     queries: int
-    w_fit: np.ndarray | None = None
-    b_fit: float | None = None
-    rank_deficient: bool = False
+    w_fit: np.ndarray
+    b_fit: float
+    rank_deficient: bool
 
 
 @dataclass
@@ -134,11 +93,6 @@ def reconstruction_query_budget(n_features: int, rounds: int) -> int:
 def algorithm1_reconstruct(
     oracle: InfluenceOracle,
     y0: np.ndarray | None = None,
-    eps0: float | None = None,
-    eps_min: float = 1e-8,
-    zero_tol: float = 1e-8,
-    dependence_tol: float = 1e-8,
-    logit_cap: float = 4.0,
     max_points: int | None = None,
     seed: int = 0,
 ) -> ReconstructionResult:
@@ -150,17 +104,18 @@ def algorithm1_reconstruct(
     point's influence is identically zero from here on. The first round's
     cluster doubles as recovery of the base model itself (finite differences
     of the logit), after which anchors are drawn at random within the
-    subspace, rejecting those whose base logit exceeds ``logit_cap`` to keep
-    the finite differences well conditioned.
+    subspace, rejecting those whose |base logit| exceeds ``_LOGIT_CAP`` to keep
+    the finite differences well conditioned. Probes step 1e-4 max(1, |y0|_inf)
+    along each direction.
 
     Termination reasons: ``influence_exhausted`` (anchor influence within
-    ``zero_tol`` of zero), ``repeat_reveal`` (anchor reveals a point already
+    ``_ZERO_TOL`` of zero), ``repeat_reveal`` (anchor reveals a point already
     recovered), ``linear_dependence`` (the revealed point's restriction
     matches the base model's, so no slice exists; the point still counts),
     ``dimension_exhausted`` (subspace is a single point; one final anchor
     query is spent there and recorded if it reveals something new),
     ``max_points``, and ``oracle_inconsistent`` (probes keep revealing a
-    different point than their anchor even at step ``eps_min``).
+    different point than their anchor even at step ``_EPS_MIN``).
     """
     n = oracle.n_features
     if y0 is None:
@@ -168,8 +123,7 @@ def algorithm1_reconstruct(
     y0 = np.asarray(y0, dtype=np.float64).copy()
     if y0.shape != (n,):
         raise ValueError(f"y0 must have shape ({n},), got {y0.shape}")
-    if eps0 is None:
-        eps0 = 1e-4 * max(1.0, float(np.abs(y0).max()))
+    eps0 = 1e-4 * max(1.0, float(np.abs(y0).max()))
     rng = np.random.default_rng(seed)
 
     basis = np.eye(n)
@@ -192,16 +146,16 @@ def algorithm1_reconstruct(
             # Nothing left to slice; one last look at the pinned-down anchor.
             answer = oracle.query(anchor_base)
             termination_queries += 1
-            if answer.index not in recovered and abs(answer.influence) > zero_tol:
+            if answer.index not in recovered and abs(answer.influence) > _ZERO_TOL:
                 recovered.append(answer.index)
             reason = "dimension_exhausted"
             break
 
-        anchor = _draw_anchor(anchor_base, basis, w_hat, b_hat, logit_cap, rng)
+        anchor = _draw_anchor(anchor_base, basis, w_hat, b_hat, rng)
         answer = oracle.query(anchor)
         cluster_queries = 1
 
-        if abs(answer.influence) <= zero_tol:
+        if abs(answer.influence) <= _ZERO_TOL:
             termination_queries += cluster_queries
             reason = "influence_exhausted"
             break
@@ -211,7 +165,7 @@ def algorithm1_reconstruct(
             break
 
         probes, eps, retries, probe_queries = _probe_cluster(
-            oracle, anchor, basis, answer.index, eps0, eps_min
+            oracle, anchor, basis, answer.index, eps0
         )
         cluster_queries += probe_queries
         total_retries += retries
@@ -230,9 +184,6 @@ def algorithm1_reconstruct(
             w_hat = (a_probe - a_anchor) / eps
             b_hat = float(w_hat @ anchor - a_anchor)
 
-        da = basis.T @ w_hat
-        dc = (c_probe - c_anchor) / eps
-
         # Full-space least squares for the revealed point's (w_x, b_x); the
         # cluster only spans the remaining subspace, so rank falls short of
         # n + 1 once constraints exist and the min-norm solution is flagged.
@@ -240,8 +191,6 @@ def algorithm1_reconstruct(
         design = np.hstack([cluster_points, -np.ones((cluster_points.shape[0], 1))])
         targets = np.concatenate([[c_anchor], c_probe])
         solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-        w_fit, b_fit = solution[:-1], float(solution[-1])
-        rank_deficient = rank < n + 1
 
         recovered.append(answer.index)
         queries_revealing += cluster_queries
@@ -250,16 +199,11 @@ def algorithm1_reconstruct(
                 iteration=iteration,
                 index=answer.index,
                 anchor=anchor,
-                basis=basis.copy(),
-                eps=eps.copy(),
-                dc=dc,
-                c_anchor=c_anchor,
-                da=da,
-                a_anchor=float(w_hat @ anchor - b_hat),
+                eps=eps,
                 queries=cluster_queries,
-                w_fit=w_fit,
-                b_fit=b_fit,
-                rank_deficient=bool(rank_deficient),
+                w_fit=solution[:-1],
+                b_fit=float(solution[-1]),
+                rank_deficient=bool(rank < n + 1),
             )
         )
 
@@ -267,10 +211,12 @@ def algorithm1_reconstruct(
             reason = "max_points"
             break
 
+        da = basis.T @ w_hat
+        dc = (c_probe - c_anchor) / eps
         d_slope = da - dc
         d_value = (w_hat @ anchor - b_hat) - c_anchor
         scale = max(1.0, float(np.linalg.norm(da)), float(np.linalg.norm(dc)))
-        if np.linalg.norm(d_slope) <= dependence_tol * scale:
+        if np.linalg.norm(d_slope) <= _DEPENDENCE_TOL * scale:
             # Influence difference is flat on this subspace: no hyperplane to
             # slice along, the revealed point dominates everywhere here.
             reason = "linear_dependence"
@@ -309,18 +255,16 @@ def _draw_anchor(
     basis: np.ndarray,
     w_hat: np.ndarray | None,
     b_hat: float | None,
-    logit_cap: float,
     rng: np.random.Generator,
-    max_tries: int = 1000,
 ) -> np.ndarray:
     """Random point of the current subspace with a non-saturated base logit."""
     if w_hat is None:
         return anchor_base.copy()
     da = basis.T @ w_hat
-    for _ in range(max_tries):
+    for _ in range(_ANCHOR_TRIES):
         g = rng.standard_normal(basis.shape[1])
         y = anchor_base + basis @ g
-        if abs(w_hat @ y - b_hat) <= logit_cap:
+        if abs(w_hat @ y - b_hat) <= _LOGIT_CAP:
             return y
     # The subspace barely intersects the moderate-logit slab; aim for the
     # base decision boundary directly.
@@ -338,14 +282,13 @@ def _probe_cluster(
     basis: np.ndarray,
     expect_index: int,
     eps0: float,
-    eps_min: float,
 ) -> tuple[list[OracleAnswer] | None, np.ndarray, int, int]:
     """One probe per basis direction, all revealing the anchor's point.
 
     A probe that reveals a different point stepped too far outside the
     anchor point's dominance region; its step is halved and retried. Returns
     (answers, eps actually used, retry count, queries spent); answers is
-    None if some direction stays inconsistent all the way down to eps_min.
+    None if some direction stays inconsistent all the way down to ``_EPS_MIN``.
     """
     d = basis.shape[1]
     eps = np.full(d, eps0, dtype=np.float64)
@@ -366,7 +309,7 @@ def _probe_cluster(
             break
         retries += len(failed)
         eps[failed] *= 0.5
-        if eps[failed].min() < eps_min:
+        if eps[failed].min() < _EPS_MIN:
             return None, eps, retries, queries
         pending = failed
     return answers, eps, retries, queries  # type: ignore[return-value]
@@ -393,11 +336,8 @@ class UniformSampler:
         self.bounds = bounds
         self._rng = np.random.default_rng(seed)
 
-    def sample(self) -> np.ndarray:
-        return self.sample_batch(1)[0]
-
     def sample_batch(self, q: int) -> np.ndarray:
-        """(q, d) draws: the same stream as q calls to `sample`."""
+        """(q, d) draws; any split of q rows into batches draws the same stream."""
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         return self._rng.uniform(lo, hi, size=(q, len(lo)))
 
@@ -412,11 +352,8 @@ class MarginalSampler:
         self.features = features
         self._rng = np.random.default_rng(seed)
 
-    def sample(self) -> np.ndarray:
-        return self.sample_batch(1)[0]
-
     def sample_batch(self, q: int) -> np.ndarray:
-        """(q, d) draws: the same stream as q calls to `sample`."""
+        """(q, d) draws; any split of q rows into batches draws the same stream."""
         n_rows, n_cols = self.features.shape
         rows = self._rng.integers(0, n_rows, size=(q, n_cols))
         return self.features[rows, np.arange(n_cols)]
@@ -436,9 +373,6 @@ class TrueDistributionSampler:
     @property
     def remaining(self) -> int:
         return self.pool.shape[0] - self._cursor
-
-    def sample(self) -> np.ndarray:
-        return self.sample_batch(1)[0]
 
     def sample_batch(self, q: int) -> np.ndarray:
         """The next q points of the permutation; raises SamplerExhaustedError,

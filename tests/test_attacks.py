@@ -273,10 +273,6 @@ class TestThresholdRuleAndEvaluation:
             geq_rule.decide(np.array([0.5, 1.0, 1.5])), [False, True, True]
         )
 
-    def test_default_direction_comes_from_statistic(self):
-        assert ThresholdRule(AttackStatistic("pred_var"), 0.0).member_if == "geq"
-        assert ThresholdRule(AttackStatistic("loss"), 0.0).member_if == "leq"
-
     def test_evaluate_attack_hand_case(self):
         # The two confident points are the members; tau at 0.4 flags only
         # them, since the boundary points' loss sits near 0.5.

@@ -362,6 +362,33 @@ class TestSeedRange:
         assert f"seed must be in [0, 2**32), got {seed}" in capsys.readouterr().err
 
 
+class TestConfigErrorsCaughtEarly:
+    """Configs that used to fail late (exit 2) or run on a silently changed
+    setting exit 1 with a config error."""
+
+    @pytest.mark.parametrize("command", ["attack", "perturb-attack"])
+    def test_resampled_subset_larger_than_dataset(self, tmp_path, capsys, command):
+        payload = dict(ATTACK_PAYLOAD, resample=True, points_per_subset=100)
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "subsets of 100 points" in err and "only 80" in err
+
+    @pytest.mark.parametrize("max_points", [0, -3])
+    def test_non_positive_max_points(self, tmp_path, capsys, max_points):
+        config = write_config(tmp_path, dict(RECON_PAYLOAD, max_points=max_points))
+        assert main(["reconstruct", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "max_points must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_max_points_one_still_runs(self, tmp_path):
+        config = write_config(tmp_path, dict(RECON_PAYLOAD, max_points=1))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", config, "--out", str(out)]) == 0
+        report = json.loads((out / "reconstruction_report.json").read_text())
+        assert report["reconstruction"]["recovered_count"] == 1
+
+
 class TestInstalledEntryPoints:
     def test_module_execution(self, tmp_path):
         config = write_config(tmp_path, {"n_features": 2, "n_samples": 6, "seed": 0})

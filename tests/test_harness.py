@@ -31,6 +31,7 @@ from explainleak.harness import (
     validate_protocol,
     write_manifest,
 )
+from explainleak.influence import InfluenceOracle
 from explainleak.models import TrainConfig, TrainingDivergedError
 from explainleak.reconstruct import reconstruction_query_budget
 from explainleak.synth import SynthConfig
@@ -868,6 +869,19 @@ class TestReconstructionCampaign:
         # Every point is trivially in its own top-N when k equals the
         # training-set size.
         assert reveal["12"]["self_reveal_rate"] == 1.0
+
+    def test_loo_models_are_stacked_once(self, monkeypatch):
+        # The reconstruction oracle is the explainer itself, not a second stack.
+        stacked = []
+        real = InfluenceOracle.__init__
+
+        def counting(self, base, loo_models):
+            stacked.append(len(loo_models))
+            real(self, base, loo_models)
+
+        monkeypatch.setattr(InfluenceOracle, "__init__", counting)
+        run_reconstruction_campaign(make_campaign_config())
+        assert stacked == [12]
 
     def test_rerun_gives_identical_report(self, campaign):
         cfg, report = campaign

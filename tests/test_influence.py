@@ -40,7 +40,7 @@ def fake_explainer(base, loos, features=None, labels=None, groups=None, k=1):
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
     ds = Dataset(np.asarray(features, dtype=np.float64), labels, groups=groups)
-    return InfluenceExplainer(ds, base, list(loos), k, FULL_BATCH)
+    return InfluenceExplainer(ds, base, list(loos), k)
 
 
 def sigmoid(z: float) -> float:
@@ -207,7 +207,7 @@ class TestLooCache:
         ds = Dataset(np.zeros((3, 1)), np.zeros(3, dtype=np.int64))
         base = LogisticModel(np.zeros(1), 0.0)
         with pytest.raises(ValueError):
-            InfluenceExplainer(ds, base, [base], k=1, train_config=FULL_BATCH)
+            InfluenceExplainer(ds, base, [base], k=1)
 
 
 class TestBatchedLoo:

@@ -18,7 +18,7 @@ from explainleak import (
     train_logistic,
 )
 from conftest import finite_difference_gradient, relative_error, two_blob_dataset
-from explainleak.models import sigmoid
+from explainleak.models import _activation_deriv, sigmoid
 
 
 def _hand_network() -> MlpModel:
@@ -169,6 +169,85 @@ class TestParamGradients:
             assert (up - down) / (2 * h) == pytest.approx(db[0], abs=1e-5)
 
 
+def _loop_param_gradients(model, X, labels):
+    """The backward loop `param_gradients` ran before it shared `_backward`."""
+    zs, acts, probs = model.forward_stack(X)
+    delta = model._head_delta(probs, labels) / X.shape[0]
+    grads = [None] * len(model.layers)
+    for l in range(len(model.layers) - 1, -1, -1):
+        spec = model.layers[l]
+        dz = delta * _activation_deriv(spec.activation, zs[l], acts[l + 1])
+        grads[l] = (acts[l].T @ dz, dz.sum(axis=0))
+        if l > 0:
+            delta = dz @ model.weights[l].T
+    return grads
+
+
+def _loop_input_gradient(model, X, guided):
+    """The backward loop `input_gradient_batch` ran before it shared `_backward`."""
+    zs, acts, probs = model.forward_stack(X)
+    outs = acts[1:]
+    target_classes = np.argmax(probs, axis=1)
+    rows = np.arange(len(probs))
+    if model.final == "softmax":
+        pc = probs[rows, target_classes]
+        delta = -probs * pc[:, None]
+        delta[rows, target_classes] += pc
+    else:
+        p = probs[:, 1]
+        sign = np.where(target_classes == 1, 1.0, -1.0)
+        delta = (sign * p * (1.0 - p))[:, None]
+    for l in range(len(model.layers) - 1, -1, -1):
+        spec = model.layers[l]
+        if guided and spec.activation == "relu":
+            dz = delta * (zs[l] > 0.0) * (delta > 0.0)
+        else:
+            dz = delta * _activation_deriv(spec.activation, zs[l], outs[l])
+        if l == 0:
+            return dz @ model.weights[0].T
+        delta = dz @ model.weights[l].T
+
+
+class TestOneBackwardLoop:
+    """`param_gradients` and `input_gradient_batch` walk one `_backward`; both
+    are bit-identical to the separate loops they had before."""
+
+    @pytest.mark.parametrize("final", ["softmax", "sigmoid"])
+    @pytest.mark.parametrize(
+        "hidden", [[], [("tanh", 7)], [("relu", 6), ("sigmoid", 5)], [("relu", 4), ("relu", 3)]]
+    )
+    def test_gradients_equal_the_old_loops(self, final, hidden):
+        out = LayerSpec(1 if final == "sigmoid" else 4, "identity")
+        model = init_model([LayerSpec(w, a) for a, w in hidden] + [out], 5, seed=3, final=final)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(9, 5))
+        labels = rng.integers(0, model.n_classes, size=9)
+        for (dW, db), (want_W, want_b) in zip(
+            model.param_gradients(X, labels)[0], _loop_param_gradients(model, X, labels)
+        ):
+            np.testing.assert_array_equal(dW, want_W)
+            np.testing.assert_array_equal(db, want_b)
+        for guided in (False, True):
+            np.testing.assert_array_equal(
+                model.input_gradient_batch(X, guided=guided), _loop_input_gradient(model, X, guided)
+            )
+
+    def test_training_equals_the_old_loop(self, monkeypatch):
+        ds = two_blob_dataset(n=40, n_features=12, seed=5)
+        cfg = TrainConfig(optimizer="adagrad", lr=0.05, epochs=30, batch_size=8, seed=5)
+        layers = [LayerSpec(10, "tanh"), LayerSpec(2, "identity")]
+        new = train(init_model(layers, 12, seed=6), ds, cfg)
+
+        def loop_gradients(self, X, labels):
+            loss = float(np.mean(self.loss_batch(X, labels)))
+            return _loop_param_gradients(self, X, labels), loss
+
+        monkeypatch.setattr(MlpModel, "param_gradients", loop_gradients)
+        old = train(init_model(layers, 12, seed=6), ds, cfg)
+        for a, b in zip(new.weights + new.biases, old.weights + old.biases):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestInit:
     def test_weight_bounds_and_zero_biases(self):
         model = init_model([LayerSpec(16, "tanh"), LayerSpec(3, "identity")], 9, seed=1)
@@ -248,6 +327,34 @@ class TestTraining:
         )
         for got, want in zip(model.weights, expected):
             np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("optimizer", ["adagrad", "adam"])
+    def test_lr_decay_applies_from_the_second_mini_batch(self, monkeypatch, optimizer):
+        # Both runs reach the second batch with the same weights and optimizer
+        # state, so the decayed second step is the undecayed one over 1 + decay.
+        ds = two_blob_dataset(n=16, seed=19)
+        decay = 0.5
+        real = MlpModel.param_gradients
+        runs = {}
+        for lr_decay in (0.0, decay):
+            seen = []
+
+            def spy(self, X, labels):
+                seen.append([W.copy() for W in self.weights])
+                return real(self, X, labels)
+
+            monkeypatch.setattr(MlpModel, "param_gradients", spy)
+            model = init_model([LayerSpec(5, "tanh"), LayerSpec(2, "identity")], 4, seed=19)
+            train(model, ds, TrainConfig(optimizer=optimizer, lr=0.05, lr_decay=lr_decay,
+                                         epochs=1, batch_size=8, seed=19))
+            runs[lr_decay] = seen + [model.weights]
+        plain, decayed = runs[0.0], runs[decay]
+        for a, b in zip(plain[1], decayed[1]):  # after the first batch
+            np.testing.assert_array_equal(a, b)
+        for start, a, b in zip(plain[1], plain[2], decayed[2]):
+            np.testing.assert_allclose(b - start, (a - start) / (1.0 + decay),
+                                       rtol=1e-9, atol=1e-15)
+            assert not np.array_equal(a, b)
 
     def test_divergence_raises_with_location(self):
         ds = two_blob_dataset(n=20, sep=8.0, seed=18)

@@ -96,20 +96,24 @@ class TestOracle:
         oracle.query(np.ones(4))
         assert oracle.query_count == 2
 
-    def test_from_explainer_matches_cache(self):
+    def test_explainer_is_the_oracle(self):
+        # The campaign queries its LOO cache directly: no second stack of the models.
         ds = two_blob_dataset(n=10, n_features=2, seed=80)
         expl = build_loo_cache(ds, FULL_BATCH)
-        oracle = InfluenceOracle.from_explainer(expl)
+        assert isinstance(expl, InfluenceOracle)
         y = np.array([0.3, -0.6])
-        answer = oracle.query(y)
+        answer = expl.query(y)
         reveal = topk_explain(expl, y, None, 1)
         assert answer.index == reveal.indices[0]
         assert answer.influence == pytest.approx(reveal.influences[0], abs=1e-12)
+        assert expl.query_count == 1
+        result = algorithm1_reconstruct(expl, y0=np.zeros(2), seed=0)
+        assert result.queries_total == expl.query_count - 1
 
     def test_answers_equal_topk_explain(self):
         ds = two_blob_dataset(n=30, n_features=3, seed=81)
         expl = build_loo_cache(ds, FULL_BATCH)
-        oracle = InfluenceOracle.from_explainer(expl)
+        oracle = InfluenceOracle(expl.base, expl.loo_models)
         for y in np.random.default_rng(82).normal(scale=2.0, size=(50, 3)):
             answer = oracle.query(y)
             reveal = topk_explain(expl, y, None, 1)
@@ -372,10 +376,10 @@ class TestSamplers:
         a = UniformSampler(bounds, seed=5)
         b = UniformSampler(bounds, seed=5)
         for _ in range(50):
-            sample = a.sample()
+            sample = a.sample_batch(1)[0]
             assert np.all(sample >= bounds[:, 0]) and np.all(sample <= bounds[:, 1])
-            np.testing.assert_array_equal(sample, b.sample())
-        assert a.sample()[2] == 5.0
+            np.testing.assert_array_equal(sample, b.sample_batch(1)[0])
+        assert a.sample_batch(1)[0][2] == 5.0
 
     def test_uniform_validates_bounds(self):
         with pytest.raises(ValueError):
@@ -387,26 +391,26 @@ class TestSamplers:
         features = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         sampler = MarginalSampler(features, seed=6)
         for _ in range(40):
-            sample = sampler.sample()
+            sample = sampler.sample_batch(1)[0]
             assert sample[0] in {1.0, 2.0, 3.0}
             assert sample[1] in {10.0, 20.0, 30.0}
 
     def test_marginal_mixes_rows(self):
         features = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         sampler = MarginalSampler(features, seed=7)
-        rows = {tuple(sampler.sample()) for _ in range(60)}
+        rows = {tuple(sampler.sample_batch(1)[0]) for _ in range(60)}
         originals = {tuple(row) for row in features}
         assert not rows <= originals
 
     def test_true_distribution_is_permutation_without_replacement(self):
         pool = np.arange(10.0)[:, None]
         sampler = TrueDistributionSampler(pool, seed=8)
-        drawn = [float(sampler.sample()[0]) for _ in range(10)]
+        drawn = [float(sampler.sample_batch(1)[0][0]) for _ in range(10)]
         assert sorted(drawn) == list(range(10))
         assert drawn != [float(i) for i in range(10)]
         assert sampler.remaining == 0
         with pytest.raises(SamplerExhaustedError):
-            sampler.sample()
+            sampler.sample_batch(1)
 
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(["uniform", "marginal", "true_distribution"]),
@@ -429,7 +433,7 @@ class TestSamplers:
 
         batched, single = make(), make()
         got = np.concatenate([batched.sample_batch(c) for c in splits] + [np.empty((0, d))])
-        want = np.array([single.sample() for _ in range(q)]).reshape(q, d)
+        want = np.array([single.sample_batch(1)[0] for _ in range(q)]).reshape(q, d)
         np.testing.assert_array_equal(got, want)
         # The draws the per-query samplers made before batching.
         legacy = np.random.default_rng(seed)
@@ -474,7 +478,7 @@ class TestBaselineAttack:
         seen: set[int] = set()
         expected = []
         for _ in range(25):
-            reveal = topk_explain(explainer, replay_sampler.sample(), None, 2)
+            reveal = topk_explain(explainer, replay_sampler.sample_batch(1)[0], None, 2)
             seen.update(int(i) for i in reveal.indices)
             expected.append(len(seen) / explainer.n_points)
         assert curve == expected
@@ -523,7 +527,7 @@ class TestBaselineAttack:
                 mock.patch.object(reconstruct_module, "_BLOCK_FLOATS", patch):
             curve = baseline_attack(expl, make(), n_queries, k)
             replay = make()
-            Y = np.array([replay.sample() for _ in range(n_queries)])
+            Y = np.array([replay.sample_batch(1)[0] for _ in range(n_queries)])
             Y = Y.reshape(n_queries, features.shape[1])
             block = expl.top_k_rows(Y, k)
         # The per-query loop that blocking replaced, except that a query whose
