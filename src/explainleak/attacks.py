@@ -5,9 +5,7 @@ variance of its predicted distribution, or the variance of its explanation)
 and compares against a calibrated cut. Low loss, low explanation variance,
 and high prediction variance all vote "training member". Thresholds come
 either from an exhaustive optimal scan (requires ground-truth membership) or
-from shadow models that mimic the target. The paper's learned attack instead
-trains a binary classifier on explanation/prediction/loss features
-(`combine_sources`, `train_attack_network`).
+from shadow models that mimic the target.
 """
 from __future__ import annotations
 
@@ -16,16 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .data import Dataset
 from .explain import EXPLANATION_METHODS, explain_batch
 from .explain import explain  # noqa: F401  (public name; the benchmark's tracer wraps it)
-from .models import LayerSpec, TrainConfig, init_model, train
 
 STATISTIC_KINDS = ("loss", "pred_var", "expl_var")
-
-# Published attack-network widths; desk scale shrinks them by `width_scale`
-# while keeping the wide/wide/narrow/wide/narrow bottleneck shape.
-ATTACK_NET_WIDTHS = (1024, 512, 64, 256, 64)
 
 
 def variance(values) -> float:
@@ -148,92 +140,3 @@ class ThresholdRule:
     def decide(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         return values <= self.tau if self.statistic.member_if == "leq" else values >= self.tau
-
-
-def combine_sources(parts) -> np.ndarray:
-    """Concatenate per-point feature blocks column-wise in the given order, as
-    the input of the paper's learned attack (`train_attack_network`).
-
-    The conventional order is (explanation values, prediction vector, loss).
-    1-D blocks are treated as single columns. All blocks must agree on the
-    number of points.
-    """
-    if not parts:
-        raise ValueError("no feature blocks given")
-    arrays = []
-    for part in parts:
-        a = np.asarray(part, dtype=np.float64)
-        if a.ndim == 1:
-            a = a[:, None]
-        if a.ndim != 2:
-            raise ValueError("feature blocks must be 1-D or 2-D")
-        arrays.append(a)
-    n = arrays[0].shape[0]
-    for a in arrays[1:]:
-        if a.shape[0] != n:
-            raise ValueError(
-                f"feature blocks disagree on point count: {a.shape[0]} vs {n}"
-            )
-    return np.hstack(arrays)
-
-
-@dataclass
-class AttackNetResult:
-    """The paper's learned attack network and its train/test accuracies."""
-
-    model: object
-    train_accuracy: float
-    test_accuracy: float
-    n_train: int
-    n_test: int
-
-
-def train_attack_network(
-    features: np.ndarray,
-    membership: np.ndarray,
-    seed: int,
-    width_scale: float = 1.0 / 16.0,
-    epochs: int = 15,
-    lr: float = 0.01,
-    lr_decay: float = 1e-7,
-    train_fraction: float = 0.7,
-) -> AttackNetResult:
-    """Train the paper's learned membership classifier on attack features.
-
-    The network is a scaled copy of the published wide/wide/narrow/wide/
-    narrow stack with ReLU activations and a single sigmoid logit, trained
-    with step-decayed adagrad on a seeded 70/30 split.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[:, None]
-    membership = np.asarray(membership, dtype=bool)
-    if membership.shape != (features.shape[0],):
-        raise ValueError("membership must flag every feature row")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    n = features.shape[0]
-    n_train = int(round(train_fraction * n))
-    if n_train < 1 or n - n_train < 1:
-        raise ValueError("split leaves an empty train or test side")
-
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    train_idx, test_idx = order[:n_train], order[n_train:]
-    labels = membership.astype(np.int64)
-
-    widths = [max(1, round(w * width_scale)) for w in ATTACK_NET_WIDTHS]
-    layers = [LayerSpec(w, "relu") for w in widths] + [LayerSpec(1, "identity")]
-    net = init_model(layers, features.shape[1], seed, final="sigmoid")
-    cfg = TrainConfig(
-        optimizer="adagrad", lr=lr, lr_decay=lr_decay, epochs=epochs,
-        batch_size=min(32, n_train), seed=seed,
-    )
-    train(net, Dataset(features[train_idx], labels[train_idx]), cfg)
-    return AttackNetResult(
-        model=net,
-        train_accuracy=net.accuracy(features[train_idx], labels[train_idx]),
-        test_accuracy=net.accuracy(features[test_idx], labels[test_idx]),
-        n_train=len(train_idx),
-        n_test=len(test_idx),
-    )

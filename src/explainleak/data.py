@@ -66,7 +66,12 @@ def load_csv_dataset(
     """Load a headered CSV with numeric feature columns and integer labels.
 
     Every column other than the label (and optional group) column is treated
-    as a feature. Parse failures and nan/inf features name the row and column.
+    as a feature; header names must be unique. A file without a group column
+    is first parsed in numpy's C parser, which accepts a strict subset of what
+    the Python row loop accepts and returns the same arrays. Every other file
+    (a quote, a blank or ragged line, a cell such as ``1_000`` or a label such
+    as ``1.0``) goes through the row loop, whose parse errors name the row and
+    column, as does the error for a nan/inf feature.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -77,6 +82,9 @@ def load_csv_dataset(
             raise ValueError(f"{path}: file is empty") from None
         if _looks_numeric(header):
             raise ValueError(f"{path}: first row looks like data, expected a header")
+        if len(set(header)) < len(header):
+            name = next(name for i, name in enumerate(header) if name in header[:i])
+            raise ValueError(f"{path}: column {name!r} appears more than once in header")
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r} in header")
         if group_column is not None and group_column not in header:
@@ -86,39 +94,12 @@ def load_csv_dataset(
         feature_idx = [
             i for i in range(len(header)) if i != label_idx and i != group_idx
         ]
-
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        groups: list[str] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {row_no} has {len(row)} cells, header has {len(header)}"
-                )
-            feats = []
-            for i in feature_idx:
-                try:
-                    feats.append(float(row[i]))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {row_no}, column {header[i]!r}: "
-                        f"non-numeric value {row[i]!r}"
-                    ) from None
-            try:
-                label = int(row[label_idx])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {row_no}, column {label_column!r}: "
-                    f"non-integer label {row[label_idx]!r}"
-                ) from None
-            rows.append(feats)
-            labels.append(label)
-            if group_idx is not None:
-                groups.append(row[group_idx])
-
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    features = np.array(rows, dtype=np.float64)
+        columns = None
+        if group_idx is None:
+            columns = _load_columns(path, len(header), feature_idx, label_idx)
+        if columns is None:
+            columns = _read_rows(path, reader, header, feature_idx, label_idx, group_idx)
+    features, labels, groups = columns
     # min and max are non-finite exactly when some cell is, and need no
     # n x d mask on the common path.
     if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
@@ -127,11 +108,75 @@ def load_csv_dataset(
             f"{path}: row {row + 2}, column {header[feature_idx[col]]!r}: "
             f"non-finite value {float(features[row, col])!r}"
         )
-    return Dataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
-        groups=groups if group_column is not None else None,
-    )
+    return Dataset(features=features, labels=labels, groups=groups)
+
+
+def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: int):
+    """(features, labels, None) through `np.loadtxt`, or None for the row loop.
+
+    Only lines the csv module would split on every comma into `n_cols` cells
+    reach loadtxt: no quote, no blank line (loadtxt skips those), no line past
+    the csv field limit. That check stands in for the cell count `usecols`
+    turns off. numpy refuses every cell that `float()` or `int()` reads
+    differently (``1_000``, non-ASCII digits, a label ``1.0`` or outside int64).
+    """
+    def lines(handle):
+        count = 0
+        for count, line in enumerate(handle):
+            if (line.count(",") != n_cols - 1 or '"' in line or not line.strip()
+                    or len(line) > csv.field_size_limit()):
+                raise ValueError("left to the row loop")
+            yield line
+        if count < 1:
+            raise ValueError("no data rows")
+
+    try:
+        with path.open(newline="") as first, path.open(newline="") as second:
+            features = np.loadtxt(lines(first), delimiter=",", comments=None,
+                                  skiprows=1, usecols=feature_idx, ndmin=2)
+            labels = np.loadtxt(lines(second), np.int64, delimiter=",", comments=None,
+                                skiprows=1, usecols=label_idx, ndmin=1)
+    except ValueError:
+        return None
+    return features, labels, None
+
+
+def _read_rows(path: Path, reader, header: list[str], feature_idx, label_idx, group_idx):
+    """(features, labels, groups) from the csv reader, one Python row at a time."""
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    groups: list[str] = []
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {row_no} has {len(row)} cells, header has {len(header)}"
+            )
+        feats = []
+        for i in feature_idx:
+            try:
+                feats.append(float(row[i]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {row_no}, column {header[i]!r}: "
+                    f"non-numeric value {row[i]!r}"
+                ) from None
+        try:
+            label = int(row[label_idx])
+        except ValueError:
+            label = None
+        if label is None or not -(2**63) <= label < 2**63:
+            raise ValueError(
+                f"{path}: row {row_no}, column {header[label_idx]!r}: "
+                f"label {row[label_idx]!r} is not a 64-bit integer"
+            )
+        rows.append(feats)
+        labels.append(label)
+        if group_idx is not None:
+            groups.append(row[group_idx])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    groups = groups if group_idx is not None else None
+    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), groups
 
 
 def write_csv_dataset(path: str | Path, dataset: Dataset) -> None:

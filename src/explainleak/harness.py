@@ -19,7 +19,9 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (leakbench's tracer patches it)
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,11 +261,34 @@ class RunRecord:
         return [getattr(self, col) for col in RECORD_CSV_COLUMNS]
 
 
+class DecisionBlock(NamedTuple):
+    """The decisions of one run, one column entry per scored point."""
+
+    run_id: str
+    points: np.ndarray
+    values: np.ndarray
+    guesses: np.ndarray
+    truth: np.ndarray
+
+
+@dataclass
+class DecisionTable:
+    """Every run's decision block, in run order; len() counts decision rows."""
+
+    blocks: list[DecisionBlock] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return sum(len(block.points) for block in self.blocks)
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
 @dataclass
 class ExperimentResult:
     name: str
     records: list[RunRecord]
-    decisions: list[tuple]
+    decisions: DecisionTable
     warnings: list[str]
     timings: dict
     config: dict
@@ -311,7 +336,7 @@ def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes
 @dataclass
 class _RepetitionOutput:
     records: list[RunRecord]
-    decisions: list[tuple]
+    decisions: list[DecisionBlock]
     warnings: list[str]
     audit: dict
     elapsed: float
@@ -322,7 +347,7 @@ def _run_repetition(
 ) -> _RepetitionOutput:
     rep_start = time.perf_counter()
     records: list[RunRecord] = []
-    decisions: list[tuple] = []
+    decisions: list[DecisionBlock] = []
     warnings: list[str] = []
 
     splits = sampling_protocol(
@@ -415,12 +440,7 @@ def _run_repetition(
                         epochs=cfg.train.epochs,
                     )
                 )
-                for point, value, guess, member in zip(
-                    split.all_indices, values, guesses, truth
-                ):
-                    decisions.append(
-                        (run_id, int(point), float(value), int(guess), int(member))
-                    )
+                decisions.append(DecisionBlock(run_id, split.all_indices, values, guesses, truth))
     return _RepetitionOutput(
         records, decisions, warnings, audit, time.perf_counter() - rep_start
     )
@@ -448,7 +468,7 @@ def run_threshold_experiment(
         _run_repetition(dataset, cfg, rep, run_prefix) for rep in range(cfg.repetitions)
     ]
     records = [record for out in outputs for record in out.records]
-    decisions = [row for out in outputs for row in out.decisions]
+    decisions = DecisionTable([block for out in outputs for block in out.decisions])
     warnings = [w for out in outputs for w in out.warnings]
     timings = {
         "repetition_seconds": [out.elapsed for out in outputs],
@@ -479,7 +499,7 @@ def run_overfit_sweep(
     if dataset is None:
         dataset = load_experiment_dataset(cfg)
     records: list[RunRecord] = []
-    decisions: list[tuple] = []
+    decisions = DecisionTable()
     warnings: list[str] = []
     audits: list[dict] = []
     timings: dict = {}
@@ -491,7 +511,7 @@ def run_overfit_sweep(
             sub_cfg, dataset=dataset, run_prefix=f"e{int(epochs)}-", name="overfit"
         )
         records.extend(result.records)
-        decisions.extend(result.decisions)
+        decisions.blocks.extend(result.decisions)
         warnings.extend(result.warnings)
         audits.extend(result.audits)
         timings[f"epochs_{int(epochs)}"] = result.timings
@@ -733,11 +753,15 @@ def write_records_csv(path: str | Path, records: list[RunRecord]) -> None:
             writer.writerow(record.csv_row())
 
 
-def write_decisions_csv(path: str | Path, decisions: list[tuple]) -> None:
+def write_decisions_csv(path: str | Path, decisions: DecisionTable) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(DECISION_CSV_COLUMNS)
-        writer.writerows(decisions)
+        for run_id, points, values, guesses, truth in decisions:
+            writer.writerows(zip(
+                repeat(run_id), points.tolist(), values.tolist(),
+                guesses.astype(int).tolist(), truth.astype(int).tolist(),
+            ))
 
 
 def config_hash(config: dict) -> str:

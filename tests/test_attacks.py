@@ -1,4 +1,4 @@
-"""Threshold and learned membership attacks against brute-force oracles."""
+"""Threshold membership attacks against brute-force oracles."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,10 +11,8 @@ from explainleak import (
     LogisticModel,
     ThresholdRule,
     aggregate_shadow_taus,
-    combine_sources,
     optimal_threshold,
     statistic_values,
-    train_attack_network,
 )
 from explainleak.attacks import variance
 
@@ -282,73 +280,3 @@ class TestThresholdRuleAndEvaluation:
         rule = ThresholdRule(AttackStatistic("loss"), tau=0.4)
         values = statistic_values(rule.statistic, model, features, labels)
         np.testing.assert_array_equal(rule.decide(values), [True, True, False, False])
-
-
-class TestCombineSources:
-    def test_column_counts_add(self):
-        merged = combine_sources([np.zeros((5, 3)), np.ones((5, 2))])
-        assert merged.shape == (5, 5)
-        np.testing.assert_array_equal(merged[:, :3], 0.0)
-        np.testing.assert_array_equal(merged[:, 3:], 1.0)
-
-    def test_vector_becomes_column(self):
-        merged = combine_sources([np.zeros((4, 2)), np.arange(4.0)])
-        assert merged.shape == (4, 3)
-        np.testing.assert_array_equal(merged[:, 2], [0.0, 1.0, 2.0, 3.0])
-
-    def test_order_preserved(self):
-        expl = np.full((3, 2), 7.0)
-        probs = np.full((3, 2), 8.0)
-        loss = np.full(3, 9.0)
-        merged = combine_sources([expl, probs, loss])
-        np.testing.assert_array_equal(merged[0], [7.0, 7.0, 8.0, 8.0, 9.0])
-
-    def test_ragged_blocks_rejected(self):
-        with pytest.raises(ValueError):
-            combine_sources([np.zeros((3, 2)), np.zeros((4, 2))])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_sources([])
-
-    def test_3d_rejected(self):
-        with pytest.raises(ValueError):
-            combine_sources([np.zeros((2, 2, 2))])
-
-
-class TestAttackNetwork:
-    def test_learns_leaked_membership_feature(self):
-        rng = np.random.default_rng(50)
-        n = 200
-        membership = np.zeros(n, dtype=bool)
-        membership[: n // 2] = True
-        # One feature literally equals the flag plus noise; the rest is junk.
-        features = np.hstack(
-            [
-                membership[:, None] + 0.05 * rng.normal(size=(n, 1)),
-                rng.normal(size=(n, 3)),
-            ]
-        )
-        result = train_attack_network(features, membership, seed=1, epochs=30)
-        assert result.n_train == 140 and result.n_test == 60
-        assert result.test_accuracy >= 0.95
-
-    def test_deterministic_for_seed(self):
-        rng = np.random.default_rng(51)
-        features = rng.normal(size=(60, 3))
-        membership = rng.random(60) < 0.5
-        a = train_attack_network(features, membership, seed=9, epochs=3)
-        b = train_attack_network(features, membership, seed=9, epochs=3)
-        assert a.test_accuracy == b.test_accuracy
-        for wa, wb in zip(a.model.weights, b.model.weights):
-            np.testing.assert_array_equal(wa, wb)
-
-    def test_membership_shape_validated(self):
-        with pytest.raises(ValueError):
-            train_attack_network(np.zeros((4, 2)), np.zeros(3, dtype=bool), seed=0)
-
-    def test_split_fraction_validated(self):
-        with pytest.raises(ValueError):
-            train_attack_network(
-                np.zeros((4, 2)), np.zeros(4, dtype=bool), seed=0, train_fraction=1.0
-            )

@@ -6,6 +6,8 @@ instances of each reconstruction workload here holds the influence read paths
 (blind baselines, the reveal table, the oracle) to those references on every
 test run, and one instance of ``perturbation`` holds the sampled explanations
 (the surrogate and smoothgrad through an MLP's shared first layer) to them.
+One instance of ``membership_csv`` holds CSV parsing and the decision writer
+to its fingerprint exactly.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ outputs = _load("outputs")
 workloads = _load("workloads")
 
 
-def _replay(tmp_path, workload: str, command: str, instance: int) -> None:
+def _replay(tmp_path, workload: str, command: str, instance: int) -> str:
     config = tmp_path / "config.json"
     config.write_text(json.dumps(workloads.experiment_config(workload, instance, tmp_path)))
     out = tmp_path / "out"
@@ -42,6 +44,7 @@ def _replay(tmp_path, workload: str, command: str, instance: int) -> None:
     reference = json.loads((BENCH / "reference" / f"{workload}.json").read_text())
     verdict, detail = outputs.compare(got, reference["instances"][str(instance)])
     assert verdict in ("exact", "tolerance"), detail
+    return verdict
 
 
 @pytest.mark.parametrize("instance", [0, 1])
@@ -52,3 +55,8 @@ def test_report_matches_recorded_fingerprint(tmp_path, capsys, workload, instanc
 
 def test_perturbation_records_match_recorded_fingerprint(tmp_path, capsys):
     _replay(tmp_path, "perturbation", "perturb-attack", 0)
+
+
+def test_membership_csv_matches_recorded_fingerprint_exactly(tmp_path, capsys):
+    workloads.write_membership_csv(tmp_path / "data_0.csv", 0)
+    assert _replay(tmp_path, "membership_csv", "attack", 0) == "exact"

@@ -125,6 +125,26 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x0,x1,label,label\n1.0,2.0,0,0\n", "column 'label' appears more than once"),
+            (
+                "x0,x1,label\n1.0,2.0,0\n3.0,4.0,99999999999999999999\n",
+                "row 3, column 'label': label '99999999999999999999' is not a 64-bit integer",
+            ),
+        ],
+    )
+    def test_bad_header_or_label_is_named(self, tmp_path, capsys, text, message):
+        # Like every other CSV error, these are runtime failures (exit 2).
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        payload = {k: v for k, v in ATTACK_PAYLOAD.items() if k != "synth"}
+        payload["dataset_csv"] = str(data)
+        config = write_config(tmp_path, payload)
+        assert main(["attack", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_non_finite_csv_cell_exits_two(self, tmp_path, capsys):
         rows = [f"{i % 7}.5,{(i * 3) % 5}.25,{i % 2}" for i in range(40)]
         rows[5], rows[20] = "nan,1.0,1", "2.0,inf,0"

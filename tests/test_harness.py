@@ -399,6 +399,23 @@ class TestRunRecord:
         assert len(self._record().csv_row()) == len(RECORD_CSV_COLUMNS)
 
 
+def assert_decisions_csv_is_csv_writer_output(result, tmp_path):
+    """The decisions file holds the bytes csv.writer writes for the per-row
+    (run_id, point, value, decision, member) tuples the harness used to keep."""
+    rows = [
+        (run_id, int(point), float(value), int(guess), int(member))
+        for run_id, points, values, guesses, truth in result.decisions
+        for point, value, guess, member in zip(points, values, guesses, truth)
+    ]
+    assert len(rows) == len(result.decisions)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(DECISION_CSV_COLUMNS)
+        writer.writerows(rows)
+    assert result.write(tmp_path / "out")["decisions"].read_bytes() == reference.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def threshold_run():
     cfg = make_experiment_config()
@@ -431,17 +448,19 @@ class TestThresholdExperiment:
     def test_decisions_cover_every_run(self, threshold_run):
         _, result = threshold_run
         per_run: dict[str, int] = {}
-        for run_id, point, value, decision, member in result.decisions:
-            per_run[run_id] = per_run.get(run_id, 0) + 1
-            assert decision in (0, 1) and member in (0, 1)
+        for run_id, points, values, decisions, members in result.decisions:
+            assert len(points) == len(values) == len(decisions) == len(members)
+            per_run[run_id] = per_run.get(run_id, 0) + len(points)
+            assert set(decisions.tolist()) <= {0, 1} and set(members.tolist()) <= {0, 1}
         assert set(per_run) == {r.run_id for r in result.records}
         assert all(count == 20 for count in per_run.values())
+        assert len(result.decisions) == 20 * len(result.records)
 
     def test_accuracy_recomputable_from_decisions(self, threshold_run):
         _, result = threshold_run
         recomputed: dict[str, list[bool]] = {}
-        for run_id, _, _, decision, member in result.decisions:
-            recomputed.setdefault(run_id, []).append(decision == member)
+        for run_id, _, _, decisions, members in result.decisions:
+            recomputed.setdefault(run_id, []).extend((decisions == members).tolist())
         for record in result.records:
             assert record.attack_accuracy == pytest.approx(
                 np.mean(recomputed[record.run_id]), abs=1e-12
@@ -476,6 +495,9 @@ class TestThresholdExperiment:
         assert manifest["seed"] == cfg.seed
         assert {"python", "numpy", "explainleak"} <= set(manifest["versions"])
         assert manifest["audits"] == result.audits
+
+    def test_decisions_csv_matches_csv_writer(self, threshold_run, tmp_path):
+        assert_decisions_csv_is_csv_writer_output(threshold_run[1], tmp_path)
 
     def test_decisions_csv_round_trip(self, threshold_run, tmp_path):
         _, result = threshold_run
@@ -587,7 +609,7 @@ class TestWarningChannel:
         ]
         targets = [(r.repetition, r.target) for r in result.records]
         assert (0, 0) not in targets and len(targets) == 2 * 4 - 1
-        assert all(np.isfinite(value) for _, _, value, _, _ in result.decisions)
+        assert all(np.isfinite(values).all() for _, _, values, _, _ in result.decisions)
 
     def test_programming_errors_propagate(self, monkeypatch):
         import explainleak.harness as harness_module
@@ -629,10 +651,13 @@ class TestOverfitSweep:
         # matching run roles must score the exact same points.
         result = run_overfit_sweep(self._cfg(), [1, 8])
         points: dict[str, list[int]] = {}
-        for run_id, point, *_ in result.decisions:
-            points.setdefault(run_id, []).append(point)
+        for run_id, run_points, *_ in result.decisions:
+            points.setdefault(run_id, []).extend(run_points.tolist())
         assert points["e1-r0-t0-s0-c0"] == points["e8-r0-t0-s0-c0"]
         assert points["e1-r0-t1-s0-c0"] == points["e8-r0-t1-s0-c0"]
+
+    def test_decisions_csv_matches_csv_writer(self, tmp_path):
+        assert_decisions_csv_is_csv_writer_output(run_overfit_sweep(self._cfg(), [1, 8]), tmp_path)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError, match="grid"):

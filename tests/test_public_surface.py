@@ -14,14 +14,18 @@ import pytest
 import explainleak
 
 # Retired because nothing in the package called them: per-point copies of batch
-# operations (each has a batch path that remains), test fixtures, an unused codec.
+# operations (each has a batch path that remains), test fixtures, an unused codec,
+# and the learned attack network, which no command, experiment or demo ran.
 RETIRED_FUNCTIONS = {
     "explain": [
         "explain_gradient", "explain_grad_times_input", "explain_integrated_gradients",
         "explain_guided_backprop", "explain_lrp", "explain_smoothgrad",
         "explain_local_surrogate",
     ],
-    "attacks": ["compute_statistic", "shadow_threshold", "evaluate_attack", "AttackResult"],
+    "attacks": [
+        "compute_statistic", "shadow_threshold", "evaluate_attack", "AttackResult",
+        "combine_sources", "train_attack_network", "AttackNetResult",
+    ],
     "synth": ["grad_norm_l1", "grad_norm_l1_batch"],
     "reconstruct": ["tangent_fixture", "same_direction_fixture"],
 }
