@@ -31,11 +31,9 @@ from .harness import (
     train_target,
     write_manifest,
 )
-from .models import TrainConfig
-from .synth import ARCHS, SynthConfig, dimension_sweep, generate_synthetic
+from .synth import SweepConfig, SynthConfig, dimension_sweep, generate_synthetic
 
 DEFAULT_EPOCH_GRID = list(range(5, 51, 5))
-SWEEP_DIM_KEYS = {"dims", "arch", "synth", "train"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,20 +95,30 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _write_result(result, args) -> int:
+    """Write an experiment result to --out and print its one-line summary."""
+    paths = result.write(_out_dir(args))
+    if result.records:
+        mean_acc = float(np.mean([r.attack_accuracy for r in result.records]))
+        print(
+            f"{len(result.records)} attack records, mean accuracy {mean_acc:.4f}, "
+            f"wrote {paths['records']}"
+        )
+    else:
+        print(f"no attack records produced, wrote {paths['records']}")
+    for warning in result.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return 0
+
+
 def _cmd_attack(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_config(args))
-    result = run_threshold_experiment(cfg)
-    paths = result.write(_out_dir(args))
-    _print_result_summary(result, paths)
-    return 0
+    return _write_result(run_threshold_experiment(cfg), args)
 
 
 def _cmd_perturb_attack(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_config(args))
-    result = run_perturbation_experiment(cfg)
-    paths = result.write(_out_dir(args))
-    _print_result_summary(result, paths)
-    return 0
+    return _write_result(run_perturbation_experiment(cfg), args)
 
 
 def _cmd_sweep_epochs(args) -> int:
@@ -121,33 +129,15 @@ def _cmd_sweep_epochs(args) -> int:
         grid = [int(e) for e in grid]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad epoch_grid: {exc}") from exc
-    result = run_overfit_sweep(cfg, grid)
-    paths = result.write(_out_dir(args))
-    _print_result_summary(result, paths)
-    return 0
+    return _write_result(run_overfit_sweep(cfg, grid), args)
 
 
 def _cmd_sweep_dim(args) -> int:
-    payload = _load_json(args.config)
-    unknown = set(payload) - SWEEP_DIM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown sweep-dim keys: {sorted(unknown)}")
-    for key in ("dims", "synth"):
-        if key not in payload:
-            raise ConfigError(f"sweep-dim config needs a {key!r} entry")
-    arch = payload.get("arch", "base")
-    if arch not in ARCHS:
-        raise ConfigError(f"arch must be one of {sorted(ARCHS)}")
-    template = SynthConfig.from_dict(payload["synth"])
+    cfg = SweepConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
-        template = replace(template, seed=args.seed)
-    train_cfg = TrainConfig.from_dict(payload["train"]) if payload.get("train") else None
+        cfg.synth = replace(cfg.synth, seed=args.seed)
     try:
-        dims = [int(d) for d in payload["dims"]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad dims: {exc}") from exc
-    try:
-        results = dimension_sweep(dims, template, arch, train_cfg)
+        results = dimension_sweep(cfg.dims, cfg.synth, cfg.arch, cfg.train)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _out_dir(args)
@@ -159,12 +149,7 @@ def _cmd_sweep_dim(args) -> int:
                 f"{row.dim},{row.arch},{row.correlation},{row.train_accuracy},"
                 f"{row.test_accuracy},{row.seed},{int(row.diverged)}\n"
             )
-    write_manifest(
-        out / "sweep_dim_manifest.json",
-        {"dims": dims, "arch": arch, "synth": template.to_dict()},
-        template.seed,
-        {},
-    )
+    write_manifest(out / "sweep_dim_manifest.json", cfg.to_dict(), cfg.synth.seed, {})
     print(f"swept {len(results)} dimensions, wrote {path}")
     return 0
 
@@ -189,19 +174,6 @@ def _cmd_reconstruct(args) -> int:
         f"points ({recon['reason']}), report at {path}"
     )
     return 0
-
-
-def _print_result_summary(result, paths) -> None:
-    if result.records:
-        mean_acc = float(np.mean([r.attack_accuracy for r in result.records]))
-        print(
-            f"{len(result.records)} attack records, mean accuracy {mean_acc:.4f}, "
-            f"wrote {paths['records']}"
-        )
-    else:
-        print(f"no attack records produced, wrote {paths['records']}")
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
 
 
 def build_parser() -> _Parser:

@@ -102,7 +102,7 @@ def _lrp(model: MlpModel, X: np.ndarray, epsilon: float = 1e-7) -> np.ndarray:
     rows = np.arange(X.shape[0])
     classes = np.argmax(probs, axis=1)
     relevance = np.zeros((X.shape[0], model.layers[-1].width))
-    relevance[rows, classes if model.final == "softmax" else 0] = probs[rows, classes]
+    relevance[rows, classes] = probs[rows, classes]
     for l in range(len(model.layers) - 1, -1, -1):
         z = zs[l]
         stabilized = z + epsilon * np.where(z >= 0.0, 1.0, -1.0)

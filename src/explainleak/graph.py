@@ -21,10 +21,6 @@ class InfluenceGraph:
     edges: list[list[int]]
     k: int
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.edges)
-
 
 def build_influence_graph(reveals: np.ndarray) -> InfluenceGraph:
     """Out-edges of node i are row i of an (n, k) `self_reveals` table: the
@@ -116,14 +112,14 @@ class TraversalResult:
     query_count: int
 
 
-def _crawl(edges: list[list[int]], seeds, dfs: bool = False) -> list[int]:
+def _crawl(edges: list[list[int]], seeds) -> list[int]:
     """The seeds, then every node reached from them along ``edges``, in the
-    order a breadth-first (or, with ``dfs``, depth-first) crawl discovers them."""
+    order a breadth-first crawl discovers them."""
     found = list(dict.fromkeys(int(v) for v in seeds))
     seen = set(found)
     frontier = deque(found)
     while frontier:
-        for w in edges[frontier.pop() if dfs else frontier.popleft()]:
+        for w in edges[frontier.popleft()]:
             if w not in seen:
                 seen.add(w)
                 found.append(w)
@@ -135,24 +131,21 @@ def traverse_attack(
     expl: InfluenceExplainer,
     graph: InfluenceGraph,
     start_query: np.ndarray,
-    schedule: str = "bfs",
     start_label: int | None = None,
 ) -> TraversalResult:
     """Crawl the training set by re-querying every revealed point once.
 
     The start query is an arbitrary point (``start_label`` overrides the
     predicted label for it); each revealed training point is queried at most
-    once with its true label (BFS by default, DFS optional), and the
-    recovered set is everything revealed along the way. Only the start query
-    asks ``expl``: a follow-up's answer is its row of ``graph``, built from
-    ``expl``'s `self_reveals`. The query count is the number recovered plus one.
+    once with its true label, breadth-first, and the recovered set is
+    everything revealed along the way. Only the start query asks ``expl``: a
+    follow-up's answer is its row of ``graph``, built from ``expl``'s
+    `self_reveals`. The query count is the number recovered plus one.
     """
-    if schedule not in ("bfs", "dfs"):
-        raise ValueError("schedule must be 'bfs' or 'dfs'")
     start = topk_explain(
         expl, np.asarray(start_query, dtype=np.float64), start_label, graph.k
     )
-    recovered = _crawl(graph.edges, start.indices, dfs=schedule == "dfs")
+    recovered = _crawl(graph.edges, start.indices)
     return TraversalResult(recovered=recovered, query_count=len(recovered) + 1)
 
 

@@ -1,11 +1,11 @@
 """Dense feed-forward classifiers trained from scratch on numpy.
 
 Two model families are provided. `MlpModel` is a fully connected network with
-per-layer activations and a probability head (softmax over k logits, or a
-single-logit sigmoid for binary heads). `LogisticModel` is a linear classifier
-f(x) = 1 / (1 + exp(-(w.x - b))) trained by full-batch gradient ascent on the
-log-likelihood; it is the model family the influence and reconstruction
-machinery operates on; `train_logistic_loo` trains all n leave-one-out fits at once.
+per-layer activations and a softmax head over its k logits. `LogisticModel` is
+a linear classifier f(x) = 1 / (1 + exp(-(w.x - b))) trained by full-batch
+gradient ascent on the log-likelihood; it is the model family the influence and
+reconstruction machinery operates on; `train_logistic_loo` trains all n
+leave-one-out fits at once.
 
 Everything is deterministic under explicit seeds: weight init draws from a
 seeded generator, and epoch shuffles come from a generator derived from the
@@ -23,7 +23,6 @@ from .config import Config
 
 ACTIVATIONS = ("tanh", "relu", "sigmoid", "identity")
 OPTIMIZERS = ("adagrad", "adam", "gd")
-FINAL_HEADS = ("softmax", "sigmoid")
 
 _LOSS_CLAMP = 1e-12
 # Floats (512 KiB) per block of explain's perturbed rows or of train_logistic_loo's models
@@ -121,12 +120,8 @@ class TrainConfig(Config):
 
 
 class MlpModel:
-    """Fully connected classifier: affine + activation per layer, then a head.
-
-    `layers[-1].width` is the number of logits; with the softmax head that is
-    the class count, with the sigmoid head it must be 1 and the model is a
-    two-class classifier whose forward pass returns [1 - p, p].
-    """
+    """Fully connected classifier: affine + activation per layer, then a
+    softmax over the `layers[-1].width` logits, one per class."""
 
     def __init__(
         self,
@@ -134,7 +129,6 @@ class MlpModel:
         input_dim: int,
         weights: Sequence[np.ndarray],
         biases: Sequence[np.ndarray],
-        final: str = "softmax",
         seed: int | None = None,
         train_config: TrainConfig | None = None,
     ):
@@ -142,10 +136,6 @@ class MlpModel:
             raise ValueError("at least one layer is required")
         if input_dim < 1:
             raise ValueError("input_dim must be at least 1")
-        if final not in FINAL_HEADS:
-            raise ValueError(f"final must be one of {FINAL_HEADS}")
-        if final == "sigmoid" and layers[-1].width != 1:
-            raise ValueError("sigmoid head requires a single output logit")
         if len(weights) != len(layers) or len(biases) != len(layers):
             raise ValueError("need one weight matrix and bias vector per layer")
         fan_in = input_dim
@@ -165,13 +155,12 @@ class MlpModel:
             fan_in = spec.width
         self.layers = list(layers)
         self.input_dim = input_dim
-        self.final = final
         self.seed = seed
         self.train_config = train_config
 
     @property
     def n_classes(self) -> int:
-        return 2 if self.final == "sigmoid" else self.layers[-1].width
+        return self.layers[-1].width
 
     # ------------------------------------------------------------------
     # forward passes
@@ -187,12 +176,7 @@ class MlpModel:
                 z = outs[-1] @ self.weights[l] + self.biases[l]
             zs.append(z)
             outs.append(_activate(spec.activation, z))
-        if self.final == "softmax":
-            probs = _softmax(outs[-1])
-        else:
-            p = sigmoid(outs[-1][..., 0])
-            probs = np.stack([1.0 - p, p], axis=-1)
-        return zs, outs, probs
+        return zs, outs, _softmax(outs[-1])
 
     def forward_stack(self, X: np.ndarray):
         """All pre-activations and activations; returns (zs, acts, probs)."""
@@ -219,12 +203,9 @@ class MlpModel:
 
     def _head_delta(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """d(mean CE)/d(last activation), times batch size."""
-        if self.final == "softmax":
-            delta = probs.copy()
-            delta[np.arange(len(labels)), labels] -= 1.0
-            return delta
-        # single-logit sigmoid: dCE/da = p1 - y
-        return (probs[:, 1] - labels)[:, None]
+        delta = probs.copy()
+        delta[np.arange(len(labels)), labels] -= 1.0
+        return delta
 
     def param_gradients(self, X: np.ndarray, labels: np.ndarray):
         """Mean cross-entropy gradients for every layer, a list of (dW, db), and
@@ -265,14 +246,9 @@ class MlpModel:
         else:
             target_classes = np.asarray(target_classes, dtype=np.int64)
         rows = np.arange(len(probs))
-        if self.final == "softmax":
-            pc = probs[rows, target_classes]
-            delta = -probs * pc[:, None]
-            delta[rows, target_classes] += pc
-        else:
-            p = probs[:, 1]
-            sign = np.where(target_classes == 1, 1.0, -1.0)
-            delta = (sign * p * (1.0 - p))[:, None]
+        pc = probs[rows, target_classes]
+        delta = -probs * pc[:, None]
+        delta[rows, target_classes] += pc
         for _, dz in self._backward(zs, outs, delta, guided):
             pass
         return dz
@@ -297,7 +273,6 @@ class MlpModel:
                 {"width": s.width, "activation": s.activation} for s in self.layers
             ],
             "input_dim": self.input_dim,
-            "final": self.final,
             "weights": [W.tolist() for W in self.weights],
             "biases": [b.tolist() for b in self.biases],
             "seed": self.seed,
@@ -307,25 +282,22 @@ class MlpModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MlpModel":
+        """Reads `to_json`'s payload; an older file's `"final"` head must be softmax."""
         payload = json.loads(text)
+        if payload.get("final", "softmax") != "softmax":
+            raise ValueError(f"unsupported output head {payload['final']!r}: only softmax")
         cfg = payload.get("train_config")
         return cls(
             layers=[LayerSpec(**spec) for spec in payload["arch"]],
             input_dim=payload["input_dim"],
             weights=[np.array(W, dtype=np.float64) for W in payload["weights"]],
             biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
-            final=payload.get("final", "softmax"),
             seed=payload.get("seed"),
             train_config=TrainConfig.from_dict(cfg) if cfg else None,
         )
 
 
-def init_model(
-    layers: Sequence[LayerSpec],
-    input_dim: int,
-    seed: int,
-    final: str = "softmax",
-) -> MlpModel:
+def init_model(layers: Sequence[LayerSpec], input_dim: int, seed: int) -> MlpModel:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
     rng = np.random.default_rng(seed)
     weights = []
@@ -336,7 +308,7 @@ def init_model(
         weights.append(rng.uniform(-scale, scale, size=(fan_in, spec.width)))
         biases.append(np.zeros(spec.width))
         fan_in = spec.width
-    return MlpModel(layers, input_dim, weights, biases, final=final, seed=seed)
+    return MlpModel(layers, input_dim, weights, biases, seed=seed)
 
 
 def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:

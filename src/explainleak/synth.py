@@ -137,6 +137,17 @@ class DimensionResult:
     diverged: bool = False
 
 
+@dataclass
+class SweepConfig(Config):
+    """The `sweep-dim` config: `dimension_sweep`'s arguments. A null `train`
+    keeps the sweep's own default; ``{}`` means `TrainConfig`'s defaults."""
+
+    dims: tuple[int, ...]
+    synth: SynthConfig
+    arch: str = "base"
+    train: TrainConfig | None = None
+
+
 def _sweep_seed(base_seed: int, dim: int) -> int:
     return int(np.random.SeedSequence([base_seed, dim]).generate_state(1)[0])
 
@@ -144,6 +155,9 @@ def _sweep_seed(base_seed: int, dim: int) -> int:
 def _run_dimension(
     template: SynthConfig, dim: int, arch: str, train_cfg: TrainConfig
 ) -> DimensionResult:
+    """One sweep row. The target ends in a tanh output layer, unlike the identity
+    layer of `harness.train_target`'s targets; it is kept because criterion 8
+    and every `sweep-dim` result are measured with it."""
     seed = _sweep_seed(template.seed, dim)
     cfg = replace(template, n_features=dim, seed=seed)
     dataset = generate_synthetic(cfg)

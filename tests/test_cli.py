@@ -293,6 +293,24 @@ class TestSweepCommands:
             out_b / "dimension_sweep.csv"
         ).read_bytes()
 
+    def test_sweep_dim_manifest_hashes_the_training_config(self, tmp_path):
+        hashes = []
+        for epochs in (20, 5):
+            payload = {
+                "dims": [1],
+                "arch": "small",
+                "synth": {"n_features": 1, "n_samples": 40, "class_sep": 2.0},
+                "train": {"epochs": epochs},
+            }
+            config = write_config(tmp_path, payload)
+            out = tmp_path / f"e{epochs}"
+            assert main(["sweep-dim", "--config", config, "--out", str(out), "--seed", "9"]) == 0
+            manifest = json.loads((out / "sweep_dim_manifest.json").read_text())
+            assert manifest["config"]["train"]["epochs"] == epochs
+            assert manifest["config"]["synth"]["seed"] == manifest["seed"] == 9
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] != hashes[1]
+
     @pytest.mark.parametrize(
         "payload",
         [

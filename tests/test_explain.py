@@ -158,13 +158,9 @@ def _naive_guided_backprop(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
     zs, acts, probs = model.forward_stack(x[None, :])
     cls = int(np.argmax(probs[0]))
-    if model.final == "softmax":
-        pc = probs[0, cls]
-        delta = np.array([-probs[0, j] * pc for j in range(probs.shape[1])])
-        delta[cls] += pc
-    else:
-        p = probs[0, 1]
-        delta = np.array([(1.0 if cls == 1 else -1.0) * p * (1.0 - p)])
+    pc = probs[0, cls]
+    delta = np.array([-probs[0, j] * pc for j in range(probs.shape[1])])
+    delta[cls] += pc
     for l in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[l]
         z = zs[l][0]
@@ -247,7 +243,7 @@ def _naive_lrp(model: MlpModel, x: np.ndarray, eps: float) -> np.ndarray:
     zs, acts, probs = model.forward_stack(x[None, :])
     cls = int(np.argmax(probs[0]))
     relevance = np.zeros(model.layers[-1].width)
-    relevance[cls if model.final == "softmax" else 0] = probs[0, cls]
+    relevance[cls] = probs[0, cls]
     for l in range(len(model.layers) - 1, -1, -1):
         z = zs[l][0]
         a = acts[l][0]
@@ -427,10 +423,9 @@ def mlp_models(draw):
         st.tuples(st.integers(1, 6), st.sampled_from(["tanh", "relu", "sigmoid", "identity"])),
         min_size=1, max_size=2,
     ))
-    sigmoid_head = draw(st.booleans())
-    out = LayerSpec(1 if sigmoid_head else draw(st.integers(2, 4)), "identity")
+    out = LayerSpec(draw(st.integers(2, 4)), "identity")
     layers = [LayerSpec(w, a) for w, a in hidden] + [out]
-    model = init_model(layers, d, seed, final="sigmoid" if sigmoid_head else "softmax")
+    model = init_model(layers, d, seed)
     rng = np.random.default_rng(seed)
     for b in model.biases:
         b[:] = rng.normal(scale=0.5, size=b.shape)

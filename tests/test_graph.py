@@ -46,7 +46,7 @@ def _digraphs(draw, max_out_degree: int) -> list[list[int]]:
     return [draw(targets) for _ in range(n)]
 
 
-def reference_traverse(expl, start_query, k, schedule="bfs", start_label=None):
+def reference_traverse(expl, start_query, k, start_label=None):
     """The crawl `traverse_attack` replaced: one `topk_explain` per revealed point."""
     start = topk_explain(expl, np.asarray(start_query, dtype=np.float64), start_label, k)
     queries = 1
@@ -60,7 +60,7 @@ def reference_traverse(expl, start_query, k, schedule="bfs", start_label=None):
             recovered.append(idx)
             frontier.append(idx)
     while frontier:
-        node = frontier.popleft() if schedule == "bfs" else frontier.pop()
+        node = frontier.popleft()
         result = topk_explain(
             expl, expl.dataset.features[node], int(expl.dataset.labels[node]), k
         )
@@ -173,7 +173,7 @@ class TestBuildGraph:
         labels = rng.integers(0, 2, size=6).astype(np.int64)
         expl = fake_explainer(base, loos, features=features, labels=labels, k=2)
         graph = build_influence_graph(self_reveals(expl))
-        assert graph.n_nodes == 6 and graph.k == 2
+        assert len(graph.edges) == 6 and graph.k == 2
         for i in range(6):
             reveal = topk_explain(expl, features[i], int(labels[i]), 2)
             assert graph.edges[i] == [int(j) for j in reveal.indices]
@@ -202,7 +202,7 @@ class TestTraversal:
         start = np.array([0.25, -0.4])
         outcome = traverse_attack(expl, graph, start)
         digraph = nx.DiGraph()
-        digraph.add_nodes_from(range(graph.n_nodes))
+        digraph.add_nodes_from(range(len(graph.edges)))
         for u, targets in enumerate(graph.edges):
             digraph.add_edges_from((u, v) for v in targets)
         initial = [int(i) for i in topk_explain(expl, start, None, 2).indices]
@@ -215,33 +215,22 @@ class TestTraversal:
         outcome = traverse_attack(trained_explainer, graph, np.array([1.0, 1.0]))
         assert outcome.query_count == len(outcome.recovered) + 1
 
-    def test_bfs_and_dfs_recover_same_set(self, trained_explainer, graph):
-        start = np.array([-0.8, 0.3])
-        bfs = traverse_attack(trained_explainer, graph, start, schedule="bfs")
-        dfs = traverse_attack(trained_explainer, graph, start, schedule="dfs")
-        assert set(bfs.recovered) == set(dfs.recovered)
-        assert bfs.query_count == dfs.query_count
-
     def test_no_duplicate_recoveries(self, trained_explainer, graph):
         outcome = traverse_attack(trained_explainer, graph, np.array([0.0, 0.0]))
         assert len(outcome.recovered) == len(set(outcome.recovered))
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 14), distinct=st.integers(1, 5), seed=st.integers(0, 2**16),
-           schedule=st.sampled_from(["bfs", "dfs"]), data=st.data())
-    def test_matches_per_node_query_crawl(self, n, distinct, seed, schedule, data):
+           data=st.data())
+    def test_matches_per_node_query_crawl(self, n, distinct, seed, data):
         expl = tie_heavy_explainer(n, min(distinct, n), seed)
         k = data.draw(st.integers(1, n), label="k")
         start = np.random.default_rng(seed + 1).normal(size=2)
         label = data.draw(st.sampled_from([None, 0, 1]), label="start_label")
         graph = build_influence_graph(self_reveals(expl, k))
-        outcome = traverse_attack(expl, graph, start, schedule=schedule, start_label=label)
-        expected = reference_traverse(expl, start, k, schedule, label)
+        outcome = traverse_attack(expl, graph, start, start_label=label)
+        expected = reference_traverse(expl, start, k, label)
         assert (outcome.recovered, outcome.query_count) == expected
-
-    def test_schedule_validated(self, trained_explainer, graph):
-        with pytest.raises(ValueError):
-            traverse_attack(trained_explainer, graph, np.zeros(2), schedule="random")
 
     def test_start_label_accepted(self, trained_explainer, graph):
         outcome = traverse_attack(trained_explainer, graph, np.zeros(2), start_label=1)

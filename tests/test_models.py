@@ -1,6 +1,7 @@
 """Model forward/gradient/training behavior against independent oracles."""
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -19,6 +20,19 @@ from explainleak import (
 )
 from conftest import finite_difference_gradient, relative_error, two_blob_dataset
 from explainleak.models import _activation_deriv, sigmoid
+
+
+# `MlpModel.to_json` of a trained 2-3-2 tanh network, from before the sigmoid head went.
+LEGACY_MODEL_JSON = (
+    '{"arch": [{"activation": "tanh", "width": 3}, {"activation": "identity", "width": 2}], '
+    '"biases": [[0.0006500007793184114, 0.0025143315755478384, 0.0002414240608768453], '
+    '[0.0008233278605141246, -0.000823327860514125]], "final": "softmax", "input_dim": 2, '
+    '"seed": 0, "train_config": {"batch_size": 2, "epochs": 2, "lr": 0.01, "lr_decay": 0.0, '
+    '"optimizer": "adagrad", "seed": 0}, "weights": [[[0.22246089289274507, '
+    '-0.29980887338996554, -0.6738417981699343], [-0.6690802765012811, 0.4569699175339314, '
+    '0.5694156696548235]], [[0.10463530539641475, 0.28349688481684665], [0.07227972210226591, '
+    '0.48047244101134995], [0.39059936125302397, -0.6000712138286949]]]}'
+)
 
 
 def _hand_network() -> MlpModel:
@@ -72,14 +86,6 @@ class TestForward:
         for i in range(7):
             np.testing.assert_allclose(model.forward_batch(X[i : i + 1])[0], batch[i], rtol=1e-12)
 
-    def test_sigmoid_head_two_columns(self):
-        model = init_model([LayerSpec(4, "relu"), LayerSpec(1, "identity")], 3,
-                           seed=5, final="sigmoid")
-        X = np.random.default_rng(6).normal(size=(5, 3))
-        probs = model.forward_batch(X)
-        assert probs.shape == (5, 2)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
     def test_loss_is_cross_entropy_of_label_prob(self):
         model = _hand_network()
         x = np.array([0.3, 0.7])
@@ -97,20 +103,17 @@ class TestForward:
 
 class TestInputGradients:
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
-    @pytest.mark.parametrize("final", ["softmax", "sigmoid"])
+    @pytest.mark.parametrize("final", ["softmax"])  # the one output head
     def test_finite_difference(self, activation, final):
-        out_width = 1 if final == "sigmoid" else 3
+        out_width = 3
         model = init_model(
-            [LayerSpec(8, activation), LayerSpec(out_width, "identity")],
-            input_dim=5,
-            seed=11,
-            final=final,
+            [LayerSpec(8, activation), LayerSpec(out_width, "identity")], input_dim=5, seed=11
         )
         rng = np.random.default_rng(12)
         for _ in range(4):
             # Offset from zero so relu kinks are not sampled at the boundary.
             x = rng.normal(size=5) + 0.1
-            for target in range(2 if final == "sigmoid" else out_width):
+            for target in range(out_width):
                 exact = model.input_gradient_batch(x[None], [target])[0]
                 fd = finite_difference_gradient(
                     lambda p, t=target: model.forward_batch(p[None])[0][t], x
@@ -189,14 +192,9 @@ def _loop_input_gradient(model, X, guided):
     outs = acts[1:]
     target_classes = np.argmax(probs, axis=1)
     rows = np.arange(len(probs))
-    if model.final == "softmax":
-        pc = probs[rows, target_classes]
-        delta = -probs * pc[:, None]
-        delta[rows, target_classes] += pc
-    else:
-        p = probs[:, 1]
-        sign = np.where(target_classes == 1, 1.0, -1.0)
-        delta = (sign * p * (1.0 - p))[:, None]
+    pc = probs[rows, target_classes]
+    delta = -probs * pc[:, None]
+    delta[rows, target_classes] += pc
     for l in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[l]
         if guided and spec.activation == "relu":
@@ -212,13 +210,13 @@ class TestOneBackwardLoop:
     """`param_gradients` and `input_gradient_batch` walk one `_backward`; both
     are bit-identical to the separate loops they had before."""
 
-    @pytest.mark.parametrize("final", ["softmax", "sigmoid"])
+    @pytest.mark.parametrize("final", ["softmax"])  # the one output head
     @pytest.mark.parametrize(
         "hidden", [[], [("tanh", 7)], [("relu", 6), ("sigmoid", 5)], [("relu", 4), ("relu", 3)]]
     )
     def test_gradients_equal_the_old_loops(self, final, hidden):
-        out = LayerSpec(1 if final == "sigmoid" else 4, "identity")
-        model = init_model([LayerSpec(w, a) for a, w in hidden] + [out], 5, seed=3, final=final)
+        out = LayerSpec(4, "identity")
+        model = init_model([LayerSpec(w, a) for a, w in hidden] + [out], 5, seed=3)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(9, 5))
         labels = rng.integers(0, model.n_classes, size=9)
@@ -390,7 +388,6 @@ class TestSerialization:
             np.testing.assert_array_equal(wa, wb)
         for ba, bb in zip(model.biases, clone.biases):
             np.testing.assert_array_equal(ba, bb)
-        assert clone.final == model.final
         assert [s.activation for s in clone.layers] == [
             s.activation for s in model.layers
         ]
@@ -402,6 +399,24 @@ class TestSerialization:
         clone = LogisticModel.from_json(model.to_json())
         np.testing.assert_array_equal(model.w, clone.w)
         assert model.b == clone.b
+
+    def test_older_model_json_still_loads(self):
+        """A file written while `to_json` still stored the output head as "final"."""
+        clone = MlpModel.from_json(LEGACY_MODEL_JSON)
+        assert clone.n_classes == 2 and clone.train_config == TrainConfig(epochs=2, batch_size=2)
+        np.testing.assert_array_equal(
+            clone.forward_batch(np.array([[0.5, -0.5]])), [[0.3837550178884103, 0.6162449821115897]]
+        )
+        legacy = json.loads(LEGACY_MODEL_JSON)
+        del legacy["final"]
+        assert json.loads(clone.to_json()) == legacy
+        assert MlpModel.from_json(json.dumps(legacy)).to_json() == clone.to_json()
+
+    @pytest.mark.parametrize("head", ["sigmoid", None])
+    def test_other_output_head_refused(self, head):
+        payload = dict(json.loads(LEGACY_MODEL_JSON), final=head)
+        with pytest.raises(ValueError, match=f"output head {head!r}"):
+            MlpModel.from_json(json.dumps(payload))
 
 
 class TestLogisticModel:

@@ -1,8 +1,9 @@
-"""The package's public surface: `explainleak.__all__`, the retired per-point API and the
-numpy-only runtime."""
+"""The package's public surface: `explainleak.__all__`, the retired per-point API, the
+retired second paths and the numpy-only runtime."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -15,7 +16,10 @@ import explainleak
 
 # Retired because nothing in the package called them: per-point copies of batch
 # operations (each has a batch path that remains), test fixtures, an unused codec,
-# and the learned attack network, which no command, experiment or demo ran.
+# the learned attack network, which no command, experiment or demo ran, and the
+# second paths beside one that remains: the one-logit sigmoid output head (softmax
+# is the one head), the depth-first traversal schedule (the crawl is breadth-first)
+# and sweep-dim's own key list (its config is a `Config` like every other).
 RETIRED_FUNCTIONS = {
     "explain": [
         "explain_gradient", "explain_grad_times_input", "explain_integrated_gradients",
@@ -28,12 +32,20 @@ RETIRED_FUNCTIONS = {
     ],
     "synth": ["grad_norm_l1", "grad_norm_l1_batch"],
     "reconstruct": ["tangent_fixture", "same_direction_fixture"],
+    "models": ["FINAL_HEADS"],
+    "cli": ["SWEEP_DIM_KEYS"],
 }
 RETIRED_METHODS = {
     "MlpModel": ["forward", "loss", "input_gradient"],
     "LogisticModel": ["forward", "loss", "input_gradient"],
     "Explanation": ["to_json", "from_json"],
     "ReconstructionResult": ["query_count", "recovered_weights"],
+    "InfluenceGraph": ["n_nodes"],
+}
+RETIRED_PARAMETERS = {
+    "MlpModel": ["final"],
+    "init_model": ["final"],
+    "traverse_attack": ["schedule"],
 }
 
 
@@ -60,6 +72,12 @@ def test_retired_methods_are_gone(owner):
     cls = getattr(explainleak, owner)
     for name in RETIRED_METHODS[owner]:
         assert not hasattr(cls, name)
+
+
+@pytest.mark.parametrize("owner", sorted(RETIRED_PARAMETERS))
+def test_retired_parameters_are_gone(owner):
+    parameters = inspect.signature(getattr(explainleak, owner)).parameters
+    assert not set(RETIRED_PARAMETERS[owner]) & parameters.keys()
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
