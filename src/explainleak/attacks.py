@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .explain import EXPLANATION_METHODS, explain_batch
+from .explain import _method_params, explain_batch
 from .explain import explain  # noqa: F401  (public name; the benchmark's tracer wraps it)
 
 STATISTIC_KINDS = ("loss", "pred_var", "expl_var")
@@ -32,7 +32,8 @@ def variance(values) -> float:
 class AttackStatistic(Config):
     """Descriptor of a per-point scalar used by threshold attacks.
 
-    kind "expl_var" carries the explanation method (and its params); setting
+    kind "expl_var" carries the explanation method and its params, checked
+    against the method's params dataclass when the statistic is built; setting
     use_l1 swaps the variance for the explanation's 1-norm, which shares the
     "small means member" direction.
     """
@@ -46,12 +47,9 @@ class AttackStatistic(Config):
         if self.kind not in STATISTIC_KINDS:
             raise ValueError(f"kind must be one of {STATISTIC_KINDS}")
         if self.kind == "expl_var":
-            if self.method not in EXPLANATION_METHODS:
-                raise ValueError(
-                    f"expl_var needs an explanation method, got {self.method!r}"
-                )
-        elif self.method is not None:
-            raise ValueError(f"{self.kind} does not take an explanation method")
+            _method_params(self.method, self.params)  # raises on an unknown method or param
+        elif self.method is not None or self.params:
+            raise ValueError(f"{self.kind} takes no explanation method or params")
         if self.use_l1 and self.kind != "expl_var":
             raise ValueError("use_l1 applies only to explanation statistics")
 

@@ -23,7 +23,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     child_seed,
-    load_experiment_dataset,
     run_overfit_sweep,
     run_perturbation_experiment,
     run_reconstruction_campaign,
@@ -84,7 +83,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_config(args))
-    dataset = load_experiment_dataset(cfg)
+    dataset = cfg.load_dataset()
     model = train_target(dataset, cfg, child_seed(cfg.seed, "train"), dataset.n_classes)
     out = _out_dir(args)
     path = out / "model.json"

@@ -15,7 +15,7 @@ model, and integrated gradients, evaluates the copies x + e themselves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,6 +73,15 @@ class SurrogateConfig:
             raise ValueError("ridge_lambda must be non-negative")
 
 
+@dataclass
+class LrpConfig:
+    epsilon: float = 1e-7
+
+    def __post_init__(self) -> None:
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+
+
 def _row_blocks(n_rows: int, floats_per_row: int):
     """Row slices that fit in _BLOCK_FLOATS at floats_per_row floats a row (one row at least)."""
     step = max(1, _BLOCK_FLOATS // floats_per_row)
@@ -95,9 +104,7 @@ def _integrated_gradients(model, X: np.ndarray, cfg: IgConfig) -> np.ndarray:
     return out
 
 
-def _lrp(model: MlpModel, X: np.ndarray, epsilon: float = 1e-7) -> np.ndarray:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+def _lrp(model: MlpModel, X: np.ndarray, cfg: LrpConfig) -> np.ndarray:
     zs, acts, probs = model.forward_stack(X)
     rows = np.arange(X.shape[0])
     classes = np.argmax(probs, axis=1)
@@ -105,7 +112,7 @@ def _lrp(model: MlpModel, X: np.ndarray, epsilon: float = 1e-7) -> np.ndarray:
     relevance[rows, classes] = probs[rows, classes]
     for l in range(len(model.layers) - 1, -1, -1):
         z = zs[l]
-        stabilized = z + epsilon * np.where(z >= 0.0, 1.0, -1.0)
+        stabilized = z + cfg.epsilon * np.where(z >= 0.0, 1.0, -1.0)
         relevance = acts[l] * ((relevance / stabilized) @ model.weights[l].T)
     return relevance
 
@@ -181,17 +188,30 @@ def _local_surrogate(model, X: np.ndarray, cfg: SurrogateConfig):
     return coef, fit[:, d] - (X * coef).sum(axis=1), classes, float(kernel_width), float(lam)
 
 
-# The batch form of each method, called as f(model, X, **params).
-_BATCH_METHODS = {
-    "gradient": lambda model, X, **_: model.input_gradient_batch(X, None),
-    "grad_times_input": lambda model, X, **_: X * model.input_gradient_batch(X, None),
-    "integrated_gradients": lambda model, X, **p: _integrated_gradients(model, X, IgConfig(**p)),
-    "guided_backprop": lambda model, X, **_: model.input_gradient_batch(X, None, guided=True),
-    "lrp": _lrp,
-    "smoothgrad": lambda model, X, **p: _smoothgrad(model, X, SmoothGradConfig(**p)),
-    "local_surrogate": lambda model, X, **p: _local_surrogate(model, X, SurrogateConfig(**p))[0],
+# Each method's batch form f(model, X, cfg) and the dataclass of its params cfg;
+# a method whose dataclass is None takes no params and gets cfg None.
+_METHODS = {
+    "gradient": (lambda model, X, _: model.input_gradient_batch(X, None), None),
+    "grad_times_input": (lambda model, X, _: X * model.input_gradient_batch(X, None), None),
+    "integrated_gradients": (_integrated_gradients, IgConfig),
+    "guided_backprop": (lambda model, X, _: model.input_gradient_batch(X, None, guided=True), None),
+    "lrp": (_lrp, LrpConfig),
+    "smoothgrad": (_smoothgrad, SmoothGradConfig),
+    "local_surrogate": (lambda model, X, cfg: _local_surrogate(model, X, cfg)[0], SurrogateConfig),
 }
-EXPLANATION_METHODS = tuple(_BATCH_METHODS)
+EXPLANATION_METHODS = tuple(_METHODS)
+
+
+def _method_params(method: str, params: dict | None):
+    """The method's params dataclass built from params (None for a method without
+    params); an unknown method or a key the method does not take raises ValueError."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown explanation method {method!r}")
+    params, cls = params or {}, _METHODS[method][1]
+    unknown = set(params) - {f.name for f in fields(cls)} if cls else set(params)
+    if unknown:
+        raise ValueError(f"{method} does not take params {sorted(unknown)}")
+    return cls(**params) if cls else None
 
 
 def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None) -> np.ndarray:
@@ -205,14 +225,13 @@ def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None)
     as LogisticModel or any object with `forward_batch`/`input_gradient_batch`,
     get the copies x + E.
     """
-    if method not in _BATCH_METHODS:
-        raise ValueError(f"unknown explanation method {method!r}")
+    cfg = _method_params(method, params)
     if method in ("guided_backprop", "lrp") and not isinstance(model, MlpModel):
         raise TypeError(f"{method} walks MlpModel layers")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("explain_batch expects a 2-D array, one point per row")
-    return _BATCH_METHODS[method](model, X, **(params or {}))
+    return _METHODS[method][0](model, X, cfg)
 
 
 def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Explanation:
@@ -240,24 +259,22 @@ def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Ex
     gemv and a many-row one with gemm, which round differently.
     """
     x = np.asarray(x, dtype=np.float64)
-    params = dict(params or {})
+    cfg = _method_params(method, params)
     if method == "local_surrogate":
-        cfg = SurrogateConfig(**params)
         coef, intercept, classes, width, lam = _local_surrogate(model, x[None, :], cfg)
         info = {"target_class": int(classes[0]), "kernel_width": width, "ridge_lambda": lam,
                 "num_samples": cfg.num_samples, "seed": cfg.seed, "intercept": float(intercept[0])}
         return Explanation(method, coef[0], info)
     values = explain_batch(model, x[None, :], method, params)[0]
     if method == "smoothgrad":
-        cfg = SmoothGradConfig(**params)
         sigma = np.asarray(cfg.sigma, dtype=np.float64).tolist()  # a float or a list
         info = {"sigma": sigma, "samples": cfg.samples, "seed": cfg.seed}
     else:
         info = {"target_class": int(np.argmax(model.forward_batch(x[None, :])[0]))}
         if method == "integrated_gradients":
-            info["steps"] = IgConfig(**params).steps
+            info["steps"] = cfg.steps
         elif method == "lrp":
-            info["epsilon"] = params.get("epsilon", 1e-7)
+            info["epsilon"] = cfg.epsilon
     return Explanation(method, values, info)
 
 

@@ -18,7 +18,7 @@ import re
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (leakbench's tracer patches it)
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -59,12 +59,6 @@ def child_seed(master: int, tag: str, *indices: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def _check_seed(seed: int) -> None:
-    """child_seed reads the master seed mod 2**32, so any other seed would alias one in range."""
-    if not 0 <= seed < 2**32:
-        raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
-
-
 _SHADOW_RE = re.compile(r"^shadow\((\d+)\)$")
 
 
@@ -82,13 +76,32 @@ def parse_calibration(text: str) -> tuple[str, int | None]:
 
 
 @dataclass
-class ExperimentConfig(Config):
-    """One threshold-attack experiment: data source, target, attacks, scale."""
+class DataSource(Config):
+    """The dataset, either a CSV file or a synthetic task, and the master seed."""
 
     dataset_csv: str | None = None
     label_column: str = "label"
     group_column: str | None = None
     synth: SynthConfig | None = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        # child_seed reads the master seed mod 2**32, so any other seed would alias one in range
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
+        if (self.dataset_csv is None) == (self.synth is None):
+            raise ConfigError("exactly one of dataset_csv / synth must be set")
+
+    def load_dataset(self) -> Dataset:
+        if self.dataset_csv is not None:
+            return load_csv_dataset(self.dataset_csv, self.label_column, self.group_column)
+        return generate_synthetic(self.synth)
+
+
+@dataclass
+class ExperimentConfig(DataSource):
+    """One threshold-attack experiment: data source, target, attacks, scale."""
+
     hidden: tuple[int, ...] = (50, 50)
     activation: str = "tanh"
     model_kind: str = "mlp"
@@ -101,12 +114,11 @@ class ExperimentConfig(Config):
     subsets_per_repetition: int = 4
     points_per_subset: int | None = None
     resample: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
-        if (self.dataset_csv is None) == (self.synth is None):
-            raise ConfigError("exactly one of dataset_csv / synth must be set")
+        super().__post_init__()
+        for width in self.hidden:
+            LayerSpec(width, self.activation)  # raises on a bad width or activation
         if self.model_kind not in ("mlp", "logistic"):
             raise ConfigError("model_kind must be 'mlp' or 'logistic'")
         if self.repetitions < 1:
@@ -126,12 +138,6 @@ class ExperimentConfig(Config):
                 raise ConfigError(
                     f"shadow({s}) needs more than {s} subsets per repetition"
                 )
-
-
-def load_experiment_dataset(cfg) -> Dataset:
-    if getattr(cfg, "dataset_csv", None) is not None:
-        return load_csv_dataset(cfg.dataset_csv, cfg.label_column, cfg.group_column)
-    return generate_synthetic(cfg.synth)
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +228,6 @@ def validate_protocol(
 # ---------------------------------------------------------------------------
 
 
-RECORD_CSV_COLUMNS = (
-    "run_id",
-    "repetition",
-    "target",
-    "statistic",
-    "calibration",
-    "tau",
-    "attack_accuracy",
-    "train_accuracy",
-    "test_accuracy",
-    "epochs",
-)
-
-DECISION_CSV_COLUMNS = ("run_id", "point_index", "value", "decision", "member")
-
-
 @dataclass
 class RunRecord:
     run_id: str
@@ -259,6 +249,10 @@ class RunRecord:
 
     def csv_row(self) -> list:
         return [getattr(self, col) for col in RECORD_CSV_COLUMNS]
+
+
+RECORD_CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
+DECISION_CSV_COLUMNS = ("run_id", "point_index", "value", "decision", "member")
 
 
 class DecisionBlock(NamedTuple):
@@ -463,7 +457,7 @@ def run_threshold_experiment(
     target's own optimal record and every sibling's shadow records.
     """
     if dataset is None:
-        dataset = load_experiment_dataset(cfg)
+        dataset = cfg.load_dataset()
     outputs = [
         _run_repetition(dataset, cfg, rep, run_prefix) for rep in range(cfg.repetitions)
     ]
@@ -494,10 +488,10 @@ def run_overfit_sweep(
     do not involve the epoch count, so every grid entry retrains the same
     targets on the same subsets and only the training length varies.
     """
-    if not epoch_grid:
-        raise ConfigError("epoch grid must be non-empty")
+    if not epoch_grid or min(epoch_grid) < 1:
+        raise ConfigError(f"epoch grid must be non-empty with every entry >= 1, got {epoch_grid}")
     if dataset is None:
-        dataset = load_experiment_dataset(cfg)
+        dataset = cfg.load_dataset()
     records: list[RunRecord] = []
     decisions = DecisionTable()
     warnings: list[str] = []
@@ -569,13 +563,9 @@ def run_perturbation_experiment(
 
 
 @dataclass
-class CampaignConfig(Config):
+class CampaignConfig(DataSource):
     """Reconstruction campaign: logistic target plus attack bundle knobs."""
 
-    dataset_csv: str | None = None
-    label_column: str = "label"
-    group_column: str | None = None
-    synth: SynthConfig | None = None
     train: TrainConfig = field(
         default_factory=lambda: TrainConfig(
             optimizer="gd", lr=1.0, epochs=200, batch_size=None
@@ -587,12 +577,9 @@ class CampaignConfig(Config):
     traverse_starts: int = 10
     baseline_queries: int = 100
     max_points: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
-        if (self.dataset_csv is None) == (self.synth is None):
-            raise ConfigError("exactly one of dataset_csv / synth must be set")
+        super().__post_init__()
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError("train_fraction must be in (0, 1]")
         if not self.reveal_ks or any(k < 1 for k in self.reveal_ks):
@@ -614,7 +601,7 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
     leave-one-out cache once, and runs the full attack bundle against it.
     The returned report is JSON-ready and fully determined by the config.
     """
-    dataset = load_experiment_dataset(cfg)
+    dataset = cfg.load_dataset()
     if dataset.n_classes != 2:
         raise ConfigError("reconstruction campaign requires a binary dataset")
 

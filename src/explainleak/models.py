@@ -21,7 +21,6 @@ import numpy as np
 
 from .config import Config
 
-ACTIVATIONS = ("tanh", "relu", "sigmoid", "identity")
 OPTIMIZERS = ("adagrad", "adam", "gd")
 
 _LOSS_CLAMP = 1e-12
@@ -50,35 +49,25 @@ def sigmoid(z, out: np.ndarray | None = None):
     return np.divide(1.0, denominator, out=out)
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation, given pre-activation z and output a."""
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+# Each activation as (f(z), f'(z) given z and a = f(z)).
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(z.dtype)),
+    "sigmoid": (sigmoid, lambda z, a: a * (1.0 - a)),
+    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row -log p[label], p clamped below at _LOSS_CLAMP."""
+    return -np.log(np.maximum(probs[np.arange(len(labels)), labels], _LOSS_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -175,7 +164,7 @@ class MlpModel:
             if l:
                 z = outs[-1] @ self.weights[l] + self.biases[l]
             zs.append(z)
-            outs.append(_activate(spec.activation, z))
+            outs.append(_ACTIVATIONS[spec.activation][0](z))
         return zs, outs, _softmax(outs[-1])
 
     def forward_stack(self, X: np.ndarray):
@@ -194,9 +183,7 @@ class MlpModel:
         return float(np.mean(self.predict_batch(X) == np.asarray(labels)))
 
     def loss_batch(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        probs = self.forward_batch(X)
-        picked = probs[np.arange(len(labels)), np.asarray(labels)]
-        return -np.log(np.maximum(picked, _LOSS_CLAMP))
+        return _cross_entropy(self.forward_batch(X), np.asarray(labels))
 
     # ------------------------------------------------------------------
     # gradients
@@ -215,8 +202,7 @@ class MlpModel:
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("gradient requires a non-empty 2-D batch")
         zs, acts, probs = self.forward_stack(X)
-        picked = probs[np.arange(len(labels)), labels]
-        loss = float(np.mean(-np.log(np.maximum(picked, _LOSS_CLAMP))))
+        loss = float(np.mean(_cross_entropy(probs, labels)))
         delta = self._head_delta(probs, labels) / X.shape[0]
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
         for l, dz in self._backward(zs, acts[1:], delta):
@@ -233,7 +219,7 @@ class MlpModel:
             if guided and spec.activation == "relu":
                 dz = delta * (zs[l] > 0.0) * (delta > 0.0)
             else:
-                dz = delta * _activation_deriv(spec.activation, zs[l], outs[l])
+                dz = delta * _ACTIVATIONS[spec.activation][1](zs[l], outs[l])
             yield l, dz
             if l:
                 delta = dz @ self.weights[l].T
@@ -326,46 +312,37 @@ def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
     batch_size = cfg.batch_size if cfg.batch_size is not None else n
     rng = np.random.default_rng(cfg.seed)
 
-    accum = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)]
-    adam_m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)]
+    params = [p for pair in zip(model.weights, model.biases) for p in pair]  # W1, b1, ..
+    accum = [np.zeros_like(p) for p in params]  # Adagrad's or Adam's squared gradients
+    moment = [np.zeros_like(p) for p in params]  # Adam's first moment
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            grads, loss = model.param_gradients(X[batch], labels[batch])
+            pairs, loss = model.param_gradients(X[batch], labels[batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, step, loss)
+            grads = [g for pair in pairs for g in pair]
             lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
             step += 1
             if cfg.optimizer == "adagrad":
-                for l, (dW, db) in enumerate(grads):
-                    aW, ab = accum[l]
-                    aW += dW * dW
-                    ab += db * db
-                    model.weights[l] -= lr_t * dW / (np.sqrt(aW) + 1e-10)
-                    model.biases[l] -= lr_t * db / (np.sqrt(ab) + 1e-10)
+                for p, g, a in zip(params, grads, accum):
+                    a += g * g
+                    p -= lr_t * g / (np.sqrt(a) + 1e-10)
             elif cfg.optimizer == "adam":
                 b1, b2, eps = 0.9, 0.999, 1e-8
-                for l, (dW, db) in enumerate(grads):
-                    mW, mb = adam_m[l]
-                    vW, vb = accum[l]
-                    mW *= b1
-                    mW += (1 - b1) * dW
-                    mb *= b1
-                    mb += (1 - b1) * db
-                    vW *= b2
-                    vW += (1 - b2) * dW * dW
-                    vb *= b2
-                    vb += (1 - b2) * db * db
-                    corr1 = 1 - b1**step
-                    corr2 = 1 - b2**step
-                    model.weights[l] -= lr_t * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
-                    model.biases[l] -= lr_t * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+                corr1 = 1 - b1**step
+                corr2 = 1 - b2**step
+                for p, g, m, v in zip(params, grads, moment, accum):
+                    m *= b1
+                    m += (1 - b1) * g
+                    v *= b2
+                    v += (1 - b2) * g * g
+                    p -= lr_t * (m / corr1) / (np.sqrt(v / corr2) + eps)
             else:  # plain full-batch gradient step
-                for l, (dW, db) in enumerate(grads):
-                    model.weights[l] -= lr_t * dW
-                    model.biases[l] -= lr_t * db
+                for p, g in zip(params, grads):
+                    p -= lr_t * g
     model.train_config = cfg
     return model
 

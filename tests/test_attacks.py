@@ -50,6 +50,27 @@ class TestAttackStatistic:
         with pytest.raises(ValueError):
             AttackStatistic("loss", method="gradient")
 
+    def test_params_checked_against_the_method(self):
+        with pytest.raises(ValueError, match=r"does not take params \['num_sample'\]"):
+            AttackStatistic("expl_var", "local_surrogate", params={"num_sample": 50})
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            AttackStatistic("expl_var", "smoothgrad", params={"samples": 0})
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            AttackStatistic("expl_var", "lrp", params={"epsilon": 0.0})
+        with pytest.raises(ValueError, match=r"gradient does not take params \['sigma'\]"):
+            AttackStatistic("expl_var", "gradient", params={"sigma": 5})
+
+    def test_scalar_kinds_reject_params(self):
+        for kind in ("loss", "pred_var"):
+            with pytest.raises(ValueError, match="takes no explanation method or params"):
+                AttackStatistic(kind, params={"samples": 5})
+
+    def test_valid_params_kept_as_given(self):
+        params = {"samples": 5, "sigma": [0.5, 1.0]}
+        stat = AttackStatistic("expl_var", "smoothgrad", params=params)
+        assert stat.params == params
+        assert stat.to_dict()["params"] == params
+
     def test_l1_only_for_explanations(self):
         with pytest.raises(ValueError):
             AttackStatistic("loss", use_l1=True)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from explainleak import harness
 from explainleak.cli import build_parser, main
 from explainleak.harness import config_hash
 
@@ -425,6 +426,35 @@ class TestConfigErrorsCaughtEarly:
         assert main(["reconstruct", "--config", config, "--out", str(out)]) == 0
         report = json.loads((out / "reconstruction_report.json").read_text())
         assert report["reconstruction"]["recovered_count"] == 1
+
+
+def _stat(method, params):
+    return {"statistics": [{"kind": "expl_var", "method": method, "params": params}]}
+
+
+class TestConfigMistakesExitOneBeforeTraining:
+    """Each of these configs once trained every target and then exited 2, or
+    exited 0 with only warnings and no records, or ran with a setting ignored."""
+
+    @pytest.mark.parametrize("command, change, message", [
+        ("attack", _stat("local_surrogate", {"num_sample": 50}),
+         "local_surrogate does not take params ['num_sample']"),
+        ("attack", _stat("smoothgrad", {"samples": 0}), "samples must be at least 1"),
+        ("attack", _stat("gradient", {"sigma": 5}), "gradient does not take params ['sigma']"),
+        ("attack", {"hidden": [0]}, "layer width must be at least 1"),
+        ("attack", {"activation": "swish"}, "activation must be one of"),
+        ("sweep-epochs", {"epoch_grid": [0, 5]}, "every entry >= 1, got [0, 5]"),
+    ], ids=["params-typo", "zero-samples", "params-on-gradient", "zero-width", "activation",
+            "zero-epochs"])
+    def test_exits_1_before_training(self, tmp_path, capsys, monkeypatch, command, change,
+                                     message):
+        trained = []
+        monkeypatch.setattr(harness, "train", lambda *args: trained.append(args))
+        config = write_config(tmp_path, {**ATTACK_PAYLOAD, **change})
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not trained
+        assert not (tmp_path / "out").exists()
 
 
 class TestInstalledEntryPoints:

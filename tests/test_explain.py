@@ -152,10 +152,17 @@ class TestIntegratedGradients:
             IgConfig(steps=0)
 
 
+# Each non-relu activation's derivative at one pre-activation z, written out here
+# so the reference below shares no derivative formula with the package.
+_SCALAR_DERIV = {
+    "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+    "sigmoid": lambda z: np.exp(-z) / (1.0 + np.exp(-z)) ** 2,
+    "identity": lambda z: 1.0,
+}
+
+
 def _naive_guided_backprop(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Loop-based reference for the double-gated backward pass."""
-    from explainleak.models import _activation_deriv
-
     zs, acts, probs = model.forward_stack(x[None, :])
     cls = int(np.argmax(probs[0]))
     pc = probs[0, cls]
@@ -169,9 +176,7 @@ def _naive_guided_backprop(model: MlpModel, x: np.ndarray) -> np.ndarray:
             if spec.activation == "relu":
                 dz[i] = delta[i] if (z[i] > 0.0 and delta[i] > 0.0) else 0.0
             else:
-                dz[i] = delta[i] * _activation_deriv(
-                    spec.activation, z[i : i + 1], acts[l + 1][0, i : i + 1]
-                )[0]
+                dz[i] = delta[i] * _SCALAR_DERIV[spec.activation](z[i])
         prev = np.zeros(model.weights[l].shape[0])
         for j in range(prev.size):
             prev[j] = float(np.dot(model.weights[l][j], dz))
@@ -511,6 +516,16 @@ class TestExplainBatch:
         for method in ("guided_backprop", "lrp"):
             with pytest.raises(TypeError):
                 explain_batch(model, np.zeros((3, 2)), method)
+
+    def test_params_checked_per_method(self, small_trained_model):
+        X = np.zeros((2, 4))
+        for method in ("gradient", "grad_times_input", "guided_backprop"):
+            with pytest.raises(ValueError, match=f"{method} does not take params"):
+                explain_batch(small_trained_model, X, method, {"sigma": 1.0})
+        with pytest.raises(ValueError, match=r"does not take params \['samples'\]"):
+            explain_batch(small_trained_model, X, "local_surrogate", {"samples": 10})
+        with pytest.raises(ValueError, match=r"does not take params \['steps'\]"):
+            explain(small_trained_model, X[0], "lrp", {"steps": 10})
 
     def test_rejects_single_vector_and_unknown_method(self, small_trained_model):
         with pytest.raises(ValueError):

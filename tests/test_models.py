@@ -19,7 +19,7 @@ from explainleak import (
     train_logistic,
 )
 from conftest import finite_difference_gradient, relative_error, two_blob_dataset
-from explainleak.models import _activation_deriv, sigmoid
+from explainleak.models import sigmoid
 
 
 # `MlpModel.to_json` of a trained 2-3-2 tanh network, from before the sigmoid head went.
@@ -172,6 +172,16 @@ class TestParamGradients:
             assert (up - down) / (2 * h) == pytest.approx(db[0], abs=1e-5)
 
 
+# Each activation's derivative at pre-activation z, written from z alone so that
+# the references below share no derivative formula with the package.
+_DERIV = {
+    "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+    "relu": lambda z: np.where(z > 0.0, 1.0, 0.0),
+    "sigmoid": lambda z: (1.0 / (1.0 + np.exp(-z))) * (1.0 - 1.0 / (1.0 + np.exp(-z))),
+    "identity": lambda z: np.ones_like(z),
+}
+
+
 def _loop_param_gradients(model, X, labels):
     """The backward loop `param_gradients` ran before it shared `_backward`."""
     zs, acts, probs = model.forward_stack(X)
@@ -179,7 +189,7 @@ def _loop_param_gradients(model, X, labels):
     grads = [None] * len(model.layers)
     for l in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[l]
-        dz = delta * _activation_deriv(spec.activation, zs[l], acts[l + 1])
+        dz = delta * _DERIV[spec.activation](zs[l])
         grads[l] = (acts[l].T @ dz, dz.sum(axis=0))
         if l > 0:
             delta = dz @ model.weights[l].T
@@ -200,10 +210,59 @@ def _loop_input_gradient(model, X, guided):
         if guided and spec.activation == "relu":
             dz = delta * (zs[l] > 0.0) * (delta > 0.0)
         else:
-            dz = delta * _activation_deriv(spec.activation, zs[l], outs[l])
+            dz = delta * _DERIV[spec.activation](zs[l])
         if l == 0:
             return dz @ model.weights[0].T
         delta = dz @ model.weights[l].T
+
+
+def _per_layer_train(model, dataset, cfg):
+    """`train` as it was before its optimizers ran over one parameter list: every
+    update rule written out for each layer's W and again for its b."""
+    X = dataset.features
+    labels = dataset.labels
+    n = X.shape[0]
+    batch_size = cfg.batch_size if cfg.batch_size is not None else n
+    rng = np.random.default_rng(cfg.seed)
+    accum = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)]
+    adam_m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)]
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            grads, _ = model.param_gradients(X[batch], labels[batch])
+            lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
+            step += 1
+            if cfg.optimizer == "adagrad":
+                for l, (dW, db) in enumerate(grads):
+                    aW, ab = accum[l]
+                    aW += dW * dW
+                    ab += db * db
+                    model.weights[l] -= lr_t * dW / (np.sqrt(aW) + 1e-10)
+                    model.biases[l] -= lr_t * db / (np.sqrt(ab) + 1e-10)
+            elif cfg.optimizer == "adam":
+                b1, b2, eps = 0.9, 0.999, 1e-8
+                for l, (dW, db) in enumerate(grads):
+                    mW, mb = adam_m[l]
+                    vW, vb = accum[l]
+                    mW *= b1
+                    mW += (1 - b1) * dW
+                    mb *= b1
+                    mb += (1 - b1) * db
+                    vW *= b2
+                    vW += (1 - b2) * dW * dW
+                    vb *= b2
+                    vb += (1 - b2) * db * db
+                    corr1 = 1 - b1**step
+                    corr2 = 1 - b2**step
+                    model.weights[l] -= lr_t * (mW / corr1) / (np.sqrt(vW / corr2) + eps)
+                    model.biases[l] -= lr_t * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+            else:
+                for l, (dW, db) in enumerate(grads):
+                    model.weights[l] -= lr_t * dW
+                    model.biases[l] -= lr_t * db
+    return model
 
 
 class TestOneBackwardLoop:
@@ -244,6 +303,28 @@ class TestOneBackwardLoop:
         old = train(init_model(layers, 12, seed=6), ds, cfg)
         for a, b in zip(new.weights + new.biases, old.weights + old.biases):
             np.testing.assert_array_equal(a, b)
+
+
+class TestOneParameterList:
+    """`train` runs each optimizer once over [W1, b1, .., WL, bL]; the weights
+    are bit-identical to the per-layer W and b updates it replaced."""
+
+    @pytest.mark.parametrize("optimizer, lr_decay", [
+        ("adagrad", 0.0), ("adagrad", 0.3), ("adam", 0.0), ("adam", 0.3), ("gd", 0.0), ("gd", 0.3),
+    ])
+    def test_weights_equal_the_per_layer_updates(self, optimizer, lr_decay):
+        ds = two_blob_dataset(n=40, n_features=12, seed=5)
+        batch_size = None if optimizer == "gd" else 8
+        cfg = TrainConfig(optimizer=optimizer, lr=0.05, lr_decay=lr_decay, epochs=15,
+                          batch_size=batch_size, seed=5)
+        layers = [LayerSpec(9, "tanh"), LayerSpec(7, "relu"), LayerSpec(5, "sigmoid"),
+                  LayerSpec(4, "identity"), LayerSpec(2, "identity")]
+        new = train(init_model(layers, 12, seed=6), ds, cfg)
+        old = _per_layer_train(init_model(layers, 12, seed=6), ds, cfg)
+        for a, b in zip(new.weights + new.biases, old.weights + old.biases):
+            np.testing.assert_array_equal(a, b)
+        start = init_model(layers, 12, seed=6)
+        assert all(not np.array_equal(a, b) for a, b in zip(new.weights, start.weights))
 
 
 class TestInit:

@@ -18,8 +18,9 @@ import explainleak
 # operations (each has a batch path that remains), test fixtures, an unused codec,
 # the learned attack network, which no command, experiment or demo ran, and the
 # second paths beside one that remains: the one-logit sigmoid output head (softmax
-# is the one head), the depth-first traversal schedule (the crawl is breadth-first)
-# and sweep-dim's own key list (its config is a `Config` like every other).
+# is the one head), the depth-first traversal schedule (the crawl is breadth-first),
+# sweep-dim's own key list (its config is a `Config` like every other) and the
+# duck-typed dataset loader (`DataSource.load_dataset` is the one).
 RETIRED_FUNCTIONS = {
     "explain": [
         "explain_gradient", "explain_grad_times_input", "explain_integrated_gradients",
@@ -34,6 +35,7 @@ RETIRED_FUNCTIONS = {
     "reconstruct": ["tangent_fixture", "same_direction_fixture"],
     "models": ["FINAL_HEADS"],
     "cli": ["SWEEP_DIM_KEYS"],
+    "harness": ["load_experiment_dataset"],
 }
 RETIRED_METHODS = {
     "MlpModel": ["forward", "loss", "input_gradient"],
