@@ -112,7 +112,7 @@ def load_csv_dataset(
 
 
 def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: int):
-    """(features, labels, None) through `np.loadtxt`, or None for the row loop.
+    """(features, labels, None) through one `np.loadtxt` pass, or None for the row loop.
 
     Only lines the csv module would split on every comma into `n_cols` cells
     reach loadtxt: no quote, no blank line (loadtxt skips those), no line past
@@ -130,15 +130,14 @@ def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: in
         if count < 1:
             raise ValueError("no data rows")
 
+    dtype = [("x", np.float64, (len(feature_idx),)), ("y", np.int64)]
     try:
-        with path.open(newline="") as first, path.open(newline="") as second:
-            features = np.loadtxt(lines(first), delimiter=",", comments=None,
-                                  skiprows=1, usecols=feature_idx, ndmin=2)
-            labels = np.loadtxt(lines(second), np.int64, delimiter=",", comments=None,
-                                skiprows=1, usecols=label_idx, ndmin=1)
+        with path.open(newline="") as handle:
+            table = np.loadtxt(lines(handle), dtype, delimiter=",", comments=None,
+                               skiprows=1, usecols=feature_idx + [label_idx], ndmin=1)
     except ValueError:
         return None
-    return features, labels, None
+    return table["x"], table["y"], None
 
 
 def _read_rows(path: Path, reader, header: list[str], feature_idx, label_idx, group_idx):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .models import _BLOCK_FLOATS, MlpModel
+from .models import MlpModel, _row_blocks
 
 
 @dataclass
@@ -80,12 +80,6 @@ class LrpConfig:
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-
-
-def _row_blocks(n_rows: int, floats_per_row: int):
-    """Row slices that fit in _BLOCK_FLOATS at floats_per_row floats a row (one row at least)."""
-    step = max(1, _BLOCK_FLOATS // floats_per_row)
-    return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
 def _integrated_gradients(model, X: np.ndarray, cfg: IgConfig) -> np.ndarray:

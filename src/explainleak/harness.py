@@ -121,6 +121,7 @@ class ExperimentConfig(DataSource):
             LayerSpec(width, self.activation)  # raises on a bad width or activation
         if self.model_kind not in ("mlp", "logistic"):
             raise ConfigError("model_kind must be 'mlp' or 'logistic'")
+        self.train.refuse_unread(logistic=self.model_kind == "logistic")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.subsets_per_repetition < 1:
@@ -327,23 +328,10 @@ def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes
     return train(model, train_set, train_cfg)
 
 
-@dataclass
-class _RepetitionOutput:
-    records: list[RunRecord]
-    decisions: list[DecisionBlock]
-    warnings: list[str]
-    audit: dict
-    elapsed: float
-
-
 def _run_repetition(
-    dataset: Dataset, cfg: ExperimentConfig, rep: int, prefix: str
-) -> _RepetitionOutput:
-    rep_start = time.perf_counter()
-    records: list[RunRecord] = []
-    decisions: list[DecisionBlock] = []
-    warnings: list[str] = []
-
+    dataset: Dataset, cfg: ExperimentConfig, rep: int, prefix: str, result: ExperimentResult
+) -> None:
+    """Append one repetition's records, decision blocks, warnings and audit to result."""
     splits = sampling_protocol(
         dataset,
         cfg.subsets_per_repetition,
@@ -351,10 +339,15 @@ def _run_repetition(
         cfg.resample,
         child_seed(cfg.seed, "protocol", rep),
     )
-    audit = validate_protocol(splits, dataset.n_points, cfg.resample)
+    result.audits.append(validate_protocol(splits, dataset.n_points, cfg.resample))
 
-    models: list = []
-    model_accs: list[tuple[float, float]] = []
+    # Each trained target fills its row of the table: per statistic, the member
+    # values, the non-member values and the optimal tau, or the message of the
+    # error that stopped them. One tau serves the target's own optimal record
+    # and its siblings' shadow records. The model is dropped once its row is full.
+    X, y = dataset.features, dataset.labels
+    table: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float] | str] = {}
+    accuracies: dict[int, tuple[float, float]] = {}
     for t, split in enumerate(splits):
         try:
             model = train_target(
@@ -363,81 +356,80 @@ def _run_repetition(
                 child_seed(cfg.seed, "target", rep, t),
                 dataset.n_classes,
             )
-            models.append(model)
-            model_accs.append(
-                (
-                    model.accuracy(dataset.features[split.train], dataset.labels[split.train]),
-                    model.accuracy(dataset.features[split.test], dataset.labels[split.test]),
-                )
+            accuracies[t] = (
+                model.accuracy(X[split.train], y[split.train]),
+                model.accuracy(X[split.test], y[split.test]),
             )
         except (ValueError, RuntimeError) as exc:  # keep the experiment alive, log it
-            models.append(None)
-            model_accs.append((float("nan"), float("nan")))
-            warnings.append(f"rep {rep} target {t}: training failed: {exc}")
-
-    # One entry per (target, statistic), computed once: member values,
-    # non-member values and the optimal tau, which serves the target's own
-    # optimal record and its siblings' shadow records.
-    entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
-
-    def calibrated(t: int, si: int) -> tuple[np.ndarray, np.ndarray, float]:
-        if models[t] is None:  # only reachable through a sibling's shadow record
-            raise RuntimeError(f"shadow model {t} unavailable")
-        if (t, si) not in entries:
-            stat, split, X, y = cfg.statistics[si], splits[t], dataset.features, dataset.labels
-            member = statistic_values(stat, models[t], X[split.train], y[split.train])
-            nonmember = statistic_values(stat, models[t], X[split.test], y[split.test])
-            tau = optimal_threshold(member, nonmember, stat.member_if)[0]
-            entries[(t, si)] = (member, nonmember, tau)
-        return entries[(t, si)]
-
-    for t, split in enumerate(splits):
-        if models[t] is None:
+            result.warnings.append(f"rep {rep} target {t}: training failed: {exc}")
             continue
         for si, stat in enumerate(cfg.statistics):
             try:
-                member_vals, nonmember_vals, optimal_tau = calibrated(t, si)
+                member = statistic_values(stat, model, X[split.train], y[split.train])
+                nonmember = statistic_values(stat, model, X[split.test], y[split.test])
+                tau = optimal_threshold(member, nonmember, stat.member_if)[0]
+                table[t, si] = (member, nonmember, tau)
             except (ValueError, RuntimeError) as exc:
-                warnings.append(f"rep {rep} target {t} stat {stat.label}: {exc}")
-                continue
-            for ci, calibration in enumerate(cfg.calibrations):
-                kind, s = parse_calibration(calibration)
-                siblings = [u for u in range(len(splits)) if u != t][:s]
-                try:
-                    tau = optimal_tau if kind == "optimal" else aggregate_shadow_taus(
-                        [calibrated(u, si)[2] for u in siblings], s
-                    )
-                except (ValueError, RuntimeError) as exc:
-                    warnings.append(
-                        f"rep {rep} target {t} stat {stat.label} {calibration}: {exc}"
+                table[t, si] = str(exc)
+        del model
+
+    for (t, si), entry in table.items():
+        stat = cfg.statistics[si]
+        if isinstance(entry, str):
+            result.warnings.append(f"rep {rep} target {t} stat {stat.label}: {entry}")
+            continue
+        member_vals, nonmember_vals, optimal_tau = entry
+        values = np.concatenate([member_vals, nonmember_vals])
+        truth = np.concatenate(
+            [np.ones(len(member_vals), bool), np.zeros(len(nonmember_vals), bool)]
+        )
+        for ci, calibration in enumerate(cfg.calibrations):
+            kind, s = parse_calibration(calibration)
+            if kind == "optimal":
+                tau = optimal_tau
+            else:
+                siblings = [
+                    table.get((u, si), f"shadow model {u} unavailable")
+                    for u in range(len(splits)) if u != t
+                ][:s]
+                error = next((e for e in siblings if isinstance(e, str)), None)
+                if error is not None:
+                    result.warnings.append(
+                        f"rep {rep} target {t} stat {stat.label} {calibration}: {error}"
                     )
                     continue
-                rule = ThresholdRule(stat, tau)
-                values = np.concatenate([member_vals, nonmember_vals])
-                truth = np.concatenate(
-                    [np.ones(len(member_vals), bool), np.zeros(len(nonmember_vals), bool)]
+                tau = aggregate_shadow_taus([e[2] for e in siblings], s)
+            guesses = ThresholdRule(stat, tau).decide(values)
+            run_id = f"{prefix}r{rep}-t{t}-s{si}-c{ci}"
+            result.records.append(
+                RunRecord(
+                    run_id=run_id,
+                    repetition=rep,
+                    target=t,
+                    statistic=stat.label,
+                    calibration=calibration,
+                    tau=tau,
+                    attack_accuracy=float(np.mean(guesses == truth)),
+                    train_accuracy=accuracies[t][0],
+                    test_accuracy=accuracies[t][1],
+                    epochs=cfg.train.epochs,
                 )
-                guesses = rule.decide(values)
-                accuracy = float(np.mean(guesses == truth))
-                run_id = f"{prefix}r{rep}-t{t}-s{si}-c{ci}"
-                records.append(
-                    RunRecord(
-                        run_id=run_id,
-                        repetition=rep,
-                        target=t,
-                        statistic=stat.label,
-                        calibration=calibration,
-                        tau=tau,
-                        attack_accuracy=accuracy,
-                        train_accuracy=model_accs[t][0],
-                        test_accuracy=model_accs[t][1],
-                        epochs=cfg.train.epochs,
-                    )
-                )
-                decisions.append(DecisionBlock(run_id, split.all_indices, values, guesses, truth))
-    return _RepetitionOutput(
-        records, decisions, warnings, audit, time.perf_counter() - rep_start
-    )
+            )
+            result.decisions.blocks.append(
+                DecisionBlock(run_id, splits[t].all_indices, values, guesses, truth)
+            )
+
+
+def _run_repetitions(
+    dataset: Dataset, cfg: ExperimentConfig, prefix: str, result: ExperimentResult
+) -> dict:
+    """Run every repetition of cfg into result; returns their manifest timings."""
+    seconds = []
+    for rep in range(cfg.repetitions):
+        start = time.perf_counter()
+        _run_repetition(dataset, cfg, rep, prefix, result)
+        seconds.append(time.perf_counter() - start)
+    return {"repetition_seconds": seconds, "total_seconds": sum(seconds)}
 
 
 def run_threshold_experiment(
@@ -458,25 +450,9 @@ def run_threshold_experiment(
     """
     if dataset is None:
         dataset = cfg.load_dataset()
-    outputs = [
-        _run_repetition(dataset, cfg, rep, run_prefix) for rep in range(cfg.repetitions)
-    ]
-    records = [record for out in outputs for record in out.records]
-    decisions = DecisionTable([block for out in outputs for block in out.decisions])
-    warnings = [w for out in outputs for w in out.warnings]
-    timings = {
-        "repetition_seconds": [out.elapsed for out in outputs],
-        "total_seconds": sum(out.elapsed for out in outputs),
-    }
-    return ExperimentResult(
-        name=name,
-        records=records,
-        decisions=decisions,
-        warnings=warnings,
-        timings=timings,
-        config=cfg.to_dict(),
-        audits=[out.audit for out in outputs],
-    )
+    result = ExperimentResult(name, [], DecisionTable(), [], {}, cfg.to_dict())
+    result.timings = _run_repetitions(dataset, cfg, run_prefix, result)
+    return result
 
 
 def run_overfit_sweep(
@@ -492,39 +468,16 @@ def run_overfit_sweep(
         raise ConfigError(f"epoch grid must be non-empty with every entry >= 1, got {epoch_grid}")
     if dataset is None:
         dataset = cfg.load_dataset()
-    records: list[RunRecord] = []
-    decisions = DecisionTable()
-    warnings: list[str] = []
-    audits: list[dict] = []
-    timings: dict = {}
-    for epochs in epoch_grid:
-        sub_cfg = replace(
-            cfg, train=replace(cfg.train, epochs=int(epochs)), calibrations=["optimal"]
-        )
-        result = run_threshold_experiment(
-            sub_cfg, dataset=dataset, run_prefix=f"e{int(epochs)}-", name="overfit"
-        )
-        records.extend(result.records)
-        decisions.blocks.extend(result.decisions)
-        warnings.extend(result.warnings)
-        audits.extend(result.audits)
-        timings[f"epochs_{int(epochs)}"] = result.timings
-    return ExperimentResult(
-        name="overfit",
-        records=records,
-        decisions=decisions,
-        warnings=warnings,
-        timings=timings,
-        config={**cfg.to_dict(), "epoch_grid": [int(e) for e in epoch_grid]},
-        audits=audits,
-    )
+    config = {**cfg.to_dict(), "epoch_grid": [int(e) for e in epoch_grid]}
+    result = ExperimentResult("overfit", [], DecisionTable(), [], {}, config)
+    for epochs in config["epoch_grid"]:
+        sub_cfg = replace(cfg, train=replace(cfg.train, epochs=epochs), calibrations=["optimal"])
+        timings = _run_repetitions(dataset, sub_cfg, f"e{epochs}-", result)
+        result.timings[f"epochs_{epochs}"] = timings
+    return result
 
 
-def default_perturbation_statistics(
-    surrogate_samples: int = 200,
-    smoothgrad_samples: int = 25,
-    sigma: float = 1.0,
-) -> list[AttackStatistic]:
+def default_perturbation_statistics() -> list[AttackStatistic]:
     """Gradient, prediction-variance, and the two perturbation statistics.
 
     The default noise scale matches the surrogate's unit-Gaussian sampling:
@@ -534,14 +487,8 @@ def default_perturbation_statistics(
     return [
         AttackStatistic("expl_var", "gradient"),
         AttackStatistic("pred_var"),
-        AttackStatistic(
-            "expl_var", "local_surrogate", params={"num_samples": surrogate_samples}
-        ),
-        AttackStatistic(
-            "expl_var",
-            "smoothgrad",
-            params={"samples": smoothgrad_samples, "sigma": sigma},
-        ),
+        AttackStatistic("expl_var", "local_surrogate", params={"num_samples": 200}),
+        AttackStatistic("expl_var", "smoothgrad", params={"samples": 25, "sigma": 1.0}),
     ]
 
 
@@ -580,6 +527,7 @@ class CampaignConfig(DataSource):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self.train.refuse_unread(logistic=True)
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError("train_fraction must be in (0, 1]")
         if not self.reveal_ks or any(k < 1 for k in self.reveal_ks):

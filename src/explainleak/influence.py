@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import _BLOCK_FLOATS, LogisticModel, TrainConfig, TrainingDivergedError, sigmoid
+from .models import LogisticModel, TrainConfig, TrainingDivergedError, _row_blocks, sigmoid
 from .models import train_logistic, train_logistic_loo
 
 
@@ -96,18 +96,15 @@ class InfluenceOracle:
         if not 1 <= k <= n:
             raise ValueError("k must lie in [1, n_points]")
         Y = np.asarray(Y, dtype=np.float64)
-        step = max(1, _BLOCK_FLOATS // n)
-        buf = np.empty((min(step, len(Y)), n))
         top = np.empty((len(Y), k), dtype=np.intp)
-        for start in range(0, len(Y), step):
-            blk = Y[start:start + step]
-            neg = buf[: len(blk)]
-            np.matmul(blk, self._loo_w.T, out=neg)
+        for rows in _row_blocks(len(Y), n):
+            blk = Y[rows]
+            neg = blk @ self._loo_w.T
             neg -= self._loo_b
             sigmoid(neg, out=neg)
             neg -= self.base.positive_prob_batch(blk)[:, None]
             np.negative(np.abs(neg, out=neg), out=neg)
-            top[start:start + step] = _rank_block(neg, k)
+            top[rows] = _rank_block(neg, k)
         return top
 
     def query(self, y: np.ndarray) -> OracleAnswer:

@@ -19,13 +19,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import Config
+from .config import Config, ConfigError
 
 OPTIMIZERS = ("adagrad", "adam", "gd")
 
 _LOSS_CLAMP = 1e-12
-# Floats (512 KiB) per block of explain's perturbed rows or of train_logistic_loo's models
+# Floats (512 KiB) per block of rows: explain's perturbed copies, train_logistic_loo's
+# models, and the influence queries of top_k_rows and baseline_attack
 _BLOCK_FLOATS = 1 << 16
+
+
+def _row_blocks(n_rows: int, floats_per_row: int):
+    """Row slices that fit in _BLOCK_FLOATS at floats_per_row floats a row (one row at least)."""
+    step = max(1, _BLOCK_FLOATS // floats_per_row)
+    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
 
 
 class TrainingDivergedError(RuntimeError):
@@ -106,6 +113,20 @@ class TrainConfig(Config):
             raise ValueError("batch_size must be at least 1 (or None for full batch)")
         if self.optimizer == "gd" and self.batch_size is not None:
             raise ValueError("optimizer 'gd' is full-batch; set batch_size=None")
+
+    def refuse_unread(self, logistic: bool) -> None:
+        """Raise ConfigError for a setting no fit reads: every config derives each
+        fit's seed, and a logistic fit reads only lr and epochs."""
+        if self.seed != 0:
+            raise ConfigError(f"train.seed must be 0 (each fit's seed is derived), got {self.seed}")
+        if logistic and self.optimizer != "gd":
+            raise ConfigError(
+                f"train.optimizer must be 'gd' for a logistic target, got {self.optimizer!r}"
+            )
+        if logistic and self.lr_decay != 0:
+            raise ConfigError(
+                f"train.lr_decay must be 0 for a logistic target, got {self.lr_decay}"
+            )
 
 
 class MlpModel:
@@ -446,13 +467,12 @@ def train_logistic_loo(dataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarra
     n = len(y)
     X = np.hstack([dataset.features, -np.ones((n, 1))])
     W = np.zeros((n, X.shape[1]))
-    step = max(1, _BLOCK_FLOATS // n)
-    for start in range(0, n, step):
-        w_blk = W[start:start + step]  # a view: the block trains in place
+    for rows in _row_blocks(n, n):
+        w_blk = W[rows]  # a view: the block trains in place
         resid = np.empty((len(w_blk), n))
         for _ in range(cfg.epochs):
             np.matmul(w_blk, X.T, out=resid)
             np.subtract(y, sigmoid(resid, out=resid), out=resid)
-            np.fill_diagonal(resid[:, start:], 0.0)  # row r leaves out point start + r
+            np.fill_diagonal(resid[:, rows.start:], 0.0)  # row r leaves out point rows.start + r
             w_blk += cfg.lr * (resid @ X) / (n - 1)
     return W[:, :-1], W[:, -1]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .influence import InfluenceExplainer, InfluenceOracle, OracleAnswer
 from .influence import topk_explain  # noqa: F401  (leakbench's tracer patches it)
-from .models import _BLOCK_FLOATS
+from .models import _row_blocks
 
 _PROB_CLAMP = 1e-12
 _EPS_MIN = 1e-8  # smallest probe step before the oracle counts as inconsistent
@@ -133,8 +133,8 @@ def algorithm1_reconstruct(
     recovered: list[int] = []
     steps: list[ReconstructionStep] = []
     constraints: list[tuple[np.ndarray, float]] = []
+    queries_before = oracle.query_count
     queries_revealing = 0
-    termination_queries = 0
     total_retries = 0
     iteration = -1
 
@@ -145,34 +145,28 @@ def algorithm1_reconstruct(
         if d == 0:
             # Nothing left to slice; one last look at the pinned-down anchor.
             answer = oracle.query(anchor_base)
-            termination_queries += 1
             if answer.index not in recovered and abs(answer.influence) > _ZERO_TOL:
                 recovered.append(answer.index)
             reason = "dimension_exhausted"
             break
 
         anchor = _draw_anchor(anchor_base, basis, w_hat, b_hat, rng)
+        cluster_start = oracle.query_count
         answer = oracle.query(anchor)
-        cluster_queries = 1
 
         if abs(answer.influence) <= _ZERO_TOL:
-            termination_queries += cluster_queries
             reason = "influence_exhausted"
             break
         if answer.index in recovered:
-            termination_queries += cluster_queries
             reason = "repeat_reveal"
             break
 
-        probes, eps, retries, probe_queries = _probe_cluster(
-            oracle, anchor, basis, answer.index, eps0
-        )
-        cluster_queries += probe_queries
+        probes, eps, retries = _probe_cluster(oracle, anchor, basis, answer.index, eps0)
         total_retries += retries
         if probes is None:
-            termination_queries += cluster_queries
             reason = "oracle_inconsistent"
             break
+        cluster_queries = oracle.query_count - cluster_start
 
         a_anchor = float(_logit(answer.prediction))
         c_anchor = float(_logit(_loo_probability(answer)))
@@ -239,7 +233,7 @@ def algorithm1_reconstruct(
         steps=steps,
         constraints=constraints,
         queries_revealing=queries_revealing,
-        termination_queries=termination_queries,
+        termination_queries=oracle.query_count - queries_before - queries_revealing,
         retries=total_retries,
     )
 
@@ -282,25 +276,23 @@ def _probe_cluster(
     basis: np.ndarray,
     expect_index: int,
     eps0: float,
-) -> tuple[list[OracleAnswer] | None, np.ndarray, int, int]:
+) -> tuple[list[OracleAnswer] | None, np.ndarray, int]:
     """One probe per basis direction, all revealing the anchor's point.
 
     A probe that reveals a different point stepped too far outside the
     anchor point's dominance region; its step is halved and retried. Returns
-    (answers, eps actually used, retry count, queries spent); answers is
-    None if some direction stays inconsistent all the way down to ``_EPS_MIN``.
+    (answers, eps actually used, retry count); answers is None if some
+    direction stays inconsistent all the way down to ``_EPS_MIN``.
     """
     d = basis.shape[1]
     eps = np.full(d, eps0, dtype=np.float64)
     answers: list[OracleAnswer | None] = [None] * d
     pending = list(range(d))
     retries = 0
-    queries = 0
     while pending:
         failed = []
         for j in pending:
             answer = oracle.query(anchor + eps[j] * basis[:, j])
-            queries += 1
             if answer.index == expect_index:
                 answers[j] = answer
             else:
@@ -310,9 +302,9 @@ def _probe_cluster(
         retries += len(failed)
         eps[failed] *= 0.5
         if eps[failed].min() < _EPS_MIN:
-            return None, eps, retries, queries
+            return None, eps, retries
         pending = failed
-    return answers, eps, retries, queries  # type: ignore[return-value]
+    return answers, eps, retries  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +398,7 @@ def baseline_attack(
     k = expl.k if k is None else k
     n = expl.n_points
     first = np.full(n, n_queries)  # index of the first query revealing each point
-    step = max(1, _BLOCK_FLOATS // n)
-    for start in range(0, n_queries, step):
-        top = expl.top_k_rows(sampler.sample_batch(min(step, n_queries - start)), k)
-        np.minimum.at(first, top.ravel(), np.arange(start, start + len(top)).repeat(k))
+    for rows in _row_blocks(n_queries, n):
+        top = expl.top_k_rows(sampler.sample_batch(rows.stop - rows.start), k)
+        np.minimum.at(first, top.ravel(), np.arange(rows.start, rows.stop).repeat(k))
     return (np.bincount(first, minlength=n_queries + 1)[:n_queries].cumsum() / n).tolist()

@@ -147,6 +147,10 @@ class SweepConfig(Config):
     arch: str = "base"
     train: TrainConfig | None = None
 
+    def __post_init__(self) -> None:
+        if self.train is not None:
+            self.train.refuse_unread(logistic=False)
+
 
 def _sweep_seed(base_seed: int, dim: int) -> int:
     return int(np.random.SeedSequence([base_seed, dim]).generate_state(1)[0])

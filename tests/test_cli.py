@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from explainleak import harness
+from explainleak import harness, synth
 from explainleak.cli import build_parser, main
 from explainleak.harness import config_hash
 
@@ -454,6 +454,49 @@ class TestConfigMistakesExitOneBeforeTraining:
         assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
         assert not trained
+        assert not (tmp_path / "out").exists()
+
+
+def _train(**settings):
+    return {"train": {"optimizer": "gd", "lr": 0.5, "epochs": 50, "batch_size": None, **settings}}
+
+
+SWEEP_PAYLOAD = {"dims": [1], "arch": "small",
+                 "synth": {"n_features": 1, "n_samples": 40, "class_sep": 2.0}}
+
+
+class TestUnreadTrainingSettingsExitOne:
+    """A training setting that no fit reads is refused before any fit: every
+    config derives each fit's seed, and a logistic fit reads only lr and epochs."""
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("attack", {**ATTACK_PAYLOAD, "model_kind": "logistic",
+                    "train": {"optimizer": "adagrad", "lr": 0.5, "epochs": 50}},
+         "train.optimizer must be 'gd' for a logistic target, got 'adagrad'"),
+        ("attack", {**ATTACK_PAYLOAD, "model_kind": "logistic", **_train(lr_decay=0.5)},
+         "train.lr_decay must be 0 for a logistic target, got 0.5"),
+        ("reconstruct", {**RECON_PAYLOAD, **_train(optimizer="adam")},
+         "train.optimizer must be 'gd' for a logistic target, got 'adam'"),
+        ("reconstruct", {**RECON_PAYLOAD, **_train(lr_decay=5.0)},
+         "train.lr_decay must be 0 for a logistic target, got 5.0"),
+        ("attack", {**ATTACK_PAYLOAD, "train": {**ATTACK_PAYLOAD["train"], "seed": 7}},
+         "train.seed must be 0 (each fit's seed is derived), got 7"),
+        ("reconstruct", {**RECON_PAYLOAD, **_train(seed=7)},
+         "train.seed must be 0 (each fit's seed is derived), got 7"),
+        ("sweep-dim", {**SWEEP_PAYLOAD, "train": {"epochs": 2, "seed": 7}},
+         "train.seed must be 0 (each fit's seed is derived), got 7"),
+    ], ids=["logistic-optimizer", "logistic-lr-decay", "campaign-optimizer", "campaign-lr-decay",
+            "experiment-seed", "campaign-seed", "sweep-seed"])
+    def test_exits_1_before_any_fit(self, tmp_path, capsys, monkeypatch, command, payload,
+                                    message):
+        fits = []
+        for owner, name in [(harness, "train"), (harness, "train_logistic"),
+                            (harness, "build_loo_cache"), (synth, "train")]:
+            monkeypatch.setattr(owner, name, lambda *args: fits.append(args))
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not fits
         assert not (tmp_path / "out").exists()
 
 

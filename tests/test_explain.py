@@ -24,7 +24,7 @@ from explainleak import (
 )
 
 # The package re-exports the function `explain`, which shadows the submodule.
-explain_module = importlib.import_module("explainleak.explain")
+models_module = importlib.import_module("explainleak.models")
 
 
 class LinearStub:
@@ -478,7 +478,7 @@ class TestExplainBatch:
     @given(batch_cases())
     def test_equals_stacked_per_point(self, case):
         model, method, params, row_floats, X = case
-        with mock.patch.object(explain_module, "_BLOCK_FLOATS", BLOCK_ROWS * row_floats):
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", BLOCK_ROWS * row_floats):
             batch = explain_batch(model, X, method, params)
             stacked = np.vstack([explain(model, x, method, params).values for x in X])
         rtol = UNSAMPLED_RTOL.get(method, SAMPLING_RTOL)
@@ -492,7 +492,7 @@ class TestExplainBatch:
         d = model.input_dim
         X = np.random.default_rng(seed).uniform(-2, 2, (n, d))
         cfg = SurrogateConfig(num_samples=4 * d + 4, ridge_lambda=lam, seed=seed)
-        with mock.patch.object(explain_module, "_BLOCK_FLOATS", BLOCK_ROWS * cfg.num_samples * d):
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", BLOCK_ROWS * cfg.num_samples * d):
             batch = explain_batch(model, X, "local_surrogate", vars(cfg))
             points = [explain(model, x, "local_surrogate", vars(cfg)) for x in X]
         fits = [_reference_surrogate(model, x, cfg) for x in X]
@@ -568,7 +568,7 @@ class TestSharedFirstLayer:
     def test_equals_generic_path(self, case):
         model, method, params, samples, block_rows, X = case
         block_floats = block_rows * samples * sum(layer.width for layer in model.layers)
-        with mock.patch.object(explain_module, "_BLOCK_FLOATS", block_floats):
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", block_floats):
             shared = explain_batch(model, X, method, params)
             generic = explain_batch(GenericPath(model), X, method, params)
         assert_rows_close(shared, generic, SHARED_RTOL)

@@ -576,6 +576,40 @@ class TestWarningChannel:
         assert rep0 == [(0, "optimal"), (2, "optimal"), (3, "optimal")]
         assert sum(r.repetition == 1 for r in result.records) == 4 * 2
 
+    def test_failed_sibling_entry_is_computed_once(self, monkeypatch):
+        import explainleak.harness as harness_module
+
+        cfg = shadow3_config()
+        failing_seed = child_seed(cfg.seed, "target", 0, 1)
+        real_train, real_values = harness_module.train, harness_module.statistic_values
+        target1, calls = [], []
+
+        def recording_train(model, dataset, train_cfg):
+            trained = real_train(model, dataset, train_cfg)
+            if train_cfg.seed == failing_seed:
+                target1.append(trained)
+            return trained
+
+        def failing_on_target1(stat, model, *args):
+            if target1 and model is target1[0]:
+                calls.append(1)
+                raise ValueError("bad statistic on target 1")
+            return real_values(stat, model, *args)
+
+        monkeypatch.setattr(harness_module, "train", recording_train)
+        monkeypatch.setattr(harness_module, "statistic_values", failing_on_target1)
+        result = run_threshold_experiment(cfg)
+        assert len(calls) == 1
+        assert result.warnings == [
+            "rep 0 target 0 stat loss shadow(3): bad statistic on target 1",
+            "rep 0 target 1 stat loss: bad statistic on target 1",
+            "rep 0 target 2 stat loss shadow(3): bad statistic on target 1",
+            "rep 0 target 3 stat loss shadow(3): bad statistic on target 1",
+        ]
+        rep0 = [(r.target, r.calibration) for r in result.records if r.repetition == 0]
+        assert rep0 == [(0, "optimal"), (2, "optimal"), (3, "optimal")]
+        assert sum(r.repetition == 1 for r in result.records) == 4 * 2
+
     def test_statistic_value_error_warns(self, monkeypatch):
         import explainleak.harness as harness_module
 

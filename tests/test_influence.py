@@ -380,7 +380,7 @@ class TestBlockKernel:
         n = expl.n_points
         k = data.draw(st.integers(1, n), label="k")
         Y = block_queries(expl, np.random.default_rng(seed), data.draw(st.integers(0, 25)))
-        with mock.patch.object(influence_module, "_BLOCK_FLOATS", block_rows * n):
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", block_rows * n):
             top = expl.top_k_rows(Y, k)
         assert_same_reveals(top, expl, Y, k)
 
@@ -389,7 +389,7 @@ class TestBlockKernel:
     def test_self_reveals_matches_per_query_ranking(self, expl, block_rows, data):
         n = expl.n_points
         k = data.draw(st.integers(1, n), label="k")
-        with mock.patch.object(influence_module, "_BLOCK_FLOATS", block_rows * n):
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", block_rows * n):
             table = self_reveals(expl, k)
         assert_same_reveals(table, expl, expl.dataset.features, k)
 
@@ -414,7 +414,7 @@ class TestBlockKernel:
             except ValueError as exc:
                 expected = str(exc)
                 break
-        with mock.patch.object(influence_module, "_BLOCK_FLOATS", block_rows * n):
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", block_rows * n):
             if expected is None:
                 assert_same_reveals(expl.top_k_rows(Y, 1), expl, Y, 1)
             else:

@@ -24,8 +24,7 @@ from explainleak import (
     reconstruction_query_budget,
     topk_explain,
 )
-from explainleak import influence as influence_module
-from explainleak import reconstruct as reconstruct_module
+from explainleak import models as models_module
 from explainleak.reconstruct import OracleAnswer, _orthogonal_complement
 from conftest import (
     clear_gap,
@@ -522,9 +521,7 @@ class TestBaselineAttack:
                 return MarginalSampler(features * far, seed=seed)
             return TrueDistributionSampler(pool * far, seed=seed)
 
-        patch = block_rows * n
-        with mock.patch.object(influence_module, "_BLOCK_FLOATS", patch), \
-                mock.patch.object(reconstruct_module, "_BLOCK_FLOATS", patch):
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", block_rows * n):
             curve = baseline_attack(expl, make(), n_queries, k)
             replay = make()
             Y = np.array([replay.sample_batch(1)[0] for _ in range(n_queries)])
