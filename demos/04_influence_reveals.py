@@ -44,13 +44,13 @@ def minority_dataset(seed: int = 0) -> Dataset:
 
 def main() -> None:
     data = minority_dataset()
-    expl = build_loo_cache(data, TRAIN, k=5)
+    expl = build_loo_cache(data, TRAIN)
     print(f"trained logistic model on {data.n_points} points, "
           f"accuracy {expl.base.accuracy(data.features, data.labels):.3f}; "
           f"cached {data.n_points} leave-one-out retrainings")
 
     query = np.full(4, 2.0)
-    result = topk_explain(expl, query, k=5)
+    result = topk_explain(expl, query, None, 5)  # None: the predicted label
     print(f"\ntop-5 influence explanation for query {query.tolist()} "
           f"(label {result.label}):")
     print(f"{'rank':>5} {'train index':>12} {'influence':>12} {'group':>10}")

@@ -16,16 +16,10 @@ import numpy as np
 from .influence import InfluenceExplainer, topk_explain
 
 
-@dataclass
-class InfluenceGraph:
-    edges: list[list[int]]
-    k: int
-
-
-def build_influence_graph(reveals: np.ndarray) -> InfluenceGraph:
-    """Out-edges of node i are row i of an (n, k) `self_reveals` table: the
+def build_influence_graph(reveals: np.ndarray) -> list[list[int]]:
+    """The graph's out-edge rows: row i of an (n, k) `self_reveals` table, the
     top-k reveals of querying x_i with its own label."""
-    return InfluenceGraph(edges=reveals.tolist(), k=reveals.shape[1])
+    return reveals.tolist()
 
 
 def strongly_connected_components(edges: list[list[int]]) -> list[list[int]]:
@@ -89,13 +83,9 @@ class GraphMetrics:
         return asdict(self)
 
 
-def scc_metrics(graph: InfluenceGraph | list[list[int]]) -> GraphMetrics:
-    edges = graph.edges if isinstance(graph, InfluenceGraph) else graph
+def scc_metrics(edges: list[list[int]]) -> GraphMetrics:
     components = strongly_connected_components(edges)
-    in_degree = np.zeros(len(edges), dtype=np.int64)
-    for targets in edges:
-        for t in targets:
-            in_degree[t] += 1
+    in_degree = np.bincount([t for row in edges for t in row], minlength=len(edges))
     sizes = [len(c) for c in components]
     return GraphMetrics(
         scc_count=len(components),
@@ -128,24 +118,19 @@ def _crawl(edges: list[list[int]], seeds) -> list[int]:
 
 
 def traverse_attack(
-    expl: InfluenceExplainer,
-    graph: InfluenceGraph,
-    start_query: np.ndarray,
-    start_label: int | None = None,
+    expl: InfluenceExplainer, edges: list[list[int]], start_query: np.ndarray
 ) -> TraversalResult:
     """Crawl the training set by re-querying every revealed point once.
 
-    The start query is an arbitrary point (``start_label`` overrides the
-    predicted label for it); each revealed training point is queried at most
-    once with its true label, breadth-first, and the recovered set is
-    everything revealed along the way. Only the start query asks ``expl``: a
-    follow-up's answer is its row of ``graph``, built from ``expl``'s
-    `self_reveals`. The query count is the number recovered plus one.
+    The start query is an arbitrary point; each revealed training point is
+    queried at most once with its true label, breadth-first, and the recovered
+    set is everything revealed along the way. Only the start query asks
+    ``expl``, for as many points as a row of ``edges`` holds: a follow-up's
+    answer is its row of ``edges``, built from ``expl``'s `self_reveals`. The
+    query count is the number recovered plus one.
     """
-    start = topk_explain(
-        expl, np.asarray(start_query, dtype=np.float64), start_label, graph.k
-    )
-    recovered = _crawl(graph.edges, start.indices)
+    start = topk_explain(expl, start_query, None, len(edges[0]))
+    recovered = _crawl(edges, start.indices)
     return TraversalResult(recovered=recovered, query_count=len(recovered) + 1)
 
 
@@ -161,24 +146,16 @@ class GreedyCoverResult:
         return self.seed_count + len(self.covered)
 
 
-def _reachable_sets(edges: list[list[int]]) -> list[set[int]]:
-    """reach[v] = every node revealed by crawling outward from a query at v."""
-    return [set(_crawl(edges, row)) for row in edges]
-
-
-def greedy_omniscient_baseline(graph: InfluenceGraph | list[list[int]]) -> GreedyCoverResult:
+def greedy_omniscient_baseline(edges: list[list[int]]) -> GreedyCoverResult:
     """Greedy seed selection with full knowledge of the influence graph.
 
     Repeatedly seeds at the node whose crawl would cover the most still
     unrecovered nodes, until every node that has an incoming path is covered
     (zero-in-degree nodes are unreachable by any crawl and are excluded).
     """
-    edges = graph.edges if isinstance(graph, InfluenceGraph) else graph
     n = len(edges)
-    reach = _reachable_sets(edges)
-    has_in_edge = set()
-    for targets in edges:
-        has_in_edge.update(targets)
+    reach = [set(_crawl(edges, row)) for row in edges]  # every node a query at v reveals
+    has_in_edge = set().union(*edges)
     covered: set[int] = set()
     seeds: list[int] = []
     while not has_in_edge <= covered:

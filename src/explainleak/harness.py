@@ -435,7 +435,6 @@ def _run_repetitions(
 def run_threshold_experiment(
     cfg: ExperimentConfig,
     dataset: Dataset | None = None,
-    run_prefix: str = "",
     name: str = "threshold",
 ) -> ExperimentResult:
     """Train targets per repetition and attack each with every statistic.
@@ -451,7 +450,7 @@ def run_threshold_experiment(
     if dataset is None:
         dataset = cfg.load_dataset()
     result = ExperimentResult(name, [], DecisionTable(), [], {}, cfg.to_dict())
-    result.timings = _run_repetitions(dataset, cfg, run_prefix, result)
+    result.timings = _run_repetitions(dataset, cfg, "", result)
     return result
 
 
@@ -558,14 +557,13 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
     n_train = max(2, int(round(cfg.train_fraction * dataset.n_points)))
     train_set = dataset.subset(order[:n_train])
     holdout = dataset.features[order[n_train:]]
+    if cfg.graph_k > n_train:
+        raise ConfigError(f"graph_k ({cfg.graph_k}) exceeds the {n_train} training points")
 
-    expl = build_loo_cache(train_set, cfg.train, k=cfg.graph_k)
+    expl = build_loo_cache(train_set, cfg.train)
 
     recon = algorithm1_reconstruct(
-        expl,
-        y0=np.zeros(dataset.n_features),
-        max_points=cfg.max_points,
-        seed=child_seed(cfg.seed, "reconstruct"),
+        expl, max_points=cfg.max_points, seed=child_seed(cfg.seed, "reconstruct")
     )
     budget_rounds = min(train_set.n_points, dataset.n_features + 1)
     step_log = []
@@ -573,13 +571,13 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         entry = {
             "iteration": step.iteration,
             "revealed_index": step.index,
-            "anchor": [float(v) for v in step.anchor],
+            "anchor": step.anchor.tolist(),
             "queries": step.queries,
             "rank_deficient": step.rank_deficient,
         }
         if pos < len(recon.constraints):
             normal, rhs = recon.constraints[pos]
-            entry["constraint_normal"] = [float(v) for v in normal]
+            entry["constraint_normal"] = normal.tolist()
             entry["constraint_rhs"] = rhs
         step_log.append(entry)
     report_recon = {
@@ -604,6 +602,7 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
     metrics = scc_metrics(graph)
     greedy = greedy_omniscient_baseline(graph)
 
+    bounds = np.stack([dataset.features.min(axis=0), dataset.features.max(axis=0)], axis=1)
     rng_traverse = np.random.default_rng(child_seed(cfg.seed, "traverse"))
     if holdout.shape[0] > 0:
         picks = rng_traverse.choice(
@@ -613,9 +612,9 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         )
         starts = holdout[picks]
     else:
-        lo = dataset.features.min(axis=0)
-        hi = dataset.features.max(axis=0)
-        starts = rng_traverse.uniform(lo, hi, size=(cfg.traverse_starts, dataset.n_features))
+        starts = rng_traverse.uniform(
+            bounds[:, 0], bounds[:, 1], size=(cfg.traverse_starts, dataset.n_features)
+        )
     traverse_counts = []
     traverse_queries = []
     for start in starts:
@@ -623,9 +622,6 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         traverse_counts.append(len(outcome.recovered))
         traverse_queries.append(outcome.query_count)
 
-    bounds = np.stack(
-        [dataset.features.min(axis=0), dataset.features.max(axis=0)], axis=1
-    )
     samplers = {
         "uniform": UniformSampler(bounds, seed=child_seed(cfg.seed, "baseline", 0)),
         "marginal": MarginalSampler(
@@ -706,17 +702,9 @@ def config_hash(config: dict) -> str:
 
 
 def package_versions() -> dict:
-    try:
-        from importlib.metadata import version
+    from . import __version__
 
-        own = version("explainleak")
-    except Exception:
-        own = "unknown"
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "explainleak": own,
-    }
+    return {"python": platform.python_version(), "numpy": np.__version__, "explainleak": __version__}
 
 
 def write_manifest(

@@ -27,7 +27,6 @@ class RevealResult:
 
     indices: np.ndarray
     influences: np.ndarray
-    query: np.ndarray
     label: int
 
 
@@ -93,8 +92,6 @@ class InfluenceOracle:
         `_rank_block`; no label is needed, as it only flips the sign of I. Rows
         are answered in blocks of at most `_BLOCK_FLOATS` influences."""
         n = self.n_points
-        if not 1 <= k <= n:
-            raise ValueError("k must lie in [1, n_points]")
         Y = np.asarray(Y, dtype=np.float64)
         top = np.empty((len(Y), k), dtype=np.intp)
         for rows in _row_blocks(len(Y), n):
@@ -119,7 +116,10 @@ def _rank_block(neg: np.ndarray, k: int) -> np.ndarray:
     """Per row of a (rows, n) block of -|I|, the columns of its k smallest
     entries in ascending order, ties to the lower index: the first k columns of
     a stable argsort. Only rows with a tie at the k-th value are fully sorted.
-    A NaN raises ValueError naming the highest NaN index of the first NaN row."""
+    A k outside [1, n] raises ValueError, and so does a NaN, naming the highest
+    NaN index of the first NaN row."""
+    if not 1 <= k <= neg.shape[1]:
+        raise ValueError("k must lie in [1, n_points]")
     if np.isnan(neg.min()):
         row = np.isnan(neg[np.isnan(neg).any(axis=1).argmax()])
         raise ValueError(f"influence of training point {np.flatnonzero(row)[-1]} is NaN")
@@ -135,20 +135,16 @@ def _rank_block(neg: np.ndarray, k: int) -> np.ndarray:
 
 
 class InfluenceExplainer(InfluenceOracle):
-    """The oracle over its training set, with a default reveal size k."""
+    """The oracle over its training set."""
 
-    def __init__(self, dataset: Dataset, base: LogisticModel,
-                 loo_models: list[LogisticModel], k: int):
+    def __init__(self, dataset: Dataset, base: LogisticModel, loo_models: list[LogisticModel]):
         if len(loo_models) != dataset.n_points:
             raise ValueError("need one leave-one-out model per training point")
-        if not 1 <= k <= dataset.n_points:
-            raise ValueError("k must lie in [1, n_points]")
         super().__init__(base, loo_models)
         self.dataset = dataset
-        self.k = k
 
 
-def build_loo_cache(dataset: Dataset, cfg: TrainConfig, k: int = 1) -> InfluenceExplainer:
+def build_loo_cache(dataset: Dataset, cfg: TrainConfig) -> InfluenceExplainer:
     """The base `train_logistic` fit plus one `train_logistic_loo` batch, identical
     on every call. A non-finite model without point i raises RuntimeError naming i."""
     base = train_logistic(dataset, cfg)
@@ -158,30 +154,25 @@ def build_loo_cache(dataset: Dataset, cfg: TrainConfig, k: int = 1) -> Influence
         exc = TrainingDivergedError(cfg.epochs - 1, cfg.epochs - 1, float("nan"))
         raise RuntimeError(f"leave-one-out retraining failed for index {bad[0]}: {exc}") from exc
     loo_models = [LogisticModel(w=w, b=bias) for w, bias in zip(W, b)]
-    return InfluenceExplainer(dataset, base, loo_models, k)
+    return InfluenceExplainer(dataset, base, loo_models)
 
 
 def topk_explain(
-    expl: InfluenceExplainer,
-    y: np.ndarray,
-    label: int | None = None,
-    k: int | None = None,
+    expl: InfluenceExplainer, y: np.ndarray, label: int | None, k: int
 ) -> RevealResult:
-    """The k most influential training points by |I|, ties to lower index."""
-    k = expl.k if k is None else k
-    if not 1 <= k <= expl.n_points:
-        raise ValueError("k must lie in [1, n_points]")
+    """The k most influential training points by |I|, ties to lower index; a
+    None label is the base model's predicted label for y."""
     y = np.asarray(y, dtype=np.float64)
     if label is None:
         label = expl.predicted_label(y)
     top, influences = expl.top_k(y, label, k)
-    return RevealResult(indices=top, influences=influences, query=y, label=label)
+    return RevealResult(indices=top, influences=influences, label=label)
 
 
-def self_reveals(expl: InfluenceExplainer, k: int | None = None) -> np.ndarray:
+def self_reveals(expl: InfluenceExplainer, k: int) -> np.ndarray:
     """(n, k) top-k reveals of every training point queried with its own label.
     The ranking is stable, so the first j <= k columns are exactly the top-j."""
-    return expl.top_k_rows(expl.dataset.features, expl.k if k is None else k)
+    return expl.top_k_rows(expl.dataset.features, k)
 
 
 def _self_hits(reveals: np.ndarray) -> np.ndarray:

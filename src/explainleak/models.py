@@ -318,12 +318,14 @@ def init_model(layers: Sequence[LayerSpec], input_dim: int, seed: int) -> MlpMod
     return MlpModel(layers, input_dim, weights, biases, seed=seed)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss or parameter raises below
 def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
     """Train in place with seeded epoch shuffles; returns the same model.
 
     Mini-batches are consecutive slices of a fresh seeded permutation each
     epoch. The step-decayed learning rate lr/(1 + decay*step) advances once
-    per mini-batch. A non-finite batch loss aborts with diagnostics.
+    per mini-batch. A non-finite batch loss, or a non-finite parameter after the
+    last step, raises TrainingDivergedError; numpy's overflow warnings are silenced.
     """
     X = dataset.features
     labels = dataset.labels
@@ -364,6 +366,8 @@ def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
             else:  # plain full-batch gradient step
                 for p, g in zip(params, grads):
                     p -= lr_t * g
+    if not all(np.isfinite(p).all() for p in params):  # the last update overflowed
+        raise TrainingDivergedError(cfg.epochs - 1, step - 1, float("nan"))
     model.train_config = cfg
     return model
 

@@ -380,12 +380,7 @@ class TrueDistributionSampler:
         return rows
 
 
-def baseline_attack(
-    expl: InfluenceExplainer,
-    sampler,
-    n_queries: int,
-    k: int | None = None,
-) -> list[float]:
+def baseline_attack(expl: InfluenceExplainer, sampler, n_queries: int, k: int) -> list[float]:
     """Recovered-fraction curve of blind (non-adaptive) querying.
 
     Issues ``n_queries`` sampler-drawn queries against the top-k reveal
@@ -395,7 +390,6 @@ def baseline_attack(
     """
     if n_queries < 0:
         raise ValueError("n_queries must be >= 0")
-    k = expl.k if k is None else k
     n = expl.n_points
     first = np.full(n, n_queries)  # index of the first query revealing each point
     for rows in _row_blocks(n_queries, n):

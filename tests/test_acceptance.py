@@ -327,8 +327,8 @@ def test_criterion_09_cached_influence_is_exact():
     )
     dataset = generate_synthetic(synth)
     train_cfg = TrainConfig(optimizer="gd", lr=1.0, epochs=120, batch_size=None)
-    cached = build_loo_cache(dataset, train_cfg, k=1)
-    fresh = build_loo_cache(dataset, train_cfg, k=1)  # retrains every model
+    cached = build_loo_cache(dataset, train_cfg)
+    fresh = build_loo_cache(dataset, train_cfg)  # retrains every model
     rng = np.random.default_rng(9)
     for _ in range(50):
         y = rng.normal(0.0, 2.0, size=5)
@@ -412,18 +412,14 @@ def test_criterion_12_traversal_tracks_largest_component():
                 seed=seed,
             )
         )
-        expl = build_loo_cache(data, train_cfg, k=5)
+        expl = build_loo_cache(data, train_cfg)
         graph = build_influence_graph(self_reveals(expl, 5))
-        components = sorted(
-            strongly_connected_components(graph.edges), key=len, reverse=True
-        )
+        components = sorted(strongly_connected_components(graph), key=len, reverse=True)
         largest = set(components[0])
         assert len(largest) >= 2
 
         inside = min(largest)
-        outcome = traverse_attack(
-            expl, graph, data.features[inside], start_label=int(data.labels[inside])
-        )
+        outcome = traverse_attack(expl, graph, data.features[inside])
         assert largest <= set(outcome.recovered), (
             f"seed {seed}: start inside the component must recover all of it"
         )
@@ -528,7 +524,7 @@ def test_criterion_14_minority_group_is_more_exposed():
     wins = 0
     for seed in range(10):
         data = _minority_dataset(seed)
-        reveals = self_reveals(build_loo_cache(data, train_cfg, k=5), 5)
+        reveals = self_reveals(build_loo_cache(data, train_cfg), 5)
         overall = self_reveal_rate(reveals)
         minority = group_reveal_rates(reveals, data.groups)[1]
         wins += minority > overall

@@ -420,6 +420,18 @@ class TestConfigErrorsCaughtEarly:
         assert "max_points must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_graph_k_above_the_training_points(self, tmp_path, capsys, monkeypatch):
+        # 12 points, 6 of them in the train split: no graph row holds 50 reveals.
+        built = []
+        monkeypatch.setattr(harness, "build_loo_cache", lambda *args: built.append(args))
+        payload = {**RECON_PAYLOAD, "synth": {**RECON_PAYLOAD["synth"], "n_samples": 12},
+                   "graph_k": 50}
+        config = write_config(tmp_path, payload)
+        assert main(["reconstruct", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "graph_k (50) exceeds the 6 training points" in capsys.readouterr().err
+        assert not built
+        assert not (tmp_path / "out").exists()
+
     def test_max_points_one_still_runs(self, tmp_path):
         config = write_config(tmp_path, dict(RECON_PAYLOAD, max_points=1))
         out = tmp_path / "out"

@@ -21,7 +21,6 @@ from explainleak import (
     topk_explain,
     traverse_attack,
 )
-from explainleak.graph import InfluenceGraph
 from conftest import two_blob_dataset
 from test_influence import fake_explainer, tie_heavy_explainer
 
@@ -46,9 +45,9 @@ def _digraphs(draw, max_out_degree: int) -> list[list[int]]:
     return [draw(targets) for _ in range(n)]
 
 
-def reference_traverse(expl, start_query, k, start_label=None):
+def reference_traverse(expl, start_query, k):
     """The crawl `traverse_attack` replaced: one `topk_explain` per revealed point."""
-    start = topk_explain(expl, np.asarray(start_query, dtype=np.float64), start_label, k)
+    start = topk_explain(expl, np.asarray(start_query, dtype=np.float64), None, k)
     queries = 1
     recovered: list[int] = []
     seen: set[int] = set()
@@ -171,27 +170,27 @@ class TestBuildGraph:
                 for _ in range(6)]
         features = rng.normal(size=(6, 2))
         labels = rng.integers(0, 2, size=6).astype(np.int64)
-        expl = fake_explainer(base, loos, features=features, labels=labels, k=2)
-        graph = build_influence_graph(self_reveals(expl))
-        assert len(graph.edges) == 6 and graph.k == 2
+        expl = fake_explainer(base, loos, features=features, labels=labels)
+        graph = build_influence_graph(self_reveals(expl, 2))
+        assert len(graph) == 6 and all(len(row) == 2 for row in graph)
         for i in range(6):
             reveal = topk_explain(expl, features[i], int(labels[i]), 2)
-            assert graph.edges[i] == [int(j) for j in reveal.indices]
+            assert graph[i] == [int(j) for j in reveal.indices]
 
     def test_k_override(self):
         rng = np.random.default_rng(61)
         base = LogisticModel(w=rng.normal(size=2), b=0.0)
         loos = [LogisticModel(w=rng.normal(size=2), b=0.0) for _ in range(5)]
-        expl = fake_explainer(base, loos, features=rng.normal(size=(5, 2)), k=1)
+        expl = fake_explainer(base, loos, features=rng.normal(size=(5, 2)))
         graph = build_influence_graph(self_reveals(expl, 3))
-        assert all(len(row) == 3 for row in graph.edges)
+        assert all(len(row) == 3 for row in graph)
 
 
 class TestTraversal:
     @pytest.fixture
     def trained_explainer(self):
         ds = two_blob_dataset(n=20, n_features=2, seed=70)
-        return build_loo_cache(ds, FULL_BATCH, k=2)
+        return build_loo_cache(ds, FULL_BATCH)
 
     @pytest.fixture
     def graph(self, trained_explainer):
@@ -202,8 +201,8 @@ class TestTraversal:
         start = np.array([0.25, -0.4])
         outcome = traverse_attack(expl, graph, start)
         digraph = nx.DiGraph()
-        digraph.add_nodes_from(range(len(graph.edges)))
-        for u, targets in enumerate(graph.edges):
+        digraph.add_nodes_from(range(len(graph)))
+        for u, targets in enumerate(graph):
             digraph.add_edges_from((u, v) for v in targets)
         initial = [int(i) for i in topk_explain(expl, start, None, 2).indices]
         expected = set(initial)
@@ -226,15 +225,10 @@ class TestTraversal:
         expl = tie_heavy_explainer(n, min(distinct, n), seed)
         k = data.draw(st.integers(1, n), label="k")
         start = np.random.default_rng(seed + 1).normal(size=2)
-        label = data.draw(st.sampled_from([None, 0, 1]), label="start_label")
         graph = build_influence_graph(self_reveals(expl, k))
-        outcome = traverse_attack(expl, graph, start, start_label=label)
-        expected = reference_traverse(expl, start, k, label)
+        outcome = traverse_attack(expl, graph, start)
+        expected = reference_traverse(expl, start, k)
         assert (outcome.recovered, outcome.query_count) == expected
-
-    def test_start_label_accepted(self, trained_explainer, graph):
-        outcome = traverse_attack(trained_explainer, graph, np.zeros(2), start_label=1)
-        assert outcome.query_count >= 1
 
 
 class TestGreedyBaseline:
@@ -264,7 +258,7 @@ class TestGreedyBaseline:
         assert result.covered == {1}
 
     def test_accepts_graph_object(self):
-        graph = InfluenceGraph(edges=[[1], [0]], k=1)
+        graph = build_influence_graph(np.array([[1], [0]]))
         result = greedy_omniscient_baseline(graph)
         assert result.covered == {0, 1}
         assert result.seed_count == 1

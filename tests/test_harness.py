@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import explainleak
 from conftest import two_blob_dataset
 from explainleak.attacks import AttackStatistic, aggregate_shadow_taus
 from explainleak.harness import (
@@ -974,6 +977,19 @@ class TestWriters:
         assert payload["config_hash"] == config_hash({"seed": 3})
         assert payload["timings"] == {"total_seconds": 0.5}
         assert payload["note"] == "ok"
+
+    def test_manifest_names_the_package_version(self, tmp_path):
+        # Read from the package itself, so it holds when run from a source tree
+        # that was never installed.
+        path = tmp_path / "manifest.json"
+        write_manifest(path, {}, seed=0, timings={})
+        versions = json.loads(path.read_text())["versions"]
+        assert versions["explainleak"] == explainleak.__version__
+
+    def test_pyproject_version_is_the_package_version(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+        assert declared.group(1) == explainleak.__version__
 
     def test_experiment_result_write_names(self, tmp_path):
         result = ExperimentResult(

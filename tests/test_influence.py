@@ -31,7 +31,7 @@ from explainleak.models import train_logistic_loo
 FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
 
 
-def fake_explainer(base, loos, features=None, labels=None, groups=None, k=1):
+def fake_explainer(base, loos, features=None, labels=None, groups=None):
     """An explainer over fabricated models for exact-value tests."""
     n = len(loos)
     dim = base.w.size
@@ -40,7 +40,7 @@ def fake_explainer(base, loos, features=None, labels=None, groups=None, k=1):
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
     ds = Dataset(np.asarray(features, dtype=np.float64), labels, groups=groups)
-    return InfluenceExplainer(ds, base, list(loos), k)
+    return InfluenceExplainer(ds, base, list(loos))
 
 
 def sigmoid(z: float) -> float:
@@ -121,7 +121,7 @@ class TestTopkExplain:
         influences = expl.influence(y)
         naive = sorted(range(9), key=lambda i: (-abs(influences[i]), i))
         for k in (1, 3, 9):
-            result = topk_explain(expl, y, k=k)
+            result = topk_explain(expl, y, None, k)
             np.testing.assert_array_equal(result.indices, naive[:k])
 
     def test_exact_ties_prefer_lower_index(self):
@@ -132,7 +132,7 @@ class TestTopkExplain:
         # model 2 happens to dominate at this query, leaving the tied pair
         # in positions 1 and 2 with the lower index first.
         expl = fake_explainer(base, [twin, LogisticModel(twin.w.copy(), twin.b), other])
-        result = topk_explain(expl, np.array([3.0]), k=3)
+        result = topk_explain(expl, np.array([3.0]), None, 3)
         assert abs(result.influences[1]) == abs(result.influences[2])
         assert list(result.indices) == [2, 0, 1]
 
@@ -142,7 +142,7 @@ class TestTopkExplain:
         loos = [LogisticModel(w=rng.normal(size=2), b=0.1) for _ in range(5)]
         expl = fake_explainer(base, loos)
         y = np.array([0.4, -0.7])
-        result = topk_explain(expl, y, k=4)
+        result = topk_explain(expl, y, None, 4)
         np.testing.assert_array_equal(
             result.influences, expl.influence(y, result.label)[result.indices]
         )
@@ -150,16 +150,16 @@ class TestTopkExplain:
     def test_label_defaults_to_predicted(self):
         base = LogisticModel(w=np.array([2.0]), b=0.0)
         expl = fake_explainer(base, [LogisticModel(np.array([1.0]), 0.0)])
-        assert topk_explain(expl, np.array([1.0])).label == 1
-        assert topk_explain(expl, np.array([-1.0])).label == 0
+        assert topk_explain(expl, np.array([1.0]), None, 1).label == 1
+        assert topk_explain(expl, np.array([-1.0]), None, 1).label == 0
 
     def test_k_validated(self):
         base = LogisticModel(w=np.array([1.0]), b=0.0)
         expl = fake_explainer(base, [base, base])
         with pytest.raises(ValueError):
-            topk_explain(expl, np.zeros(1), k=0)
+            topk_explain(expl, np.zeros(1), None, 0)
         with pytest.raises(ValueError):
-            topk_explain(expl, np.zeros(1), k=3)
+            topk_explain(expl, np.zeros(1), None, 3)
 
 
 class TestLooCache:
@@ -172,9 +172,8 @@ class TestLooCache:
             assert a.b == b.b
 
     def test_one_model_per_point(self, blob_dataset):
-        expl = build_loo_cache(blob_dataset, FULL_BATCH, k=3)
+        expl = build_loo_cache(blob_dataset, FULL_BATCH)
         assert len(expl.loo_models) == blob_dataset.n_points
-        assert expl.k == 3
 
     def test_failure_tagged_with_point_index(self, monkeypatch, blob_dataset):
         # The leave-one-out models come from one batched fit, so a failed
@@ -207,7 +206,7 @@ class TestLooCache:
         ds = Dataset(np.zeros((3, 1)), np.zeros(3, dtype=np.int64))
         base = LogisticModel(np.zeros(1), 0.0)
         with pytest.raises(ValueError):
-            InfluenceExplainer(ds, base, [base], k=1)
+            InfluenceExplainer(ds, base, [base])
 
 
 class TestBatchedLoo:
@@ -265,15 +264,15 @@ class TestRevealRates:
         )
         labels = np.concatenate([np.zeros(10, np.int64), np.ones(10, np.int64), [0]])
         expl = build_loo_cache(Dataset(features, labels), FULL_BATCH)
-        result = topk_explain(expl, features[-1], label=0, k=1)
+        result = topk_explain(expl, features[-1], 0, 1)
         assert result.indices[0] == 20
 
     def test_group_rates_match_per_point_reveals(self):
         ds = two_blob_dataset(n=16, n_features=2, seed=35)
         groups = ["left" if i < 8 else "right" for i in range(16)]
         grouped = Dataset(ds.features, ds.labels, groups=groups)
-        expl = build_loo_cache(grouped, FULL_BATCH, k=2)
-        rates = group_reveal_rates(self_reveals(expl), grouped.groups)
+        expl = build_loo_cache(grouped, FULL_BATCH)
+        rates = group_reveal_rates(self_reveals(expl, 2), grouped.groups)
         expected = {"left": 0, "right": 0}
         for i in range(16):
             result = topk_explain(expl, grouped.features[i], int(grouped.labels[i]), 2)
@@ -283,14 +282,14 @@ class TestRevealRates:
             "left": expected["left"] / 8,
             "right": expected["right"] / 8,
         }
-        assert self_reveal_rate(self_reveals(expl)) == pytest.approx(
+        assert self_reveal_rate(self_reveals(expl, 2)) == pytest.approx(
             (expected["left"] + expected["right"]) / 16
         )
 
     def test_group_rates_require_group_tags(self, blob_dataset):
         expl = build_loo_cache(blob_dataset, FULL_BATCH)
         with pytest.raises(ValueError):
-            group_reveal_rates(self_reveals(expl), blob_dataset.groups)
+            group_reveal_rates(self_reveals(expl, 1), blob_dataset.groups)
 
 
 class TestNanInfluence:
@@ -305,13 +304,13 @@ class TestNanInfluence:
         ]
         expl = fake_explainer(base, loos)
         with pytest.raises(ValueError, match="training point 1 is NaN"):
-            topk_explain(expl, np.array([0.7]), k=1)
+            topk_explain(expl, np.array([0.7]), None, 1)
 
     def test_topk_rejects_nan_query(self):
         base = LogisticModel(w=np.array([1.0, 0.5]), b=0.0)
         expl = fake_explainer(base, [LogisticModel(np.array([0.5, 1.0]), 0.2)] * 3)
         with pytest.raises(ValueError, match="NaN"):
-            topk_explain(expl, np.array([np.nan, 0.8]), label=0, k=3)
+            topk_explain(expl, np.array([np.nan, 0.8]), 0, 3)
 
 
 class TestSelfRevealSweep:
@@ -327,7 +326,7 @@ class TestSelfRevealSweep:
             for i in range(n)
         ]
         assert self_reveals(expl, k).tolist() == per_point
-        assert build_influence_graph(self_reveals(expl, k)).edges == per_point
+        assert build_influence_graph(self_reveals(expl, k)) == per_point
         hits = [i in row for i, row in enumerate(per_point)]
         assert self_reveal_rate(self_reveals(expl, k)) == sum(hits) / n
         expected = {
@@ -339,7 +338,7 @@ class TestSelfRevealSweep:
         assert list(rates) == ["right", "left"]  # order of first appearance
 
 
-def tie_heavy_explainer(n: int, distinct: int, seed: int, k: int = 1):
+def tie_heavy_explainer(n: int, distinct: int, seed: int):
     """A fake explainer whose n leave-one-out models repeat `distinct` models, so
     the influences of points sharing a model tie exactly at every query."""
     rng = np.random.default_rng(seed)
@@ -347,7 +346,7 @@ def tie_heavy_explainer(n: int, distinct: int, seed: int, k: int = 1):
     pool = [LogisticModel(w=rng.normal(size=2), b=float(rng.normal())) for _ in range(distinct)]
     loos = [pool[j] for j in rng.integers(0, distinct, size=n)]
     labels = rng.integers(0, 2, size=n).astype(np.int64)
-    return fake_explainer(base, loos, features=rng.normal(size=(n, 2)), labels=labels, k=k)
+    return fake_explainer(base, loos, features=rng.normal(size=(n, 2)), labels=labels)
 
 
 class TestOneRevealTable:

@@ -12,8 +12,10 @@ from explainleak import (
     LayerSpec,
     LogisticModel,
     MlpModel,
+    SynthConfig,
     TrainConfig,
     TrainingDivergedError,
+    generate_synthetic,
     init_model,
     train,
     train_logistic,
@@ -451,6 +453,29 @@ class TestTraining:
         assert excinfo.value.epoch >= 0
         assert excinfo.value.step >= 0
         assert not np.isfinite(excinfo.value.loss)
+
+    def test_divergence_prints_no_numpy_warning(self):
+        # relu, Adam at lr 1e102: the forward pass overflows in matmul and the
+        # softmax subtracts infinities before the loss check sees a NaN.
+        ds = generate_synthetic(SynthConfig(n_features=3, n_samples=200, seed=3))
+        layers = [LayerSpec(50, "relu"), LayerSpec(50, "relu"), LayerSpec(2, "identity")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="epoch 0, step 1"):
+                train(init_model(layers, 3, seed=0), ds,
+                      TrainConfig(optimizer="adam", lr=1e102, batch_size=8))
+
+    def test_non_finite_last_update_raises(self):
+        # One full-batch step from a finite loss to infinite weights: no later
+        # loss is computed, so only the parameter check can catch it.
+        ds = two_blob_dataset(n=20, sep=8.0, seed=18)
+        ds = Dataset(ds.features * 1e3, ds.labels)
+        model = init_model([LayerSpec(2, "identity")], ds.n_features, seed=18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="epoch 0, step 0"):
+                train(model, ds, TrainConfig(optimizer="gd", lr=1e308, epochs=1,
+                                             batch_size=None))
 
     def test_label_out_of_range_rejected(self):
         ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 0]))

@@ -19,8 +19,12 @@ import explainleak
 # the learned attack network, which no command, experiment or demo ran, and the
 # second paths beside one that remains: the one-logit sigmoid output head (softmax
 # is the one head), the depth-first traversal schedule (the crawl is breadth-first),
-# sweep-dim's own key list (its config is a `Config` like every other) and the
-# duck-typed dataset loader (`DataSource.load_dataset` is the one).
+# sweep-dim's own key list (its config is a `Config` like every other), the
+# duck-typed dataset loader (`DataSource.load_dataset` is the one) and the wrapper
+# around the influence graph (its out-edge rows are the graph). The retired
+# parameters and fields below had no reader: a traversal's start label only flips
+# signs that the |I| ranking never reads, every reveal read names its own k, no
+# caller passed a run prefix and a reveal's echo of its query went unread.
 RETIRED_FUNCTIONS = {
     "explain": [
         "explain_gradient", "explain_grad_times_input", "explain_integrated_gradients",
@@ -36,18 +40,22 @@ RETIRED_FUNCTIONS = {
     "models": ["FINAL_HEADS"],
     "cli": ["SWEEP_DIM_KEYS"],
     "harness": ["load_experiment_dataset"],
+    "graph": ["InfluenceGraph"],
 }
 RETIRED_METHODS = {
     "MlpModel": ["forward", "loss", "input_gradient"],
     "LogisticModel": ["forward", "loss", "input_gradient"],
     "Explanation": ["to_json", "from_json"],
     "ReconstructionResult": ["query_count", "recovered_weights"],
-    "InfluenceGraph": ["n_nodes"],
 }
 RETIRED_PARAMETERS = {
     "MlpModel": ["final"],
     "init_model": ["final"],
-    "traverse_attack": ["schedule"],
+    "traverse_attack": ["schedule", "start_label"],
+    "build_loo_cache": ["k"],
+    "InfluenceExplainer": ["k"],
+    "run_threshold_experiment": ["run_prefix"],
+    "RevealResult": ["query"],
 }
 
 

@@ -460,7 +460,7 @@ class TestSamplers:
 @pytest.fixture(scope="module")
 def explainer():
     ds = two_blob_dataset(n=16, n_features=2, seed=82)
-    return build_loo_cache(ds, FULL_BATCH, k=2)
+    return build_loo_cache(ds, FULL_BATCH)
 
 
 class TestBaselineAttack:
@@ -472,7 +472,7 @@ class TestBaselineAttack:
             ],
             axis=1,
         )
-        curve = baseline_attack(explainer, UniformSampler(bounds, seed=9), 25, k=2)
+        curve = baseline_attack(explainer, UniformSampler(bounds, seed=9), 25, 2)
         replay_sampler = UniformSampler(bounds, seed=9)
         seen: set[int] = set()
         expected = []
@@ -484,24 +484,24 @@ class TestBaselineAttack:
 
     def test_curve_is_nondecreasing_fraction(self, explainer):
         sampler = MarginalSampler(explainer.dataset.features, seed=10)
-        curve = baseline_attack(explainer, sampler, 30, k=1)
+        curve = baseline_attack(explainer, sampler, 30, 1)
         assert len(curve) == 30
         assert all(0.0 <= v <= 1.0 for v in curve)
         assert all(b >= a for a, b in zip(curve, curve[1:]))
 
     def test_zero_queries_empty_curve(self, explainer):
         sampler = MarginalSampler(explainer.dataset.features, seed=11)
-        assert baseline_attack(explainer, sampler, 0) == []
+        assert baseline_attack(explainer, sampler, 0, 2) == []
 
     def test_negative_queries_rejected(self, explainer):
         sampler = MarginalSampler(explainer.dataset.features, seed=12)
         with pytest.raises(ValueError):
-            baseline_attack(explainer, sampler, -1)
+            baseline_attack(explainer, sampler, -1, 2)
 
     def test_exhausted_pool_propagates(self, explainer):
         sampler = TrueDistributionSampler(np.zeros((3, 2)), seed=13)
         with pytest.raises(SamplerExhaustedError):
-            baseline_attack(explainer, sampler, 4)
+            baseline_attack(explainer, sampler, 4, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(expl=loo_caches(), kind=st.sampled_from(["uniform", "marginal", "true_distribution"]),
