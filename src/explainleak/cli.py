@@ -3,20 +3,24 @@
 Subcommands: train, attack, sweep-dim, sweep-epochs, reconstruct, synth,
 perturb-attack. Each takes a JSON config (--config), an optional master
 seed override (--seed) and an output directory (--out); --threads is still
-accepted and has no effect. Exit codes: 0 success, 1 configuration error
-(including unknown flags, unknown config keys and unreadable configs),
-2 runtime failure.
+accepted and has no effect. Each writes its result files and returns an
+`Output`; `main` times it, writes its manifest and prints its summary. Exit
+codes: 0 success, 1 configuration error (including unknown flags, unknown
+config keys and unreadable configs), 2 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import decode
 from .data import write_csv_dataset
 from .harness import (
     CampaignConfig,
@@ -70,68 +74,66 @@ def _load_config(args) -> dict:
     return payload
 
 
-def _cmd_synth(args) -> int:
+class Output(NamedTuple):
+    """What a subcommand produced, once its result files are in --out."""
+
+    name: str
+    config: dict
+    seed: int
+    summary: str
+    warnings: Sequence[str] = ()
+    extra: dict | None = None
+
+
+def _cmd_synth(args) -> Output:
     cfg = SynthConfig.from_dict(_load_config(args))
     dataset = generate_synthetic(cfg)
-    out = _out_dir(args)
-    path = out / "synthetic.csv"
+    path = _out_dir(args) / "synthetic.csv"
     write_csv_dataset(path, dataset)
-    write_manifest(out / "synth_manifest.json", cfg.to_dict(), cfg.seed, {})
-    print(f"wrote {dataset.n_points} points x {dataset.n_features} features to {path}")
-    return 0
+    summary = f"wrote {dataset.n_points} points x {dataset.n_features} features to {path}"
+    return Output("synth", cfg.to_dict(), cfg.seed, summary)
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> Output:
     cfg = ExperimentConfig.from_dict(_load_config(args))
     dataset = cfg.load_dataset()
     model = train_target(dataset, cfg, child_seed(cfg.seed, "train"), dataset.n_classes)
-    out = _out_dir(args)
-    path = out / "model.json"
+    path = _out_dir(args) / "model.json"
     path.write_text(model.to_json() + "\n")
-    write_manifest(out / "train_manifest.json", cfg.to_dict(), cfg.seed, {})
     accuracy = model.accuracy(dataset.features, dataset.labels)
-    print(f"trained {cfg.model_kind} model, accuracy {accuracy:.4f}, saved to {path}")
-    return 0
+    summary = f"trained {cfg.model_kind} model, accuracy {accuracy:.4f}, saved to {path}"
+    return Output("train", cfg.to_dict(), cfg.seed, summary)
 
 
-def _write_result(result, args) -> int:
-    """Write an experiment result to --out and print its one-line summary."""
-    paths = result.write(_out_dir(args))
-    if result.records:
-        mean_acc = float(np.mean([r.attack_accuracy for r in result.records]))
-        print(
-            f"{len(result.records)} attack records, mean accuracy {mean_acc:.4f}, "
-            f"wrote {paths['records']}"
-        )
-    else:
-        print(f"no attack records produced, wrote {paths['records']}")
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return 0
+def _experiment_output(result, args) -> Output:
+    """Write an experiment result's CSVs to --out; its manifest keeps warnings and audits."""
+    records, path = result.records, result.write(_out_dir(args))["records"]
+    summary = f"no attack records produced, wrote {path}"
+    if records:
+        mean_acc = np.mean([r.attack_accuracy for r in records])
+        summary = f"{len(records)} attack records, mean accuracy {mean_acc:.4f}, wrote {path}"
+    return Output(result.name, result.config, result.config["seed"], summary, result.warnings,
+                  {"warnings": result.warnings, "audits": result.audits})
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args) -> Output:
     cfg = ExperimentConfig.from_dict(_load_config(args))
-    return _write_result(run_threshold_experiment(cfg), args)
+    return _experiment_output(run_threshold_experiment(cfg), args)
 
 
-def _cmd_perturb_attack(args) -> int:
+def _cmd_perturb_attack(args) -> Output:
     cfg = ExperimentConfig.from_dict(_load_config(args))
-    return _write_result(run_perturbation_experiment(cfg), args)
+    return _experiment_output(run_perturbation_experiment(cfg), args)
 
 
-def _cmd_sweep_epochs(args) -> int:
+def _cmd_sweep_epochs(args) -> Output:
     payload = _load_config(args)
     grid = payload.pop("epoch_grid", DEFAULT_EPOCH_GRID)
     cfg = ExperimentConfig.from_dict(payload)
-    try:
-        grid = [int(e) for e in grid]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad epoch_grid: {exc}") from exc
-    return _write_result(run_overfit_sweep(cfg, grid), args)
+    return _experiment_output(run_overfit_sweep(cfg, decode("epoch_grid", list[int], grid)), args)
 
 
-def _cmd_sweep_dim(args) -> int:
+def _cmd_sweep_dim(args) -> Output:
     cfg = SweepConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
         cfg.synth = replace(cfg.synth, seed=args.seed)
@@ -139,8 +141,7 @@ def _cmd_sweep_dim(args) -> int:
         results = dimension_sweep(cfg.dims, cfg.synth, cfg.arch, cfg.train)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _out_dir(args)
-    path = out / "dimension_sweep.csv"
+    path = _out_dir(args) / "dimension_sweep.csv"
     with open(path, "w", newline="") as handle:
         handle.write("dim,arch,correlation,train_acc,test_acc,seed,diverged\n")
         for row in results:
@@ -148,12 +149,11 @@ def _cmd_sweep_dim(args) -> int:
                 f"{row.dim},{row.arch},{row.correlation},{row.train_accuracy},"
                 f"{row.test_accuracy},{row.seed},{int(row.diverged)}\n"
             )
-    write_manifest(out / "sweep_dim_manifest.json", cfg.to_dict(), cfg.synth.seed, {})
-    print(f"swept {len(results)} dimensions, wrote {path}")
-    return 0
+    summary = f"swept {len(results)} dimensions, wrote {path}"
+    return Output("sweep_dim", cfg.to_dict(), cfg.synth.seed, summary)
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> Output:
     cfg = CampaignConfig.from_dict(_load_config(args))
     report = run_reconstruction_campaign(cfg)
     out = _out_dir(args)
@@ -161,18 +161,14 @@ def _cmd_reconstruct(args) -> int:
     with open(path, "w") as handle:
         json.dump(report, handle, sort_keys=True, indent=2)
         handle.write("\n")
-    graph_path = out / "graph_metrics.csv"
     graph = report["graph"]
-    with open(graph_path, "w", newline="") as handle:
+    with open(out / "graph_metrics.csv", "w", newline="") as handle:
         handle.write(",".join(graph) + "\n")
         handle.write(",".join(str(graph[key]) for key in graph) + "\n")
-    write_manifest(out / "reconstruct_manifest.json", cfg.to_dict(), cfg.seed, {})
     recon = report["reconstruction"]
-    print(
-        f"reconstruction recovered {recon['recovered_count']}/{report['n_train']} "
-        f"points ({recon['reason']}), report at {path}"
-    )
-    return 0
+    summary = (f"reconstruction recovered {recon['recovered_count']}/{report['n_train']} "
+               f"points ({recon['reason']}), report at {path}")
+    return Output("reconstruct", cfg.to_dict(), cfg.seed, summary)
 
 
 def build_parser() -> _Parser:
@@ -205,8 +201,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The one command tail: time the subcommand, write its manifest, print it.
     try:
-        return args.func(args)
+        start = time.perf_counter()
+        output = args.func(args)
+        timings = {"total_seconds": time.perf_counter() - start}
+        manifest = Path(args.out) / f"{output.name}_manifest.json"
+        write_manifest(manifest, output.config, output.seed, timings, output.extra)
+        print(output.summary)
+        for warning in output.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,10 @@
 
 `Config.to_dict` and `Config.from_dict` walk the dataclass fields by their
 type annotations: nested configs (optional or not) and lists of configs
-recurse, tuples travel as lists and are rebuilt with their element type
-(``tuple[int, ...]`` casts each element with ``int``), and every other value
-passes through. Only fields annotated ``X | None`` accept null. An unknown
-key at any level, or a TypeError/ValueError from a constructor, raises
+recurse, tuples travel as lists, and a scalar must already have its field's
+type (an ``int`` refuses bools and floats; a ``float`` takes an int as it is).
+Only fields annotated ``X | None`` accept null. A mistyped value, an unknown
+key at any level, or a TypeError/ValueError from a constructor raises
 ConfigError.
 """
 from __future__ import annotations
@@ -29,21 +29,30 @@ def _encode(value):
     return value
 
 
-def _decode(key: str, hint, value):
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+            bool: (bool, "a boolean"), dict: (dict, "an object")}
+
+
+def decode(key: str, hint, value):
+    """Field `key`'s JSON value, as annotated by `hint`; scalars must have a `_SCALARS` type."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None:
             return None
         (hint,) = [a for a in args if a is not type(None)]
-        return _decode(key, hint, value)
+        return decode(key, hint, value)
     if value is None:
         raise ConfigError(f"{key} must not be null")
     if isinstance(hint, type) and issubclass(hint, Config):
         return hint.from_dict(value)
-    if origin is list and args:
-        return [_decode(key, args[0], v) for v in value]
-    if origin is tuple and args:
-        return tuple(args[0](v) for v in value)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        items = [decode(key, args[0], v) for v in value]
+        return items if origin is list else tuple(items)
+    types_, name = _SCALARS[hint]
+    if not isinstance(value, types_) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
     return value
 
 
@@ -63,7 +72,7 @@ class Config:
             raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
         hints = typing.get_type_hints(cls)
         try:
-            return cls(**{key: _decode(key, hints[key], v) for key, v in payload.items()})
+            return cls(**{key: decode(key, hints[key], v) for key, v in payload.items()})
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

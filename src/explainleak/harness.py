@@ -6,7 +6,7 @@ optimal and shadow calibration, the overfitting sweep, the reduced-scale
 perturbation-method comparison, and reconstruction campaigns. A master seed
 fans out through named, indexed children, so every result depends only on
 the config; emitted CSVs are byte-stable across reruns (wall times go to the
-manifest only).
+CLI's manifest only).
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import hashlib
 import json
 import platform
 import re
-import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (leakbench's tracer patches it)
 from dataclasses import dataclass, field, fields, replace
@@ -285,30 +284,17 @@ class ExperimentResult:
     records: list[RunRecord]
     decisions: DecisionTable
     warnings: list[str]
-    timings: dict
     config: dict
     audits: list[dict] = field(default_factory=list)
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
+        """Write the records and decisions CSVs; the CLI writes the manifest."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        records_path = out / f"{self.name}_records.csv"
-        decisions_path = out / f"{self.name}_decisions.csv"
-        manifest_path = out / f"{self.name}_manifest.json"
-        write_records_csv(records_path, self.records)
-        write_decisions_csv(decisions_path, self.decisions)
-        write_manifest(
-            manifest_path,
-            self.config,
-            self.config.get("seed", 0),
-            self.timings,
-            extra={"warnings": self.warnings, "audits": self.audits},
-        )
-        return {
-            "records": records_path,
-            "decisions": decisions_path,
-            "manifest": manifest_path,
-        }
+        paths = {kind: out / f"{self.name}_{kind}.csv" for kind in ("records", "decisions")}
+        write_records_csv(paths["records"], self.records)
+        write_decisions_csv(paths["decisions"], self.decisions)
+        return paths
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +406,6 @@ def _run_repetition(
             )
 
 
-def _run_repetitions(
-    dataset: Dataset, cfg: ExperimentConfig, prefix: str, result: ExperimentResult
-) -> dict:
-    """Run every repetition of cfg into result; returns their manifest timings."""
-    seconds = []
-    for rep in range(cfg.repetitions):
-        start = time.perf_counter()
-        _run_repetition(dataset, cfg, rep, prefix, result)
-        seconds.append(time.perf_counter() - start)
-    return {"repetition_seconds": seconds, "total_seconds": sum(seconds)}
-
-
 def run_threshold_experiment(
     cfg: ExperimentConfig,
     dataset: Dataset | None = None,
@@ -449,8 +423,9 @@ def run_threshold_experiment(
     """
     if dataset is None:
         dataset = cfg.load_dataset()
-    result = ExperimentResult(name, [], DecisionTable(), [], {}, cfg.to_dict())
-    result.timings = _run_repetitions(dataset, cfg, "", result)
+    result = ExperimentResult(name, [], DecisionTable(), [], cfg.to_dict())
+    for rep in range(cfg.repetitions):
+        _run_repetition(dataset, cfg, rep, "", result)
     return result
 
 
@@ -468,11 +443,11 @@ def run_overfit_sweep(
     if dataset is None:
         dataset = cfg.load_dataset()
     config = {**cfg.to_dict(), "epoch_grid": [int(e) for e in epoch_grid]}
-    result = ExperimentResult("overfit", [], DecisionTable(), [], {}, config)
+    result = ExperimentResult("overfit", [], DecisionTable(), [], config)
     for epochs in config["epoch_grid"]:
         sub_cfg = replace(cfg, train=replace(cfg.train, epochs=epochs), calibrations=["optimal"])
-        timings = _run_repetitions(dataset, sub_cfg, f"e{epochs}-", result)
-        result.timings[f"epochs_{epochs}"] = timings
+        for rep in range(cfg.repetitions):
+            _run_repetition(dataset, sub_cfg, rep, f"e{epochs}-", result)
     return result
 
 
@@ -557,8 +532,9 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
     n_train = max(2, int(round(cfg.train_fraction * dataset.n_points)))
     train_set = dataset.subset(order[:n_train])
     holdout = dataset.features[order[n_train:]]
-    if cfg.graph_k > n_train:
-        raise ConfigError(f"graph_k ({cfg.graph_k}) exceeds the {n_train} training points")
+    for key, k in (("graph_k", cfg.graph_k), ("reveal_ks", max(cfg.reveal_ks))):
+        if k > n_train:
+            raise ConfigError(f"{key} ({k}) exceeds the {n_train} training points")
 
     expl = build_loo_cache(train_set, cfg.train)
 
@@ -596,8 +572,7 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
 
     # One own-label reveal table serves the graph, the crawls and every rate:
     # its first k columns are the top-k reveals.
-    reveal_ks = [min(int(k), train_set.n_points) for k in cfg.reveal_ks]
-    reveals = self_reveals(expl, max(cfg.graph_k, *reveal_ks))
+    reveals = self_reveals(expl, max(cfg.graph_k, *cfg.reveal_ks))
     graph = build_influence_graph(reveals[:, : cfg.graph_k])
     metrics = scc_metrics(graph)
     greedy = greedy_omniscient_baseline(graph)
@@ -643,8 +618,8 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         )
 
     reveal = {}
-    for k, k_eff in zip(cfg.reveal_ks, reveal_ks):
-        top = reveals[:, :k_eff]
+    for k in cfg.reveal_ks:
+        top = reveals[:, :k]
         entry = {"self_reveal_rate": self_reveal_rate(top)}
         if train_set.groups is not None:
             entry["group_reveal_rates"] = group_reveal_rates(top, train_set.groups)

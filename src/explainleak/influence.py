@@ -83,6 +83,7 @@ class InfluenceOracle:
 
     def top_k(self, y: np.ndarray, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices and influences of the k largest |I|, ranked by `_rank_block`."""
+        _check_k(k, self.n_points)
         influences = self.influence(y, label)
         top = _rank_block(-np.abs(influences)[None, :], k)[0]
         return top, influences[top]
@@ -92,6 +93,7 @@ class InfluenceOracle:
         `_rank_block`; no label is needed, as it only flips the sign of I. Rows
         are answered in blocks of at most `_BLOCK_FLOATS` influences."""
         n = self.n_points
+        _check_k(k, n)
         Y = np.asarray(Y, dtype=np.float64)
         top = np.empty((len(Y), k), dtype=np.intp)
         for rows in _row_blocks(len(Y), n):
@@ -112,14 +114,17 @@ class InfluenceOracle:
         return OracleAnswer(prediction=float(f), index=int(idx), influence=float(influence))
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:  # every reveal read checks its k here, before it reads a row
+        raise ValueError("k must lie in [1, n_points]")
+
+
 def _rank_block(neg: np.ndarray, k: int) -> np.ndarray:
     """Per row of a (rows, n) block of -|I|, the columns of its k smallest
     entries in ascending order, ties to the lower index: the first k columns of
     a stable argsort. Only rows with a tie at the k-th value are fully sorted.
-    A k outside [1, n] raises ValueError, and so does a NaN, naming the highest
-    NaN index of the first NaN row."""
-    if not 1 <= k <= neg.shape[1]:
-        raise ValueError("k must lie in [1, n_points]")
+    A NaN raises ValueError naming the highest NaN index of the first NaN row;
+    the caller has checked k with `_check_k`."""
     if np.isnan(neg.min()):
         row = np.isnan(neg[np.isnan(neg).any(axis=1).argmax()])
         raise ValueError(f"influence of training point {np.flatnonzero(row)[-1]} is NaN")

@@ -301,3 +301,36 @@ class TestThresholdRuleAndEvaluation:
         rule = ThresholdRule(AttackStatistic("loss"), tau=0.4)
         values = statistic_values(rule.statistic, model, features, labels)
         np.testing.assert_array_equal(rule.decide(values), [True, True, False, False])
+
+
+def _reverses_order(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether b falls strictly wherever a rises, and ties exactly where a ties,
+    so that a map from a to b merges no two distinct values."""
+    order = np.argsort(a, kind="stable")
+    da, db = np.diff(a[order]), np.diff(b[order])
+    return bool(np.all(((da > 0) & (db < 0)) | ((da == 0) & (db == 0))))
+
+
+class TestLogisticGradientIdentity:
+    """For a logistic model the input gradient is ±f(1−f)·w and pred_var is
+    2(f − ½)², so at every point expl_var[gradient] = (¼ − pred_var/2)² ·
+    variance(w). The map falls in pred_var and the two statistics vote in
+    opposite directions, so their optimal attacks agree: the gradient leaks
+    membership only through the model's confidence."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 11), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_variance_is_a_function_of_pred_var(self, d, seed):
+        rng = np.random.default_rng(seed)
+        model = LogisticModel(w=rng.normal(size=d), b=float(rng.normal()))
+        X = rng.normal(size=(80, d))
+        gradient = AttackStatistic("expl_var", "gradient")
+        pred_var = AttackStatistic("pred_var")
+        expl = statistic_values(gradient, model, X)
+        pred = statistic_values(pred_var, model, X)
+        np.testing.assert_allclose(expl, (0.25 - pred / 2) ** 2 * variance(model.w), rtol=1e-6)
+        if _reverses_order(pred, expl):
+            assert (
+                optimal_threshold(expl[:40], expl[40:], gradient.member_if)[1]
+                == optimal_threshold(pred[:40], pred[40:], pred_var.member_if)[1]
+            )

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from explainleak import harness, synth
+from explainleak import cli, harness, synth
 from explainleak.cli import build_parser, main
 from explainleak.harness import config_hash
 
@@ -432,6 +432,18 @@ class TestConfigErrorsCaughtEarly:
         assert not built
         assert not (tmp_path / "out").exists()
 
+    def test_reveal_ks_above_the_training_points(self, tmp_path, capsys, monkeypatch):
+        # 12 points, 6 of them in the train split: a "top-50" rate would be a top-6 rate.
+        built = []
+        monkeypatch.setattr(harness, "build_loo_cache", lambda *args: built.append(args))
+        payload = {**RECON_PAYLOAD, "synth": {**RECON_PAYLOAD["synth"], "n_samples": 12},
+                   "reveal_ks": [1, 50]}
+        config = write_config(tmp_path, payload)
+        assert main(["reconstruct", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "reveal_ks (50) exceeds the 6 training points" in capsys.readouterr().err
+        assert not built
+        assert not (tmp_path / "out").exists()
+
     def test_max_points_one_still_runs(self, tmp_path):
         config = write_config(tmp_path, dict(RECON_PAYLOAD, max_points=1))
         out = tmp_path / "out"
@@ -510,6 +522,104 @@ class TestUnreadTrainingSettingsExitOne:
         assert message in capsys.readouterr().err
         assert not fits
         assert not (tmp_path / "out").exists()
+
+
+class TestMistypedValuesExitOne:
+    """A config value of the wrong JSON type is a config error naming its field,
+    raised before any fit. Each of these once exited 0 on a converted value
+    (seed 1.5 ran seed 1's experiment, width 8.5 trained width 8), exited 2
+    with an error naming no field, or iterated a string as a list."""
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("attack", {**ATTACK_PAYLOAD, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("attack", {**ATTACK_PAYLOAD, "hidden": [8.5]}, "hidden must be an integer, got 8.5"),
+        ("attack", {**ATTACK_PAYLOAD, "repetitions": 1.5},
+         "repetitions must be an integer, got 1.5"),
+        ("attack", {**ATTACK_PAYLOAD, "train": {**ATTACK_PAYLOAD["train"], "epochs": 2.5}},
+         "epochs must be an integer, got 2.5"),
+        ("synth", {"n_features": 2, "n_samples": 40.5}, "n_samples must be an integer, got 40.5"),
+        ("reconstruct", {**RECON_PAYLOAD, "graph_k": 2.5}, "graph_k must be an integer, got 2.5"),
+        ("reconstruct", {**RECON_PAYLOAD, "traverse_starts": 2.5},
+         "traverse_starts must be an integer, got 2.5"),
+        ("attack", {**ATTACK_PAYLOAD, "calibrations": "optimal"},
+         "calibrations must be a list, got 'optimal'"),
+        ("sweep-epochs", {**ATTACK_PAYLOAD, "epoch_grid": [1.5]},
+         "epoch_grid must be an integer, got 1.5"),
+    ], ids=["seed", "hidden", "repetitions", "epochs", "n_samples", "graph_k",
+            "traverse_starts", "calibrations", "epoch_grid"])
+    def test_exits_1_naming_the_field(self, tmp_path, capsys, monkeypatch, command, payload,
+                                      message):
+        fits = []
+        for owner, name in [(harness, "train"), (harness, "build_loo_cache"),
+                            (harness, "generate_synthetic")]:
+            monkeypatch.setattr(owner, name, lambda *args: fits.append(args))
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not fits
+        assert not (tmp_path / "out").exists()
+
+    def test_a_float_field_takes_an_int_as_it_is(self, tmp_path):
+        # The report and the manifest echo the config, so an int stays an int.
+        payload = {**RECON_PAYLOAD, "train_fraction": 1,
+                   "synth": {**RECON_PAYLOAD["synth"], "class_sep": 2}}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", config, "--out", str(out)]) == 0
+        echoed = json.loads((out / "reconstruction_report.json").read_text())["config"]
+        assert type(echoed["train_fraction"]) is type(echoed["synth"]["class_sep"]) is int
+
+
+_SMALL_ATTACK = {**ATTACK_PAYLOAD, "train": {**ATTACK_PAYLOAD["train"], "epochs": 2}}
+# A small valid config for each subcommand, and the name of its manifest.
+TAIL_PAYLOADS = {
+    "synth": ({"n_features": 2, "n_samples": 12, "seed": 3}, "synth"),
+    "train": (_SMALL_ATTACK, "train"),
+    "attack": (_SMALL_ATTACK, "threshold"),
+    "perturb-attack": ({**_SMALL_ATTACK, "points_per_subset": 6}, "perturbation"),
+    "sweep-epochs": ({**_SMALL_ATTACK, "epoch_grid": [1, 2]}, "overfit"),
+    "sweep-dim": ({**SWEEP_PAYLOAD, "train": {"epochs": 2}}, "sweep_dim"),
+    "reconstruct": (RECON_PAYLOAD, "reconstruct"),
+}
+
+
+class TestCommandTail:
+    """Every subcommand ends in `main`'s one tail: one manifest, timed as a
+    whole, then the summary on stdout and each warning on stderr."""
+
+    @pytest.mark.parametrize("command", list(TAIL_PAYLOADS))
+    def test_one_timed_manifest_per_run(self, tmp_path, capsys, monkeypatch, command):
+        payload, name = TAIL_PAYLOADS[command]
+        written = []
+        real = cli.write_manifest
+        monkeypatch.setattr(cli, "write_manifest", lambda *a: written.append(a) or real(*a))
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out), "--seed", "6"]) == 0
+        assert [a[0] for a in written] == [out / f"{name}_manifest.json"]
+        manifest = json.loads((out / f"{name}_manifest.json").read_text())
+        assert manifest["config_hash"] == config_hash(manifest["config"])
+        assert manifest["seed"] == 6
+        assert list(manifest["timings"]) == ["total_seconds"]
+        assert manifest["timings"]["total_seconds"] > 0
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1 and captured.err == ""
+
+    def test_warnings_go_to_the_manifest_and_stderr(self, tmp_path, capsys):
+        # Adam at lr 1e102 through relu layers: both targets diverge, and the
+        # run goes on with warnings and no records.
+        payload = {**ATTACK_PAYLOAD, "hidden": [50, 50], "activation": "relu",
+                   "train": {"optimizer": "adam", "lr": 1e102, "epochs": 8, "batch_size": 8}}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["attack", "--config", config, "--out", str(out)]) == 0
+        manifest = json.loads((out / "threshold_manifest.json").read_text())
+        captured = capsys.readouterr()
+        assert captured.out.startswith("no attack records produced")
+        assert len(manifest["warnings"]) == 2
+        assert all("training diverged" in w for w in manifest["warnings"])
+        assert captured.err == "".join(f"warning: {w}\n" for w in manifest["warnings"])
+        assert len(manifest["audits"]) == 1
 
 
 class TestInstalledEntryPoints:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import explainleak
 from conftest import two_blob_dataset
 from explainleak.attacks import AttackStatistic, aggregate_shadow_taus
+from explainleak.cli import main
 from explainleak.harness import (
     DECISION_CSV_COLUMNS,
     RECORD_CSV_COLUMNS,
@@ -228,9 +229,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(payload)
 
-    def test_from_dict_casts_hidden_widths(self):
-        payload = dict(make_experiment_config().to_dict(), hidden=[8.0, "4"])
+    def test_from_dict_refuses_non_integer_hidden_widths(self):
+        # Widths were once cast with int(), so [8.5] trained a width of 8.
+        payload = dict(make_experiment_config().to_dict(), hidden=[8, 4])
         assert ExperimentConfig.from_dict(payload).hidden == (8, 4)
+        for hidden in ([8.0, 4], [8, "4"], [8.5], [True], "8", {"width": 8}):
+            with pytest.raises(ConfigError, match="^hidden must be"):
+                ExperimentConfig.from_dict(dict(payload, hidden=hidden))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -489,15 +494,21 @@ class TestThresholdExperiment:
             header = handle.readline().strip().split(",")
         assert tuple(header) == RECORD_CSV_COLUMNS
 
-        rerun_paths = run_threshold_experiment(cfg).write(tmp_path / "rerun")
+        # The rerun goes through the CLI, whose one command tail writes the manifest.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg.to_dict()))
+        assert main(["attack", "--config", str(config), "--out", str(tmp_path / "rerun")]) == 0
         for key in ("records", "decisions"):
-            assert paths[key].read_bytes() == rerun_paths[key].read_bytes()
+            rerun = tmp_path / "rerun" / paths[key].name
+            assert paths[key].read_bytes() == rerun.read_bytes()
 
-        manifest = json.loads(paths["manifest"].read_text())
+        manifest = json.loads((tmp_path / "rerun" / "threshold_manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(cfg.to_dict())
         assert manifest["seed"] == cfg.seed
         assert {"python", "numpy", "explainleak"} <= set(manifest["versions"])
         assert manifest["audits"] == result.audits
+        assert manifest["warnings"] == result.warnings == []
+        assert set(manifest["timings"]) == {"total_seconds"}
 
     def test_decisions_csv_matches_csv_writer(self, threshold_run, tmp_path):
         assert_decisions_csv_is_csv_writer_output(threshold_run[1], tmp_path)
@@ -997,10 +1008,11 @@ class TestWriters:
             records=[],
             decisions=[],
             warnings=["w"],
-            timings={},
             config={"seed": 0},
         )
         paths = result.write(tmp_path)
         assert paths["records"].name == "demo_records.csv"
         assert paths["decisions"].name == "demo_decisions.csv"
-        assert json.loads(paths["manifest"].read_text())["warnings"] == ["w"]
+        # The manifest, with the warnings, is the CLI's to write.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo_decisions.csv",
+                                                              "demo_records.csv"]

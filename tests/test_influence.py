@@ -429,14 +429,18 @@ class TestBlockKernel:
         with pytest.raises(ValueError, match="training point 2 is NaN"):
             self_reveals(expl, 2)
 
-    @pytest.mark.parametrize("k", [0, 4])
+    @pytest.mark.parametrize("k", [0, 4, -1, 99])
     def test_k_validated(self, k):
         base = LogisticModel(w=np.array([1.0]), b=0.0)
         expl = fake_explainer(base, [base] * 3)
         with pytest.raises(ValueError, match="k must lie"):
             self_reveals(expl, k)
-        with pytest.raises(ValueError, match="k must lie"):
-            expl.top_k_rows(np.zeros((2, 1)), k)
+        # A read of no rows checks its k too: k = 99 once gave a (0, 99) array,
+        # and k = -1 failed inside numpy.
+        assert expl.top_k_rows(np.zeros((0, 1)), 3).shape == (0, 3)
+        for rows in (2, 0):
+            with pytest.raises(ValueError, match=r"^k must lie in \[1, n_points\]$"):
+                expl.top_k_rows(np.zeros((rows, 1)), k)
 
 
 class TestRankBlock:
