@@ -4,9 +4,9 @@
 type annotations: nested configs (optional or not) and lists of configs
 recurse, tuples travel as lists, and a scalar must already have its field's
 type (an ``int`` refuses bools and floats; a ``float`` takes an int as it is).
-Only fields annotated ``X | None`` accept null. A mistyped value, an unknown
-key at any level, or a TypeError/ValueError from a constructor raises
-ConfigError.
+Only fields annotated ``X | None`` accept null. A mistyped value (named by its
+dotted path, as ``train.epochs``), an unknown key at any level, or a
+TypeError/ValueError from a constructor raises ConfigError.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ def decode(key: str, hint, value):
     if value is None:
         raise ConfigError(f"{key} must not be null")
     if isinstance(hint, type) and issubclass(hint, Config):
-        return hint.from_dict(value)
+        return hint.from_dict(value, f"{key}.")
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
@@ -63,7 +63,7 @@ class Config:
         return {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @classmethod
-    def from_dict(cls, payload: dict):
+    def from_dict(cls, payload: dict, path: str = ""):  # path: "train." in a nested config
         name = cls.__name__
         if not isinstance(payload, dict):
             raise ConfigError(f"{name} must be a JSON object, got {payload!r}")
@@ -72,7 +72,7 @@ class Config:
             raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
         hints = typing.get_type_hints(cls)
         try:
-            return cls(**{key: decode(key, hints[key], v) for key, v in payload.items()})
+            return cls(**{key: decode(path + key, hints[key], v) for key, v in payload.items()})
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

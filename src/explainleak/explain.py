@@ -15,10 +15,12 @@ model, and integrated gradients, evaluates the copies x + e themselves.
 """
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .config import decode
 from .models import MlpModel, _row_blocks
 
 
@@ -198,13 +200,19 @@ EXPLANATION_METHODS = tuple(_METHODS)
 
 def _method_params(method: str, params: dict | None):
     """The method's params dataclass built from params (None for a method without
-    params); an unknown method or a key the method does not take raises ValueError."""
+    params); an unknown method or a key the method does not take raises ValueError,
+    and a value that is not its field's JSON type (sigma and baseline may also be
+    arrays) raises the config codec's ConfigError naming the field."""
     if method not in _METHODS:
         raise ValueError(f"unknown explanation method {method!r}")
     params, cls = params or {}, _METHODS[method][1]
     unknown = set(params) - {f.name for f in fields(cls)} if cls else set(params)
     if unknown:
         raise ValueError(f"{method} does not take params {sorted(unknown)}")
+    hints = typing.get_type_hints(cls) if cls else {}
+    for key, value in params.items():
+        if np.ndarray not in typing.get_args(hints[key]):
+            decode(key, hints[key], value)
     return cls(**params) if cls else None
 
 

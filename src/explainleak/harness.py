@@ -6,13 +6,17 @@ optimal and shadow calibration, the overfitting sweep, the reduced-scale
 perturbation-method comparison, and reconstruction campaigns. A master seed
 fans out through named, indexed children, so every result depends only on
 the config; emitted CSVs are byte-stable across reruns (wall times go to the
-CLI's manifest only).
+CLI's manifest only). A threshold or overfit run trains its targets as one
+job list: with 2 or more jobs and usable CPUs, in forked worker processes
+that inherit the BLAS environment; the bytes are the same on either path at a
+fixed BLAS thread count.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import os
 import platform
 import re
 import zlib
@@ -58,14 +62,11 @@ def child_seed(master: int, tag: str, *indices: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-_SHADOW_RE = re.compile(r"^shadow\((\d+)\)$")
-
-
 def parse_calibration(text: str) -> tuple[str, int | None]:
     """'optimal' -> ('optimal', None); 'shadow(s)' -> ('shadow', s)."""
     if text == "optimal":
         return "optimal", None
-    match = _SHADOW_RE.match(text)
+    match = re.fullmatch(r"shadow\((\d+)\)", text)
     if match:
         s = int(match.group(1))
         if s < 1:
@@ -130,14 +131,15 @@ class ExperimentConfig(DataSource):
                 raise ConfigError("points_per_subset must be even and >= 2")
         if not self.statistics:
             raise ConfigError("at least one attack statistic is required")
+        walks = [s.method for s in self.statistics if s.method in ("guided_backprop", "lrp")]
+        if walks and self.model_kind == "logistic":
+            raise ConfigError(f"{walks[0]} walks MlpModel layers, which a logistic target lacks")
         if not self.calibrations:
             raise ConfigError("at least one calibration mode is required")
         for cal in self.calibrations:
             kind, s = parse_calibration(cal)
             if kind == "shadow" and s >= self.subsets_per_repetition:
-                raise ConfigError(
-                    f"shadow({s}) needs more than {s} subsets per repetition"
-                )
+                raise ConfigError(f"shadow({s}) needs more than {s} subsets per repetition")
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +160,8 @@ class TargetSplit:
 
 
 def sampling_protocol(
-    dataset: Dataset,
-    n_subsets: int = 4,
-    subset_size: int | None = None,
-    resample: bool = False,
-    seed: int = 0,
+    dataset: Dataset, n_subsets: int = 4, subset_size: int | None = None,
+    resample: bool = False, seed: int = 0,
 ) -> list[TargetSplit]:
     """Seeded subsets split 50/50 into member (train) and non-member halves.
 
@@ -197,9 +196,7 @@ def sampling_protocol(
     return [TargetSplit(train=c[:half], test=c[half:]) for c in chunks]
 
 
-def validate_protocol(
-    splits: list[TargetSplit], n_points: int, resample: bool
-) -> dict:
+def validate_protocol(splits: list[TargetSplit], n_points: int, resample: bool) -> dict:
     """Audit disjointness, balance, and index sanity of emitted partitions."""
     seen: set[int] = set()
     for i, split in enumerate(splits):
@@ -292,8 +289,16 @@ class ExperimentResult:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {kind: out / f"{self.name}_{kind}.csv" for kind in ("records", "decisions")}
-        write_records_csv(paths["records"], self.records)
-        write_decisions_csv(paths["decisions"], self.decisions)
+        with open(paths["records"], "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(RECORD_CSV_COLUMNS)
+            writer.writerows(record.csv_row() for record in self.records)
+        with open(paths["decisions"], "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(DECISION_CSV_COLUMNS)
+            for run_id, points, values, guesses, truth in self.decisions:
+                writer.writerows(zip(repeat(run_id), points.tolist(), values.tolist(),
+                                     guesses.astype(int).tolist(), truth.astype(int).tolist()))
         return paths
 
 
@@ -314,102 +319,122 @@ def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes
     return train(model, train_set, train_cfg)
 
 
-def _run_repetition(
-    dataset: Dataset, cfg: ExperimentConfig, rep: int, prefix: str, result: ExperimentResult
-) -> None:
-    """Append one repetition's records, decision blocks, warnings and audit to result."""
-    splits = sampling_protocol(
-        dataset,
-        cfg.subsets_per_repetition,
-        cfg.points_per_subset,
-        cfg.resample,
-        child_seed(cfg.seed, "protocol", rep),
-    )
-    result.audits.append(validate_protocol(splits, dataset.n_points, cfg.resample))
+def target_row(dataset: Dataset, cfg: ExperimentConfig, split: TargetSplit, seed: int):
+    """One target's row of its repetition's table, or why its training failed.
 
-    # Each trained target fills its row of the table: per statistic, the member
-    # values, the non-member values and the optimal tau, or the message of the
-    # error that stopped them. One tau serves the target's own optimal record
-    # and its siblings' shadow records. The model is dropped once its row is full.
+    The row is the target's (train, test) accuracy and, per statistic, its
+    member values, non-member values and optimal tau, or the message of the
+    error that stopped them. The tau serves its own and its siblings' records.
+    """
     X, y = dataset.features, dataset.labels
-    table: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float] | str] = {}
-    accuracies: dict[int, tuple[float, float]] = {}
-    for t, split in enumerate(splits):
+    try:
+        model = train_target(dataset.subset(split.train), cfg, seed, dataset.n_classes)
+        accuracies = (model.accuracy(X[split.train], y[split.train]),
+                      model.accuracy(X[split.test], y[split.test]))
+    except (ValueError, RuntimeError) as exc:  # keep the experiment alive, log it
+        return f"training failed: {exc}"
+    entries: list[tuple[np.ndarray, np.ndarray, float] | str] = []
+    for stat in cfg.statistics:
         try:
-            model = train_target(
-                dataset.subset(split.train),
-                cfg,
-                child_seed(cfg.seed, "target", rep, t),
-                dataset.n_classes,
-            )
-            accuracies[t] = (
-                model.accuracy(X[split.train], y[split.train]),
-                model.accuracy(X[split.test], y[split.test]),
-            )
-        except (ValueError, RuntimeError) as exc:  # keep the experiment alive, log it
-            result.warnings.append(f"rep {rep} target {t}: training failed: {exc}")
-            continue
-        for si, stat in enumerate(cfg.statistics):
-            try:
-                member = statistic_values(stat, model, X[split.train], y[split.train])
-                nonmember = statistic_values(stat, model, X[split.test], y[split.test])
-                tau = optimal_threshold(member, nonmember, stat.member_if)[0]
-                table[t, si] = (member, nonmember, tau)
-            except (ValueError, RuntimeError) as exc:
-                table[t, si] = str(exc)
-        del model
+            member = statistic_values(stat, model, X[split.train], y[split.train])
+            nonmember = statistic_values(stat, model, X[split.test], y[split.test])
+            tau = optimal_threshold(member, nonmember, stat.member_if)[0]
+            entries.append((member, nonmember, tau))
+        except (ValueError, RuntimeError) as exc:
+            entries.append(str(exc))
+    return accuracies, entries
 
+
+_FORKED: list = []  # a pool worker's [dataset, jobs], put there by its initializer
+
+
+def _forked_row(i: int):
+    dataset, jobs = _FORKED
+    return target_row(dataset, *jobs[i])
+
+
+def _target_rows(dataset: Dataset, jobs: list) -> list:
+    """`target_row` of every (cfg, split, seed) job, in job order.
+
+    With at least 2 jobs and 2 usable CPUs the jobs are mapped over min(jobs,
+    CPUs) forked worker processes, which inherit the dataset and the jobs; only
+    the rows travel back. Otherwise they run in this process.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()  # Linux only
+    workers = min(len(jobs), len(cpus))
+    if workers < 2:
+        return [target_row(dataset, *job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, fork, _FORKED.extend, ((dataset, jobs),)) as pool:
+        return list(pool.map(_forked_row, range(len(jobs))))
+
+
+def _score_repetition(cfg, rep, prefix, splits, rows, result: ExperimentResult) -> None:
+    """Append one repetition's records, decision blocks and warnings to result."""
+    table: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float] | str] = {}
+    for t, row in enumerate(rows):
+        if isinstance(row, str):
+            result.warnings.append(f"rep {rep} target {t}: {row}")
+        else:
+            table.update(((t, si), entry) for si, entry in enumerate(row[1]))
     for (t, si), entry in table.items():
         stat = cfg.statistics[si]
+        where = f"rep {rep} target {t} stat {stat.label}"
         if isinstance(entry, str):
-            result.warnings.append(f"rep {rep} target {t} stat {stat.label}: {entry}")
+            result.warnings.append(f"{where}: {entry}")
             continue
         member_vals, nonmember_vals, optimal_tau = entry
         values = np.concatenate([member_vals, nonmember_vals])
-        truth = np.concatenate(
-            [np.ones(len(member_vals), bool), np.zeros(len(nonmember_vals), bool)]
-        )
+        truth = np.arange(len(values)) < len(member_vals)
         for ci, calibration in enumerate(cfg.calibrations):
             kind, s = parse_calibration(calibration)
             if kind == "optimal":
                 tau = optimal_tau
             else:
-                siblings = [
-                    table.get((u, si), f"shadow model {u} unavailable")
-                    for u in range(len(splits)) if u != t
-                ][:s]
+                siblings = [table.get((u, si), f"shadow model {u} unavailable")
+                            for u in range(len(splits)) if u != t][:s]
                 error = next((e for e in siblings if isinstance(e, str)), None)
                 if error is not None:
-                    result.warnings.append(
-                        f"rep {rep} target {t} stat {stat.label} {calibration}: {error}"
-                    )
+                    result.warnings.append(f"{where} {calibration}: {error}")
                     continue
                 tau = aggregate_shadow_taus([e[2] for e in siblings], s)
             guesses = ThresholdRule(stat, tau).decide(values)
             run_id = f"{prefix}r{rep}-t{t}-s{si}-c{ci}"
-            result.records.append(
-                RunRecord(
-                    run_id=run_id,
-                    repetition=rep,
-                    target=t,
-                    statistic=stat.label,
-                    calibration=calibration,
-                    tau=tau,
-                    attack_accuracy=float(np.mean(guesses == truth)),
-                    train_accuracy=accuracies[t][0],
-                    test_accuracy=accuracies[t][1],
-                    epochs=cfg.train.epochs,
-                )
-            )
-            result.decisions.blocks.append(
-                DecisionBlock(run_id, splits[t].all_indices, values, guesses, truth)
-            )
+            result.records.append(RunRecord(
+                run_id, rep, t, stat.label, calibration, tau,
+                float(np.mean(guesses == truth)), *rows[t][0], cfg.train.epochs,
+            ))
+            block = DecisionBlock(run_id, splits[t].all_indices, values, guesses, truth)
+            result.decisions.blocks.append(block)
+
+
+def _run_threshold(dataset: Dataset, runs: list, result: ExperimentResult) -> ExperimentResult:
+    """Every repetition of each (cfg, run id prefix) in runs, scored into result.
+
+    The repetitions' subsets are sampled and audited first; then every target
+    of every repetition is one `_target_rows` job, and each repetition is
+    scored from its targets' rows in order.
+    """
+    reps = []
+    for cfg, prefix in runs:
+        for rep in range(cfg.repetitions):
+            splits = sampling_protocol(dataset, cfg.subsets_per_repetition, cfg.points_per_subset,
+                                       cfg.resample, child_seed(cfg.seed, "protocol", rep))
+            result.audits.append(validate_protocol(splits, dataset.n_points, cfg.resample))
+            reps.append((cfg, rep, prefix, splits))
+    jobs = [(cfg, split, child_seed(cfg.seed, "target", rep, t))
+            for cfg, rep, _, splits in reps for t, split in enumerate(splits)]
+    rows = iter(_target_rows(dataset, jobs))
+    for cfg, rep, prefix, splits in reps:
+        _score_repetition(cfg, rep, prefix, splits, [next(rows) for _ in splits], result)
+    return result
 
 
 def run_threshold_experiment(
-    cfg: ExperimentConfig,
-    dataset: Dataset | None = None,
-    name: str = "threshold",
+    cfg: ExperimentConfig, dataset: Dataset | None = None, name: str = "threshold"
 ) -> ExperimentResult:
     """Train targets per repetition and attack each with every statistic.
 
@@ -424,9 +449,7 @@ def run_threshold_experiment(
     if dataset is None:
         dataset = cfg.load_dataset()
     result = ExperimentResult(name, [], DecisionTable(), [], cfg.to_dict())
-    for rep in range(cfg.repetitions):
-        _run_repetition(dataset, cfg, rep, "", result)
-    return result
+    return _run_threshold(dataset, [(cfg, "")], result)
 
 
 def run_overfit_sweep(
@@ -443,12 +466,10 @@ def run_overfit_sweep(
     if dataset is None:
         dataset = cfg.load_dataset()
     config = {**cfg.to_dict(), "epoch_grid": [int(e) for e in epoch_grid]}
+    runs = [(replace(cfg, train=replace(cfg.train, epochs=epochs), calibrations=["optimal"]),
+             f"e{epochs}-") for epochs in config["epoch_grid"]]
     result = ExperimentResult("overfit", [], DecisionTable(), [], config)
-    for epochs in config["epoch_grid"]:
-        sub_cfg = replace(cfg, train=replace(cfg.train, epochs=epochs), calibrations=["optimal"])
-        for rep in range(cfg.repetitions):
-            _run_repetition(dataset, sub_cfg, rep, f"e{epochs}-", result)
-    return result
+    return _run_threshold(dataset, runs, result)
 
 
 def default_perturbation_statistics() -> list[AttackStatistic]:
@@ -470,10 +491,7 @@ def run_perturbation_experiment(
     cfg: ExperimentConfig, dataset: Dataset | None = None
 ) -> ExperimentResult:
     """Reduced-scale comparison of perturbation-based attack statistics."""
-    has_perturbation = any(
-        s.method in ("local_surrogate", "smoothgrad") for s in cfg.statistics
-    )
-    if not has_perturbation:
+    if not any(s.method in ("local_surrogate", "smoothgrad") for s in cfg.statistics):
         cfg = replace(cfg, statistics=default_perturbation_statistics())
     return run_threshold_experiment(cfg, dataset=dataset, name="perturbation")
 
@@ -488,9 +506,7 @@ class CampaignConfig(DataSource):
     """Reconstruction campaign: logistic target plus attack bundle knobs."""
 
     train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(
-            optimizer="gd", lr=1.0, epochs=200, batch_size=None
-        )
+        default_factory=lambda: TrainConfig(optimizer="gd", lr=1.0, epochs=200, batch_size=None)
     )
     train_fraction: float = 0.5
     reveal_ks: tuple[int, ...] = (1, 5, 10)
@@ -651,35 +667,10 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def write_records_csv(path: str | Path, records: list[RunRecord]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RECORD_CSV_COLUMNS)
-        for record in records:
-            writer.writerow(record.csv_row())
-
-
-def write_decisions_csv(path: str | Path, decisions: DecisionTable) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(DECISION_CSV_COLUMNS)
-        for run_id, points, values, guesses, truth in decisions:
-            writer.writerows(zip(
-                repeat(run_id), points.tolist(), values.tolist(),
-                guesses.astype(int).tolist(), truth.astype(int).tolist(),
-            ))
-
-
 def config_hash(config: dict) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")
     ).hexdigest()
-
-
-def package_versions() -> dict:
-    from . import __version__
-
-    return {"python": platform.python_version(), "numpy": np.__version__, "explainleak": __version__}
 
 
 def write_manifest(
@@ -689,13 +680,12 @@ def write_manifest(
     timings: dict,
     extra: dict | None = None,
 ) -> None:
-    payload = {
-        "config": config,
-        "config_hash": config_hash(config),
-        "seed": seed,
-        "versions": package_versions(),
-        "timings": timings,
-    }
+    from . import __version__
+
+    versions = {"python": platform.python_version(), "numpy": np.__version__,
+                "explainleak": __version__}
+    payload = {"config": config, "config_hash": config_hash(config), "seed": seed,
+               "versions": versions, "timings": timings}
     if extra:
         payload.update(extra)
     with open(path, "w") as handle:

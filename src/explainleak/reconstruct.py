@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .influence import InfluenceExplainer, InfluenceOracle, OracleAnswer
+from .influence import InfluenceExplainer, InfluenceOracle, OracleAnswer, _check_k
 from .influence import topk_explain  # noqa: F401  (leakbench's tracer patches it)
 from .models import _row_blocks
 
@@ -391,6 +391,7 @@ def baseline_attack(expl: InfluenceExplainer, sampler, n_queries: int, k: int) -
     if n_queries < 0:
         raise ValueError("n_queries must be >= 0")
     n = expl.n_points
+    _check_k(k, n)  # even when no query reads a row
     first = np.full(n, n_queries)  # index of the first query revealing each point
     for rows in _row_blocks(n_queries, n):
         top = expl.top_k_rows(sampler.sample_batch(rows.stop - rows.start), k)

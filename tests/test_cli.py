@@ -456,6 +456,10 @@ def _stat(method, params):
     return {"statistics": [{"kind": "expl_var", "method": method, "params": params}]}
 
 
+_LOGISTIC = {"model_kind": "logistic",
+             "train": {"optimizer": "gd", "lr": 0.5, "epochs": 5, "batch_size": None}}
+
+
 class TestConfigMistakesExitOneBeforeTraining:
     """Each of these configs once trained every target and then exited 2, or
     exited 0 with only warnings and no records, or ran with a setting ignored."""
@@ -468,12 +472,17 @@ class TestConfigMistakesExitOneBeforeTraining:
         ("attack", {"hidden": [0]}, "layer width must be at least 1"),
         ("attack", {"activation": "swish"}, "activation must be one of"),
         ("sweep-epochs", {"epoch_grid": [0, 5]}, "every entry >= 1, got [0, 5]"),
+        ("attack", {**_stat("lrp", {}), **_LOGISTIC},
+         "lrp walks MlpModel layers, which a logistic target lacks"),
+        ("attack", {**_stat("guided_backprop", {}), **_LOGISTIC},
+         "guided_backprop walks MlpModel layers, which a logistic target lacks"),
     ], ids=["params-typo", "zero-samples", "params-on-gradient", "zero-width", "activation",
-            "zero-epochs"])
+            "zero-epochs", "logistic-lrp", "logistic-guided-backprop"])
     def test_exits_1_before_training(self, tmp_path, capsys, monkeypatch, command, change,
                                      message):
         trained = []
-        monkeypatch.setattr(harness, "train", lambda *args: trained.append(args))
+        for name in ("train", "train_logistic"):
+            monkeypatch.setattr(harness, name, lambda *args: trained.append(args))
         config = write_config(tmp_path, {**ATTACK_PAYLOAD, **change})
         assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
@@ -536,7 +545,11 @@ class TestMistypedValuesExitOne:
         ("attack", {**ATTACK_PAYLOAD, "repetitions": 1.5},
          "repetitions must be an integer, got 1.5"),
         ("attack", {**ATTACK_PAYLOAD, "train": {**ATTACK_PAYLOAD["train"], "epochs": 2.5}},
-         "epochs must be an integer, got 2.5"),
+         "train.epochs must be an integer, got 2.5"),
+        ("attack", {**ATTACK_PAYLOAD, **_stat("smoothgrad", {"samples": 2.5})},
+         "samples must be an integer, got 2.5"),
+        ("attack", {**ATTACK_PAYLOAD, **_stat("local_surrogate", {"kernel_width": "wide"})},
+         "kernel_width must be a number, got 'wide'"),
         ("synth", {"n_features": 2, "n_samples": 40.5}, "n_samples must be an integer, got 40.5"),
         ("reconstruct", {**RECON_PAYLOAD, "graph_k": 2.5}, "graph_k must be an integer, got 2.5"),
         ("reconstruct", {**RECON_PAYLOAD, "traverse_starts": 2.5},
@@ -545,8 +558,10 @@ class TestMistypedValuesExitOne:
          "calibrations must be a list, got 'optimal'"),
         ("sweep-epochs", {**ATTACK_PAYLOAD, "epoch_grid": [1.5]},
          "epoch_grid must be an integer, got 1.5"),
-    ], ids=["seed", "hidden", "repetitions", "epochs", "n_samples", "graph_k",
-            "traverse_starts", "calibrations", "epoch_grid"])
+        ("attack", {**ATTACK_PAYLOAD, "statistics": [{"kind": "loss", "use_l1": 1}]},
+         "statistics.use_l1 must be a boolean, got 1"),
+    ], ids=["seed", "hidden", "repetitions", "epochs", "samples", "kernel_width", "n_samples",
+            "graph_k", "traverse_starts", "calibrations", "epoch_grid", "use_l1"])
     def test_exits_1_naming_the_field(self, tmp_path, capsys, monkeypatch, command, payload,
                                       message):
         fits = []

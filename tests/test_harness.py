@@ -3,7 +3,12 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import explainleak
+import explainleak.harness as harness_module
 from conftest import two_blob_dataset
 from explainleak.attacks import AttackStatistic, aggregate_shadow_taus
 from explainleak.cli import main
@@ -529,6 +535,12 @@ class TestThresholdExperiment:
             assert by_id[run_id].attack_accuracy == pytest.approx(np.mean(hits))
 
 
+def use_cpus(monkeypatch, n: int) -> None:
+    """The harness sees n usable CPUs: with 1 every target trains in this
+    process, with 2 the targets are mapped over forked worker processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def shadow3_config() -> ExperimentConfig:
     return make_experiment_config(
         statistics=[AttackStatistic("loss")], calibrations=["optimal", "shadow(3)"]
@@ -539,8 +551,6 @@ class TestCalibrationCache:
     """Each (target, statistic) is scanned once; shadows reuse siblings' taus."""
 
     def test_one_scan_per_target_and_statistic(self, monkeypatch):
-        import explainleak.harness as harness_module
-
         calls = []
         real = harness_module.optimal_threshold
 
@@ -549,6 +559,7 @@ class TestCalibrationCache:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness_module, "optimal_threshold", counting)
+        use_cpus(monkeypatch, 1)  # the counter lives in this process, so the targets must too
         result = run_threshold_experiment(shadow3_config())
         assert len(result.records) == 2 * 4 * 2
         assert len(calls) == 2 * 4  # repetitions x targets x statistics
@@ -568,8 +579,6 @@ class TestCalibrationCache:
 
 class TestWarningChannel:
     def test_training_failure_warns_and_blocks_shadows(self, monkeypatch):
-        import explainleak.harness as harness_module
-
         cfg = shadow3_config()
         failing_seed = child_seed(cfg.seed, "target", 0, 1)
         real = harness_module.train
@@ -590,30 +599,32 @@ class TestWarningChannel:
         assert rep0 == [(0, "optimal"), (2, "optimal"), (3, "optimal")]
         assert sum(r.repetition == 1 for r in result.records) == 4 * 2
 
-    def test_failed_sibling_entry_is_computed_once(self, monkeypatch):
-        import explainleak.harness as harness_module
-
+    def test_failed_sibling_entry_is_computed_once(self, monkeypatch, tmp_path):
+        # The recorders keep nothing in this process, so the targets may train
+        # in worker processes: target 1 is tagged on its model, and each failing
+        # call appends a line to a file.
         cfg = shadow3_config()
         failing_seed = child_seed(cfg.seed, "target", 0, 1)
         real_train, real_values = harness_module.train, harness_module.statistic_values
-        target1, calls = [], []
+        calls = tmp_path / "calls"
+        calls.write_text("")
 
         def recording_train(model, dataset, train_cfg):
             trained = real_train(model, dataset, train_cfg)
-            if train_cfg.seed == failing_seed:
-                target1.append(trained)
+            trained.is_target1 = train_cfg.seed == failing_seed
             return trained
 
         def failing_on_target1(stat, model, *args):
-            if target1 and model is target1[0]:
-                calls.append(1)
+            if model.is_target1:
+                with open(calls, "a") as handle:
+                    handle.write("1\n")
                 raise ValueError("bad statistic on target 1")
             return real_values(stat, model, *args)
 
         monkeypatch.setattr(harness_module, "train", recording_train)
         monkeypatch.setattr(harness_module, "statistic_values", failing_on_target1)
         result = run_threshold_experiment(cfg)
-        assert len(calls) == 1
+        assert len(calls.read_text().splitlines()) == 1
         assert result.warnings == [
             "rep 0 target 0 stat loss shadow(3): bad statistic on target 1",
             "rep 0 target 1 stat loss: bad statistic on target 1",
@@ -625,8 +636,6 @@ class TestWarningChannel:
         assert sum(r.repetition == 1 for r in result.records) == 4 * 2
 
     def test_statistic_value_error_warns(self, monkeypatch):
-        import explainleak.harness as harness_module
-
         def broken(*args, **kwargs):
             raise ValueError("bad statistic")
 
@@ -637,20 +646,24 @@ class TestWarningChannel:
         assert len(result.warnings) == 2 * 4
 
     def test_nan_statistic_warns_and_records_nothing(self, monkeypatch):
-        import explainleak.harness as harness_module
+        cfg = make_experiment_config(statistics=[AttackStatistic("loss")], calibrations=["optimal"])
+        first_seed = child_seed(cfg.seed, "target", 0, 0)
+        real_train, real_values = harness_module.train, harness_module.statistic_values
 
-        calls = []
-        real = harness_module.statistic_values
+        def tagging_train(model, dataset, train_cfg):
+            trained = real_train(model, dataset, train_cfg)
+            trained.nan_next = train_cfg.seed == first_seed  # rep 0, target 0
+            return trained
 
-        def first_call_nan(*args, **kwargs):
-            values = real(*args, **kwargs)
-            if not calls:  # rep 0, target 0, member values
+        def first_call_nan(stat, model, *args):
+            values = real_values(stat, model, *args)
+            if model.nan_next:  # its first call: the member values
                 values[0] = np.nan
-            calls.append(1)
+                model.nan_next = False
             return values
 
+        monkeypatch.setattr(harness_module, "train", tagging_train)
         monkeypatch.setattr(harness_module, "statistic_values", first_call_nan)
-        cfg = make_experiment_config(statistics=[AttackStatistic("loss")], calibrations=["optimal"])
         result = run_threshold_experiment(cfg)
         assert result.warnings == [
             "rep 0 target 0 stat loss: member population holds 1 non-finite statistic value(s)"
@@ -660,14 +673,117 @@ class TestWarningChannel:
         assert all(np.isfinite(values).all() for _, _, values, _, _ in result.decisions)
 
     def test_programming_errors_propagate(self, monkeypatch):
-        import explainleak.harness as harness_module
-
         def broken(*args, **kwargs):
             raise TypeError("statistic_values() got an unexpected argument")
 
         monkeypatch.setattr(harness_module, "statistic_values", broken)
         with pytest.raises(TypeError):
             run_threshold_experiment(shadow3_config())
+
+
+def diverging_at(failing_seed: int):
+    """`train_target` whose target under failing_seed trains at lr 1e308 and diverges."""
+    real = harness_module.train_target
+
+    def train_target(train_set, cfg, seed, n_classes):
+        if seed == failing_seed:
+            cfg = replace(cfg, train=replace(cfg.train, lr=1e308))
+        return real(train_set, cfg, seed, n_classes)
+
+    return train_target
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test still running after 60 s, rather than hang on a lost worker."""
+    def expire(signum, frame):
+        raise TimeoutError("the run did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestWorkerPool:
+    """Targets train in forked workers once a run has 2 jobs and 2 usable CPUs;
+    the result does not depend on where they trained."""
+
+    @pytest.mark.parametrize("runner", ["threshold", "overfit"])
+    def test_same_bytes_on_both_paths(self, monkeypatch, tmp_path, runner):
+        cfg = make_experiment_config(calibrations=["optimal", "shadow(1)", "shadow(3)"])
+        monkeypatch.setattr(harness_module, "train_target",
+                            diverging_at(child_seed(cfg.seed, "target", 1, 2)))
+        outputs = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            if runner == "threshold":
+                result = run_threshold_experiment(cfg)
+            else:
+                result = run_overfit_sweep(cfg, [3, 15])
+            paths = result.write(tmp_path / str(cpus))
+            outputs[cpus] = (result.warnings, result.audits,
+                             [paths[kind].read_bytes() for kind in ("records", "decisions")])
+        assert outputs[1] == outputs[2]
+        failed = [w for w in outputs[1][0] if "training failed" in w]
+        assert failed and failed[0].startswith("rep 1 target 2: training failed: training diverged")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, jobs, in_workers", [
+        (1, 8, False), (2, 8, True), (2, 1, False),
+    ])
+    def test_where_the_targets_train(self, monkeypatch, cpus, jobs, in_workers):
+        # Each target's training fails with the id of the process it ran in.
+        def report_pid(*args):
+            raise ValueError(f"pid {os.getpid()}")
+
+        monkeypatch.setattr(harness_module, "train_target", report_pid)
+        use_cpus(monkeypatch, cpus)
+        cfg = make_experiment_config(repetitions=max(jobs // 4, 1),
+                                     subsets_per_repetition=min(jobs, 4), calibrations=["optimal"])
+        warnings = run_threshold_experiment(cfg).warnings
+        assert len(warnings) == jobs
+        pids = {int(w.rsplit(" ", 1)[1]) for w in warnings}
+        if in_workers:
+            assert os.getpid() not in pids and len(pids) <= cpus
+        else:
+            assert pids == {os.getpid()}
+
+    def test_a_dead_worker_raises(self, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() == parent:  # never take the test process down with it
+                raise AssertionError("training ran in the test process")
+            os._exit(3)
+
+        monkeypatch.setattr(harness_module, "train_target", die)
+        use_cpus(monkeypatch, 2)
+        cfg = shadow3_config()
+        with pytest.raises(BrokenProcessPool):
+            run_threshold_experiment(cfg)
+        assert multiprocessing.active_children() == []
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg.to_dict()))
+        assert main(["attack", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "terminated abruptly" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_propagates_and_leaves_no_worker(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("statistic_values() got an unexpected argument")
+
+        monkeypatch.setattr(harness_module, "statistic_values", broken)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(TypeError, match="unexpected argument"):
+            run_threshold_experiment(shadow3_config())
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        use_cpus(monkeypatch, 2)
+        assert len(run_threshold_experiment(shadow3_config()).records) == 2 * 4 * 2
+        assert multiprocessing.active_children() == []
 
 
 class TestOverfitSweep:

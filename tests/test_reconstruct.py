@@ -493,6 +493,13 @@ class TestBaselineAttack:
         sampler = MarginalSampler(explainer.dataset.features, seed=11)
         assert baseline_attack(explainer, sampler, 0, 2) == []
 
+    @pytest.mark.parametrize("k", [0, -1, 99])
+    def test_k_checked_with_zero_queries(self, explainer, k):
+        # Zero queries read no row, and k = 99 once returned [] on a 12-point cache.
+        sampler = MarginalSampler(explainer.dataset.features, seed=11)
+        with pytest.raises(ValueError, match=r"^k must lie in \[1, n_points\]$"):
+            baseline_attack(explainer, sampler, 0, k)
+
     def test_negative_queries_rejected(self, explainer):
         sampler = MarginalSampler(explainer.dataset.features, seed=12)
         with pytest.raises(ValueError):
