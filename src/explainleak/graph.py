@@ -4,12 +4,13 @@ Querying a training point reveals its k most influential peers, which makes
 the training set a directed graph: node i points at the k points revealed by
 querying x_i. Strongly connected components of that graph bound what a
 crawling attacker can recover, and the greedy omniscient baseline gives a
-tractable stand-in for the (NP-hard) optimal choice of seed queries.
+tractable stand-in for the (NP-hard) optimal choice of seed queries. A result
+stores what its attack found; its query count is derived from that.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +80,6 @@ class GraphMetrics:
     max_in_degree: int
     zero_in_degree_count: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def scc_metrics(edges: list[list[int]]) -> GraphMetrics:
     components = strongly_connected_components(edges)
@@ -99,7 +97,11 @@ def scc_metrics(edges: list[list[int]]) -> GraphMetrics:
 @dataclass
 class TraversalResult:
     recovered: list[int]
-    query_count: int
+
+    @property
+    def query_count(self) -> int:
+        """The start query plus one follow-up per recovered point."""
+        return len(self.recovered) + 1
 
 
 def _crawl(edges: list[list[int]], seeds) -> list[int]:
@@ -126,18 +128,15 @@ def traverse_attack(
     queried at most once with its true label, breadth-first, and the recovered
     set is everything revealed along the way. Only the start query asks
     ``expl``, for as many points as a row of ``edges`` holds: a follow-up's
-    answer is its row of ``edges``, built from ``expl``'s `self_reveals`. The
-    query count is the number recovered plus one.
+    answer is its row of ``edges``, built from ``expl``'s `self_reveals`.
     """
     start = topk_explain(expl, start_query, None, len(edges[0]))
-    recovered = _crawl(edges, start.indices)
-    return TraversalResult(recovered=recovered, query_count=len(recovered) + 1)
+    return TraversalResult(_crawl(edges, start.indices))
 
 
 @dataclass
 class GreedyCoverResult:
     seed_count: int
-    seeds: list[int]
     covered: set[int]
 
     @property
@@ -157,7 +156,7 @@ def greedy_omniscient_baseline(edges: list[list[int]]) -> GreedyCoverResult:
     reach = [set(_crawl(edges, row)) for row in edges]  # every node a query at v reveals
     has_in_edge = set().union(*edges)
     covered: set[int] = set()
-    seeds: list[int] = []
+    seed_count = 0
     while not has_in_edge <= covered:
         best, best_gain = -1, -1
         for v in range(n):
@@ -166,6 +165,6 @@ def greedy_omniscient_baseline(edges: list[list[int]]) -> GreedyCoverResult:
                 best, best_gain = v, gain
         if best_gain <= 0:
             break
-        seeds.append(best)
+        seed_count += 1
         covered |= reach[best]
-    return GreedyCoverResult(seed_count=len(seeds), seeds=seeds, covered=covered)
+    return GreedyCoverResult(seed_count, covered)

@@ -9,7 +9,7 @@ the config; emitted CSVs are byte-stable across reruns (wall times go to the
 CLI's manifest only). A threshold or overfit run trains its targets as one
 job list: with 2 or more jobs and usable CPUs, in forked worker processes
 that inherit the BLAS environment; the bytes are the same on either path at a
-fixed BLAS thread count.
+fixed BLAS thread count, and numpy's overflow warnings are silenced on both.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import platform
 import re
 import zlib
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (leakbench's tracer patches it)
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -319,6 +319,7 @@ def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes
     return train(model, train_set, train_cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite statistic raises when scanned
 def target_row(dataset: Dataset, cfg: ExperimentConfig, split: TargetSplit, seed: int):
     """One target's row of its repetition's table, or why its training failed.
 
@@ -561,14 +562,14 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
     step_log = []
     for pos, step in enumerate(recon.steps):
         entry = {
-            "iteration": step.iteration,
+            "iteration": pos,
             "revealed_index": step.index,
             "anchor": step.anchor.tolist(),
             "queries": step.queries,
             "rank_deficient": step.rank_deficient,
         }
-        if pos < len(recon.constraints):
-            normal, rhs = recon.constraints[pos]
+        if step.constraint is not None:
+            normal, rhs = step.constraint
             entry["constraint_normal"] = normal.tolist()
             entry["constraint_rhs"] = rhs
         step_log.append(entry)
@@ -606,32 +607,17 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         starts = rng_traverse.uniform(
             bounds[:, 0], bounds[:, 1], size=(cfg.traverse_starts, dataset.n_features)
         )
-    traverse_counts = []
-    traverse_queries = []
-    for start in starts:
-        outcome = traverse_attack(expl, graph, start)
-        traverse_counts.append(len(outcome.recovered))
-        traverse_queries.append(outcome.query_count)
+    outcomes = [traverse_attack(expl, graph, start) for start in starts]
+    traverse_counts = [len(outcome.recovered) for outcome in outcomes]
 
-    samplers = {
-        "uniform": UniformSampler(bounds, seed=child_seed(cfg.seed, "baseline", 0)),
-        "marginal": MarginalSampler(
-            dataset.features, seed=child_seed(cfg.seed, "baseline", 1)
-        ),
-    }
-    curves = {}
-    for name, sampler in samplers.items():
-        curves[name] = baseline_attack(expl, sampler, cfg.baseline_queries, cfg.graph_k)
+    seeds = [child_seed(cfg.seed, "baseline", i) for i in range(3)]
+    baselines = [("uniform", UniformSampler(bounds, seeds[0]), cfg.baseline_queries),
+                 ("marginal", MarginalSampler(dataset.features, seeds[1]), cfg.baseline_queries)]
     if holdout.shape[0] > 0:
-        true_sampler = TrueDistributionSampler(
-            holdout, seed=child_seed(cfg.seed, "baseline", 2)
-        )
-        curves["true_distribution"] = baseline_attack(
-            expl,
-            true_sampler,
-            min(cfg.baseline_queries, holdout.shape[0]),
-            cfg.graph_k,
-        )
+        baselines.append(("true_distribution", TrueDistributionSampler(holdout, seeds[2]),
+                          min(cfg.baseline_queries, holdout.shape[0])))
+    curves = {name: baseline_attack(expl, sampler, n_queries, cfg.graph_k)
+              for name, sampler, n_queries in baselines}
 
     reveal = {}
     for k in cfg.reveal_ks:
@@ -647,13 +633,13 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         "n_features": dataset.n_features,
         "reconstruction": report_recon,
         "graph": {
-            **metrics.to_dict(),
+            **asdict(metrics),
             "greedy_seed_count": greedy.seed_count,
             "greedy_covered": len(greedy.covered),
         },
         "traversal": {
             "recovered_counts": traverse_counts,
-            "query_counts": traverse_queries,
+            "query_counts": [outcome.query_count for outcome in outcomes],
             "mean_recovered": float(np.mean(traverse_counts)),
             "largest_scc_size": metrics.largest_scc_size,
         },

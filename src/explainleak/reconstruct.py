@@ -8,7 +8,8 @@ restriction of the revealed point's leave-one-out model; constraining every
 further query to the subspace where that point's influence vanishes forces
 the oracle to reveal a different point next time. Repeating the slice
 recovers one new training point per round until influence, novelty, or
-dimensions run out.
+dimensions run out. Each completed round is a `ReconstructionStep` that holds
+the slice it made; the result's query counts are read from the steps.
 
 Also provides the random-query baselines (uniform / marginal / true
 distribution samplers) used to contextualise the reconstruction attack.
@@ -49,10 +50,11 @@ class ReconstructionStep:
     the round's basis, and the full-space least-squares fit ``w_fit``/``b_fit``
     of the revealed point's leave-one-out model. Once earlier constraints have
     removed directions the cluster can no longer measure, that fit is the
-    minimum-norm pseudo-solution and is flagged ``rank_deficient``.
+    minimum-norm pseudo-solution and is flagged ``rank_deficient``. A round
+    that slices the subspace keeps its ``constraint`` (normal, rhs): every
+    later anchor y satisfies normal @ y == rhs.
     """
 
-    iteration: int
     index: int
     anchor: np.ndarray
     eps: np.ndarray
@@ -60,20 +62,27 @@ class ReconstructionStep:
     w_fit: np.ndarray
     b_fit: float
     rank_deficient: bool
+    constraint: tuple[np.ndarray, float] | None = None
 
 
 @dataclass
 class ReconstructionResult:
     recovered: list[int]
     reason: str
-    oracle_inconsistent: bool
     base_w: np.ndarray | None
     base_b: float | None
     steps: list[ReconstructionStep] = field(default_factory=list)
-    constraints: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    queries_revealing: int = 0
     termination_queries: int = 0
     retries: int = 0
+
+    @property
+    def queries_revealing(self) -> int:
+        """Queries of the completed probe clusters, retries included."""
+        return sum(step.queries for step in self.steps)
+
+    @property
+    def oracle_inconsistent(self) -> bool:
+        return self.reason == "oracle_inconsistent"
 
     @property
     def queries_total(self) -> int:
@@ -132,14 +141,10 @@ def algorithm1_reconstruct(
     b_hat: float | None = None
     recovered: list[int] = []
     steps: list[ReconstructionStep] = []
-    constraints: list[tuple[np.ndarray, float]] = []
     queries_before = oracle.query_count
-    queries_revealing = 0
     total_retries = 0
-    iteration = -1
 
     while True:
-        iteration += 1
         d = basis.shape[1]
 
         if d == 0:
@@ -166,7 +171,6 @@ def algorithm1_reconstruct(
         if probes is None:
             reason = "oracle_inconsistent"
             break
-        cluster_queries = oracle.query_count - cluster_start
 
         a_anchor = float(_logit(answer.prediction))
         c_anchor = float(_logit(_loo_probability(answer)))
@@ -187,19 +191,16 @@ def algorithm1_reconstruct(
         solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
 
         recovered.append(answer.index)
-        queries_revealing += cluster_queries
-        steps.append(
-            ReconstructionStep(
-                iteration=iteration,
-                index=answer.index,
-                anchor=anchor,
-                eps=eps,
-                queries=cluster_queries,
-                w_fit=solution[:-1],
-                b_fit=float(solution[-1]),
-                rank_deficient=bool(rank < n + 1),
-            )
+        step = ReconstructionStep(
+            index=answer.index,
+            anchor=anchor,
+            eps=eps,
+            queries=oracle.query_count - cluster_start,
+            w_fit=solution[:-1],
+            b_fit=float(solution[-1]),
+            rank_deficient=bool(rank < n + 1),
         )
+        steps.append(step)
 
         if max_points is not None and len(recovered) >= max_points:
             reason = "max_points"
@@ -219,23 +220,14 @@ def algorithm1_reconstruct(
         # Move the anchor onto the revealed point's zero-influence hyperplane
         # and drop that direction from the basis.
         normal = basis @ d_slope
-        constraints.append((normal, float(normal @ anchor - d_value)))
+        step.constraint = (normal, float(normal @ anchor - d_value))
         g_particular = -d_value * d_slope / float(d_slope @ d_slope)
         anchor_base = anchor + basis @ g_particular
         basis = basis @ _orthogonal_complement(d_slope)
 
-    return ReconstructionResult(
-        recovered=recovered,
-        reason=reason,
-        oracle_inconsistent=(reason == "oracle_inconsistent"),
-        base_w=w_hat,
-        base_b=b_hat,
-        steps=steps,
-        constraints=constraints,
-        queries_revealing=queries_revealing,
-        termination_queries=oracle.query_count - queries_before - queries_revealing,
-        retries=total_retries,
-    )
+    result = ReconstructionResult(recovered, reason, w_hat, b_hat, steps, retries=total_retries)
+    result.termination_queries = oracle.query_count - queries_before - result.queries_revealing
+    return result
 
 
 def _orthogonal_complement(row: np.ndarray) -> np.ndarray:

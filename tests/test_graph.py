@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import asdict
 
 import networkx as nx
 import numpy as np
@@ -150,7 +151,7 @@ class TestMetrics:
 
     def test_to_dict_round_trip(self):
         metrics = scc_metrics([[1], [0]])
-        d = metrics.to_dict()
+        d = asdict(metrics)
         assert d["scc_count"] == 1
         assert d["largest_scc_size"] == 2
         assert set(d) == {

@@ -771,6 +771,37 @@ class TestWorkerPool:
         assert "terminated abruptly" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    # Raised, a numpy warning fails the run in this process and in a forked worker
+    # alike; printed, it would show once per process that met it.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_statistics_print_no_numpy_warning(self, monkeypatch, tmp_path, capfd):
+        cfg = make_experiment_config(
+            synth=SynthConfig(n_features=3, n_samples=600, class_sep=2.0, seed=1), hidden=(6,),
+            train=TrainConfig(optimizer="adagrad", lr=5e307, epochs=3), calibrations=["optimal"],
+            statistics=[AttackStatistic("loss"), AttackStatistic("pred_var"),
+                        AttackStatistic("expl_var", "gradient"),
+                        AttackStatistic("expl_var", "smoothgrad")],
+            repetitions=3, points_per_subset=40, seed=1,
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg.to_dict()))
+        outputs = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert main(["attack", "--config", str(config), "--out", str(out)]) == 0
+            err = capfd.readouterr().err
+            assert "RuntimeWarning" not in err
+            warnings = json.loads((out / "threshold_manifest.json").read_text())["warnings"]
+            outputs[cpus] = (err, warnings, [(out / f"threshold_{kind}.csv").read_bytes()
+                                             for kind in ("records", "decisions")])
+        assert outputs[1] == outputs[2]
+        warnings = outputs[1][1]
+        assert any("training failed" in w for w in warnings)
+        assert any("non-finite statistic" in w for w in warnings)
+        assert outputs[1][2][0].count(b"\n") > 1  # and some targets were scored
+        assert multiprocessing.active_children() == []
+
     def test_a_worker_error_propagates_and_leaves_no_worker(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("statistic_values() got an unexpected argument")

@@ -302,10 +302,22 @@ class TestTheoremRegime:
 
     def test_anchors_respect_all_prior_constraints(self, run):
         _, _, _, result = run
-        assert len(result.constraints) == len(result.steps)
+        constraints = [step.constraint for step in result.steps]
+        assert None not in constraints  # the influence ran out, so every round sliced
         for pos, step in enumerate(result.steps):
-            for normal, rhs in result.constraints[:pos]:
+            for normal, rhs in constraints[:pos]:
                 assert abs(normal @ step.anchor - rhs) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 20), d=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+    def test_recovers_min_n_d_points_within_budget(self, n, d, seed):
+        # Not min(n, d + 1): with n > d the last look, at the pinned-down
+        # anchor, can reveal a point that is already recovered.
+        base, loos = theorem_regime(seed, n, d)
+        result = algorithm1_reconstruct(InfluenceOracle(base, loos), y0=np.zeros(d), seed=seed)
+        rounds = min(n, d)
+        assert len(result.recovered) >= rounds
+        assert result.queries_revealing - result.retries <= reconstruction_query_budget(d, rounds)
 
     def test_sliced_points_lose_influence_at_later_anchors(self, run):
         base, loos, _, result = run
