@@ -16,7 +16,7 @@ import numpy as np
 from explainleak.attacks import AttackStatistic
 from explainleak.harness import ExperimentConfig, run_overfit_sweep
 from explainleak.models import TrainConfig
-from explainleak.synth import SynthConfig, dimension_sweep
+from explainleak.synth import SweepConfig, SynthConfig, dimension_sweep
 
 
 def bar(value: float, scale: float = 100.0) -> str:
@@ -59,12 +59,12 @@ def main() -> None:
         n_features=10, n_classes=2, n_samples=1000, class_sep=1.0,
         cluster_std=8.0, seed=0,
     )
-    rows = dimension_sweep(
-        dims,
-        template,
+    rows = dimension_sweep(SweepConfig(
+        dims=tuple(dims),
+        synth=template,
         arch="small",
-        train_cfg=TrainConfig(optimizer="adagrad", lr=0.01, epochs=150),
-    )
+        train=TrainConfig(optimizer="adagrad", lr=0.01, epochs=150),
+    ))
     print("\ngradient-norm correlation with membership across input dimension")
     print(f"{'dim':>6} {'train acc':>10} {'test acc':>9} {'correlation':>12}")
     for row in rows:

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -134,13 +133,11 @@ def _cmd_sweep_epochs(args) -> Output:
 
 
 def _cmd_sweep_dim(args) -> Output:
-    cfg = SweepConfig.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        cfg.synth = replace(cfg.synth, seed=args.seed)
-    try:
-        results = dimension_sweep(cfg.dims, cfg.synth, cfg.arch, cfg.train)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    payload = _load_json(args.config)
+    if args.seed is not None and isinstance(payload.get("synth"), dict):
+        payload["synth"]["seed"] = args.seed  # decoded, and so checked, with the rest
+    cfg = SweepConfig.from_dict(payload)
+    results = dimension_sweep(cfg)
     path = _out_dir(args) / "dimension_sweep.csv"
     with open(path, "w", newline="") as handle:
         handle.write("dim,arch,correlation,train_acc,test_acc,seed,diverged\n")

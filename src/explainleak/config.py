@@ -4,15 +4,19 @@
 type annotations: nested configs (optional or not) and lists of configs
 recurse, tuples travel as lists, and a scalar must already have its field's
 type (an ``int`` refuses bools and floats; a ``float`` takes an int as it is).
-Only fields annotated ``X | None`` accept null. A mistyped value (named by its
-dotted path, as ``train.epochs``), an unknown key at any level, or a
-TypeError/ValueError from a constructor raises ConfigError.
+Only fields annotated ``X | None`` accept null, and a union that names
+``np.ndarray`` (an explanation's per-feature param) takes its value unchecked.
+A mistyped value (named by its dotted path, as ``train.epochs``), an unknown
+key at any level, or a TypeError/ValueError from a constructor raises
+ConfigError.
 """
 from __future__ import annotations
 
 import dataclasses
 import types
 import typing
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -37,8 +41,8 @@ def decode(key: str, hint, value):
     """Field `key`'s JSON value, as annotated by `hint`; scalars must have a `_SCALARS` type."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        if value is None:
-            return None
+        if value is None or np.ndarray in args:
+            return value
         (hint,) = [a for a in args if a is not type(None)]
         return decode(key, hint, value)
     if value is None:

@@ -94,6 +94,8 @@ def load_csv_dataset(
         feature_idx = [
             i for i in range(len(header)) if i != label_idx and i != group_idx
         ]
+        if not feature_idx:
+            raise ValueError(f"{path}: no feature column besides the label and group columns")
         columns = None
         if group_idx is None:
             columns = _load_columns(path, len(header), feature_idx, label_idx)

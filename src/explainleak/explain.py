@@ -15,12 +15,11 @@ model, and integrated gradients, evaluates the copies x + e themselves.
 """
 from __future__ import annotations
 
-import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import decode
+from .config import Config, ConfigError
 from .models import MlpModel, _row_blocks
 
 
@@ -35,7 +34,7 @@ class Explanation:
 
 
 @dataclass
-class IgConfig:
+class IgConfig(Config):
     steps: int = 50
     baseline: np.ndarray | None = None
 
@@ -47,7 +46,7 @@ class IgConfig:
 
 
 @dataclass
-class SmoothGradConfig:
+class SmoothGradConfig(Config):
     sigma: float | np.ndarray = 0.1
     samples: int = 25
     seed: int = 0
@@ -60,7 +59,7 @@ class SmoothGradConfig:
 
 
 @dataclass
-class SurrogateConfig:
+class SurrogateConfig(Config):
     num_samples: int = 500
     kernel_width: float | None = None
     ridge_lambda: float = 1e-3
@@ -76,7 +75,7 @@ class SurrogateConfig:
 
 
 @dataclass
-class LrpConfig:
+class LrpConfig(Config):
     epsilon: float = 1e-7
 
     def __post_init__(self) -> None:
@@ -87,8 +86,6 @@ class LrpConfig:
 def _integrated_gradients(model, X: np.ndarray, cfg: IgConfig) -> np.ndarray:
     n, d = X.shape
     baseline = np.zeros(d) if cfg.baseline is None else cfg.baseline
-    if baseline.shape != (d,):
-        raise ValueError("baseline shape must match x")
     classes = np.argmax(model.forward_batch(X), axis=1)
     alphas = ((np.arange(cfg.steps) + 1.0) / cfg.steps)[:, None]
     out = np.empty((n, d))
@@ -196,24 +193,30 @@ _METHODS = {
     "local_surrogate": (lambda model, X, cfg: _local_surrogate(model, X, cfg)[0], SurrogateConfig),
 }
 EXPLANATION_METHODS = tuple(_METHODS)
+MLP_METHODS = ("guided_backprop", "lrp")  # the structural methods walk MlpModel layers
 
 
 def _method_params(method: str, params: dict | None):
-    """The method's params dataclass built from params (None for a method without
-    params); an unknown method or a key the method does not take raises ValueError,
-    and a value that is not its field's JSON type (sigma and baseline may also be
-    arrays) raises the config codec's ConfigError naming the field."""
+    """The method's params dataclass decoded from params by the config codec (None
+    for a method without params); an unknown method, or any param on a method
+    without params, raises ValueError."""
     if method not in _METHODS:
         raise ValueError(f"unknown explanation method {method!r}")
-    params, cls = params or {}, _METHODS[method][1]
-    unknown = set(params) - {f.name for f in fields(cls)} if cls else set(params)
-    if unknown:
-        raise ValueError(f"{method} does not take params {sorted(unknown)}")
-    hints = typing.get_type_hints(cls) if cls else {}
-    for key, value in params.items():
-        if np.ndarray not in typing.get_args(hints[key]):
-            decode(key, hints[key], value)
-    return cls(**params) if cls else None
+    cls = _METHODS[method][1]
+    if cls is None and params:
+        raise ValueError(f"{method} does not take params {sorted(params)}")
+    return cls.from_dict(params or {}, f"{method}.") if cls else None
+
+
+def check_feature_params(method: str | None, params: dict | None, n_features: int) -> None:
+    """Raise ConfigError, naming method.param, unless integrated gradients' baseline
+    holds one entry per feature, as smoothgrad's sigma does when not a scalar."""
+    name = {"integrated_gradients": "baseline", "smoothgrad": "sigma"}.get(method)
+    value = getattr(_method_params(method, params), name) if name else None
+    shape = np.shape(value)
+    if value is not None and shape != (n_features,) and (shape or name == "baseline"):
+        raise ConfigError(f"{method}.{name} needs one entry per feature ({n_features}), "
+                          f"got shape {shape}")
 
 
 def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None) -> np.ndarray:
@@ -228,11 +231,12 @@ def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None)
     get the copies x + E.
     """
     cfg = _method_params(method, params)
-    if method in ("guided_backprop", "lrp") and not isinstance(model, MlpModel):
+    if method in MLP_METHODS and not isinstance(model, MlpModel):
         raise TypeError(f"{method} walks MlpModel layers")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("explain_batch expects a 2-D array, one point per row")
+    check_feature_params(method, params, X.shape[1])
     return _METHODS[method][0](model, X, cfg)
 
 

@@ -37,6 +37,7 @@ from .attacks import (
 )
 from .config import Config, ConfigError
 from .data import Dataset, load_csv_dataset
+from .explain import MLP_METHODS, check_feature_params
 from .graph import build_influence_graph, greedy_omniscient_baseline, scc_metrics, traverse_attack
 from .influence import build_loo_cache, group_reveal_rates, self_reveal_rate, self_reveals
 from .models import LayerSpec, TrainConfig, init_model, train, train_logistic
@@ -131,7 +132,7 @@ class ExperimentConfig(DataSource):
                 raise ConfigError("points_per_subset must be even and >= 2")
         if not self.statistics:
             raise ConfigError("at least one attack statistic is required")
-        walks = [s.method for s in self.statistics if s.method in ("guided_backprop", "lrp")]
+        walks = [s.method for s in self.statistics if s.method in MLP_METHODS]
         if walks and self.model_kind == "logistic":
             raise ConfigError(f"{walks[0]} walks MlpModel layers, which a logistic target lacks")
         if not self.calibrations:
@@ -419,6 +420,8 @@ def _run_threshold(dataset: Dataset, runs: list, result: ExperimentResult) -> Ex
     of every repetition is one `_target_rows` job, and each repetition is
     scored from its targets' rows in order.
     """
+    for stat in runs[0][0].statistics:  # before any job; the runs share their statistics
+        check_feature_params(stat.method, stat.params, dataset.n_features)
     reps = []
     for cfg, prefix in runs:
         for rep in range(cfg.repetitions):
@@ -434,9 +437,7 @@ def _run_threshold(dataset: Dataset, runs: list, result: ExperimentResult) -> Ex
     return result
 
 
-def run_threshold_experiment(
-    cfg: ExperimentConfig, dataset: Dataset | None = None, name: str = "threshold"
-) -> ExperimentResult:
+def run_threshold_experiment(cfg: ExperimentConfig, name: str = "threshold") -> ExperimentResult:
     """Train targets per repetition and attack each with every statistic.
 
     Per repetition: sample subsets, train one target per subset, compute
@@ -447,15 +448,11 @@ def run_threshold_experiment(
     statistic) is scanned at most once per repetition: its tau serves the
     target's own optimal record and every sibling's shadow records.
     """
-    if dataset is None:
-        dataset = cfg.load_dataset()
     result = ExperimentResult(name, [], DecisionTable(), [], cfg.to_dict())
-    return _run_threshold(dataset, [(cfg, "")], result)
+    return _run_threshold(cfg.load_dataset(), [(cfg, "")], result)
 
 
-def run_overfit_sweep(
-    cfg: ExperimentConfig, epoch_grid: list[int], dataset: Dataset | None = None
-) -> ExperimentResult:
+def run_overfit_sweep(cfg: ExperimentConfig, epoch_grid: list[int]) -> ExperimentResult:
     """Re-run the optimal-calibration attack at each epoch budget.
 
     The sampling protocol and model initializations derive from seeds that
@@ -464,13 +461,11 @@ def run_overfit_sweep(
     """
     if not epoch_grid or min(epoch_grid) < 1:
         raise ConfigError(f"epoch grid must be non-empty with every entry >= 1, got {epoch_grid}")
-    if dataset is None:
-        dataset = cfg.load_dataset()
     config = {**cfg.to_dict(), "epoch_grid": [int(e) for e in epoch_grid]}
     runs = [(replace(cfg, train=replace(cfg.train, epochs=epochs), calibrations=["optimal"]),
              f"e{epochs}-") for epochs in config["epoch_grid"]]
     result = ExperimentResult("overfit", [], DecisionTable(), [], config)
-    return _run_threshold(dataset, runs, result)
+    return _run_threshold(cfg.load_dataset(), runs, result)
 
 
 def default_perturbation_statistics() -> list[AttackStatistic]:
@@ -488,13 +483,11 @@ def default_perturbation_statistics() -> list[AttackStatistic]:
     ]
 
 
-def run_perturbation_experiment(
-    cfg: ExperimentConfig, dataset: Dataset | None = None
-) -> ExperimentResult:
+def run_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Reduced-scale comparison of perturbation-based attack statistics."""
     if not any(s.method in ("local_surrogate", "smoothgrad") for s in cfg.statistics):
         cfg = replace(cfg, statistics=default_perturbation_statistics())
-    return run_threshold_experiment(cfg, dataset=dataset, name="perturbation")
+    return run_threshold_experiment(cfg, name="perturbation")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackStatistic, statistic_values
-from .config import Config
+from .config import Config, ConfigError
 from .data import Dataset
 from .models import (
     LayerSpec,
@@ -50,6 +50,8 @@ class SynthConfig(Config):
             raise ValueError("class_sep must be positive")
         if self.cluster_std < 0:
             raise ValueError("cluster_std must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_features < 63 and self.n_classes > 2**self.n_features:
             raise ValueError(
                 f"{self.n_classes} classes need {self.n_classes} distinct vertices "
@@ -139,8 +141,9 @@ class DimensionResult:
 
 @dataclass
 class SweepConfig(Config):
-    """The `sweep-dim` config: `dimension_sweep`'s arguments. A null `train`
-    keeps the sweep's own default; ``{}`` means `TrainConfig`'s defaults."""
+    """The `sweep-dim` config and `dimension_sweep`'s argument: strictly ascending
+    dims with enough hypercube vertices for the classes, and an `ARCHS` name. A
+    null `train` keeps the sweep's own default; ``{}`` means `TrainConfig`'s."""
 
     dims: tuple[int, ...]
     synth: SynthConfig
@@ -148,6 +151,14 @@ class SweepConfig(Config):
     train: TrainConfig | None = None
 
     def __post_init__(self) -> None:
+        if not self.dims or list(self.dims) != sorted(set(self.dims)):
+            raise ConfigError(f"dims must be non-empty and strictly ascending, got {self.dims}")
+        try:  # the smallest dim has the fewest hypercube vertices
+            replace(self.synth, n_features=self.dims[0])
+        except ValueError as exc:
+            raise ConfigError(f"dims: {exc}") from None
+        if self.arch not in ARCHS:
+            raise ConfigError(f"arch must be one of {sorted(ARCHS)}")
         if self.train is not None:
             self.train.refuse_unread(logistic=False)
 
@@ -156,20 +167,18 @@ def _sweep_seed(base_seed: int, dim: int) -> int:
     return int(np.random.SeedSequence([base_seed, dim]).generate_state(1)[0])
 
 
-def _run_dimension(
-    template: SynthConfig, dim: int, arch: str, train_cfg: TrainConfig
-) -> DimensionResult:
+def _run_dimension(sweep: SweepConfig, dim: int, train_cfg: TrainConfig) -> DimensionResult:
     """One sweep row. The target ends in a tanh output layer, unlike the identity
     layer of `harness.train_target`'s targets; it is kept because criterion 8
     and every `sweep-dim` result are measured with it."""
-    seed = _sweep_seed(template.seed, dim)
-    cfg = replace(template, n_features=dim, seed=seed)
+    seed = _sweep_seed(sweep.synth.seed, dim)
+    cfg = replace(sweep.synth, n_features=dim, seed=seed)
     dataset = generate_synthetic(cfg)
     half = dataset.n_points // 2
     train_set = dataset.subset(np.arange(half))
     test_set = dataset.subset(np.arange(half, dataset.n_points))
     model = init_model(
-        layers=[LayerSpec(w) for w in ARCHS[arch]] + [LayerSpec(dataset.n_classes)],
+        layers=[LayerSpec(w) for w in ARCHS[sweep.arch]] + [LayerSpec(dataset.n_classes)],
         input_dim=dim,
         seed=seed,
     )
@@ -177,7 +186,7 @@ def _run_dimension(
         train(model, train_set, replace(train_cfg, seed=seed))
     except TrainingDivergedError:
         nan = float("nan")
-        return DimensionResult(dim=dim, arch=arch, correlation=nan, degenerate=True,
+        return DimensionResult(dim=dim, arch=sweep.arch, correlation=nan, degenerate=True,
                                train_accuracy=nan, test_accuracy=nan, seed=seed, diverged=True)
     stat = AttackStatistic("expl_var", "gradient", use_l1=True)  # input-gradient 1-norm
     norms = np.concatenate(
@@ -189,7 +198,7 @@ def _run_dimension(
     corr = membership_correlation(norms, membership)
     return DimensionResult(
         dim=dim,
-        arch=arch,
+        arch=sweep.arch,
         correlation=corr.value,
         degenerate=corr.degenerate,
         train_accuracy=model.accuracy(train_set.features, train_set.labels),
@@ -198,23 +207,11 @@ def _run_dimension(
     )
 
 
-def dimension_sweep(
-    dims: list[int],
-    template: SynthConfig,
-    arch: str = "base",
-    train_cfg: TrainConfig | None = None,
-) -> list[DimensionResult]:
+def dimension_sweep(cfg: SweepConfig) -> list[DimensionResult]:
     """Correlation + accuracies per dimension for one architecture.
 
-    Dimensions must be given in ascending order. A dimension whose training
-    diverges is kept in the output with NaN metrics and the diverged flag.
+    A dimension whose training diverges is kept in the output with NaN
+    metrics and the diverged flag.
     """
-    if not dims:
-        raise ValueError("dims must be non-empty")
-    if list(dims) != sorted(dims) or len(set(dims)) != len(dims):
-        raise ValueError("dims must be strictly ascending")
-    if arch not in ARCHS:
-        raise ValueError(f"arch must be one of {sorted(ARCHS)}")
-    if train_cfg is None:
-        train_cfg = TrainConfig(optimizer="adagrad", lr=0.01, epochs=100)
-    return [_run_dimension(template, d, arch, train_cfg) for d in dims]
+    train_cfg = cfg.train or TrainConfig(optimizer="adagrad", lr=0.01, epochs=100)
+    return [_run_dimension(cfg, d, train_cfg) for d in cfg.dims]

@@ -53,7 +53,7 @@ from explainleak.reconstruct import (
     algorithm1_reconstruct,
     reconstruction_query_budget,
 )
-from explainleak.synth import SynthConfig, dimension_sweep, generate_synthetic
+from explainleak.synth import SweepConfig, SynthConfig, dimension_sweep, generate_synthetic
 
 
 def _report(number: int, label: str, elapsed: float | None = None) -> None:
@@ -296,12 +296,12 @@ def test_criterion_08_dimension_sweep_rises_then_falls():
         cluster_std=10.0,
         seed=0,
     )
-    rows = dimension_sweep(
-        dims,
+    rows = dimension_sweep(SweepConfig(
+        tuple(dims),
         template,
         arch="small",
-        train_cfg=TrainConfig(optimizer="adagrad", lr=0.01, epochs=200),
-    )
+        train=TrainConfig(optimizer="adagrad", lr=0.01, epochs=200),
+    ))
     elapsed = time.perf_counter() - start
     assert [row.dim for row in rows] == dims
     assert not any(row.diverged for row in rows)

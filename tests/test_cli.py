@@ -466,7 +466,7 @@ class TestConfigMistakesExitOneBeforeTraining:
 
     @pytest.mark.parametrize("command, change, message", [
         ("attack", _stat("local_surrogate", {"num_sample": 50}),
-         "local_surrogate does not take params ['num_sample']"),
+         "unknown SurrogateConfig keys: ['num_sample']"),
         ("attack", _stat("smoothgrad", {"samples": 0}), "samples must be at least 1"),
         ("attack", _stat("gradient", {"sigma": 5}), "gradient does not take params ['sigma']"),
         ("attack", {"hidden": [0]}, "layer width must be at least 1"),
@@ -547,9 +547,9 @@ class TestMistypedValuesExitOne:
         ("attack", {**ATTACK_PAYLOAD, "train": {**ATTACK_PAYLOAD["train"], "epochs": 2.5}},
          "train.epochs must be an integer, got 2.5"),
         ("attack", {**ATTACK_PAYLOAD, **_stat("smoothgrad", {"samples": 2.5})},
-         "samples must be an integer, got 2.5"),
+         "smoothgrad.samples must be an integer, got 2.5"),
         ("attack", {**ATTACK_PAYLOAD, **_stat("local_surrogate", {"kernel_width": "wide"})},
-         "kernel_width must be a number, got 'wide'"),
+         "local_surrogate.kernel_width must be a number, got 'wide'"),
         ("synth", {"n_features": 2, "n_samples": 40.5}, "n_samples must be an integer, got 40.5"),
         ("reconstruct", {**RECON_PAYLOAD, "graph_k": 2.5}, "graph_k must be an integer, got 2.5"),
         ("reconstruct", {**RECON_PAYLOAD, "traverse_starts": 2.5},
@@ -635,6 +635,88 @@ class TestCommandTail:
         assert all("training diverged" in w for w in manifest["warnings"])
         assert captured.err == "".join(f"warning: {w}\n" for w in manifest["warnings"])
         assert len(manifest["audits"]) == 1
+
+
+def _synth_seed(command, seed):
+    """The command's small valid config with its synthetic template's seed set."""
+    payload = TAIL_PAYLOADS[command][0]
+    if command == "synth":
+        return {**payload, "seed": seed}
+    return {**payload, "synth": {**payload["synth"], "seed": seed}}
+
+
+class TestDataMistakesNeverTrain:
+    """Each of these is refused before any fit. Most once failed only when numpy
+    met them: a negative synthetic seed exited 2 with numpy's message naming no
+    field, a file without a feature column exited 2 from deep inside the first
+    fit, and a per-feature param of the wrong length trained every target and
+    exited 0 with only warnings. Sweep dims too small for the classes are now
+    refused when the `SweepConfig` is built."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        fits = []
+        for owner, name in [(harness, "train"), (harness, "train_logistic"),
+                            (harness, "build_loo_cache"), (synth, "train")]:
+            monkeypatch.setattr(owner, name, lambda *args: fits.append(args))
+        return fits
+
+    def _run(self, tmp_path, recwarn, command, payload, *flags):
+        config = write_config(tmp_path, payload)
+        code = main([command, "--config", config, "--out", str(tmp_path / "out"), *flags])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        return code
+
+    @pytest.mark.parametrize("command", list(TAIL_PAYLOADS))
+    def test_negative_synthetic_seed_exits_1(self, tmp_path, capsys, recwarn, fits, command):
+        assert self._run(tmp_path, recwarn, command, _synth_seed(command, -1)) == 1
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not fits
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_sweep_seed_override_exits_1(self, tmp_path, capsys, recwarn, fits):
+        payload = TAIL_PAYLOADS["sweep-dim"][0]
+        assert self._run(tmp_path, recwarn, "sweep-dim", payload, "--seed", "-1") == 1
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not fits
+
+    def test_sweep_dim_with_too_few_vertices_exits_1(self, tmp_path, capsys, recwarn, fits):
+        payload = {**SWEEP_PAYLOAD, "dims": [1, 4], "synth": {**SWEEP_PAYLOAD["synth"],
+                                                             "n_features": 4, "n_classes": 3}}
+        assert self._run(tmp_path, recwarn, "sweep-dim", payload) == 1
+        assert "3 classes need 3 distinct vertices but a 1-cube has only 2" in (
+            capsys.readouterr().err)
+        assert not fits
+
+    @pytest.mark.parametrize("command", ["train", "attack", "reconstruct"])
+    def test_csv_without_a_feature_column_exits_2_naming_the_file(
+            self, tmp_path, capsys, recwarn, fits, command):
+        csv_path = tmp_path / "labels_only.csv"
+        csv_path.write_text("label\n0\n1\n0\n1\n")
+        payload = {**TAIL_PAYLOADS[command][0], "synth": None, "dataset_csv": str(csv_path)}
+        assert self._run(tmp_path, recwarn, command, payload) == 2
+        assert capsys.readouterr().err == f"error: {csv_path}: no feature column besides " \
+                                          "the label and group columns\n"
+        assert not fits
+
+    @pytest.mark.parametrize("command, method, params, message", [
+        ("attack", "integrated_gradients", {"baseline": [0, 0]},
+         "integrated_gradients.baseline needs one entry per feature (6), got shape (2,)"),
+        ("attack", "smoothgrad", {"sigma": [1, 2, 3]},
+         "smoothgrad.sigma needs one entry per feature (6), got shape (3,)"),
+        ("sweep-epochs", "integrated_gradients", {"baseline": 0},
+         "integrated_gradients.baseline needs one entry per feature (6), got shape ()"),
+        ("perturb-attack", "smoothgrad", {"sigma": [[1] * 6]},
+         "smoothgrad.sigma needs one entry per feature (6), got shape (1, 6)"),
+    ], ids=["baseline", "sigma", "scalar-baseline", "sigma-matrix"])
+    def test_per_feature_param_of_the_wrong_length_exits_1(
+            self, tmp_path, capsys, recwarn, fits, command, method, params, message):
+        payload = {**TAIL_PAYLOADS[command][0], **_stat(method, params),
+                   "synth": {**ATTACK_PAYLOAD["synth"], "n_features": 6}}
+        assert self._run(tmp_path, recwarn, command, payload) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not fits
+        assert not (tmp_path / "out").exists()
 
 
 class TestInstalledEntryPoints:

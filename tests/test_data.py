@@ -53,13 +53,16 @@ def test_non_finite_cell_names_row_and_column(tmp_path, cell, row, column):
 
 def row_loop(path, label_column, group_column=None) -> Dataset:
     """The per-cell Python parser that `load_csv_dataset` used before numpy's
-    C parser took plain files, with labels outside int64 named as errors."""
+    C parser took plain files, with labels outside int64 and a file without a
+    feature column named as errors."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
         label_idx = header.index(label_column)
         group_idx = header.index(group_column) if group_column is not None else None
         feature_idx = [i for i in range(len(header)) if i not in (label_idx, group_idx)]
+        if not feature_idx:
+            raise ValueError(f"{path}: no feature column besides the label and group columns")
         rows, labels, groups = [], [], []
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -217,3 +220,14 @@ def test_label_outside_int64_names_row_and_column(tmp_path, label):
     path.write_text(f"x,label\n1.0,0\n2.0,{label}\n")
     with pytest.raises(ValueError, match=rf"row 3, column 'label': label '{label}' is not a 64-bit"):
         load_csv_dataset(path, "label")
+
+
+@pytest.mark.parametrize("text, group_column", [("label\n0\n1\n0\n1\n", None),
+                                                ("label,g\n0,a\n1,b\n", "g")])
+def test_file_without_a_feature_column_is_rejected(tmp_path, text, group_column):
+    # Such a file once loaded as an n x 0 matrix and failed later, deep in numpy.
+    path = tmp_path / "labels_only.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="no feature column") as excinfo:
+        load_csv_dataset(path, "label", group_column)
+    assert str(excinfo.value).startswith(f"{path}: ")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from explainleak import (
     EXPLANATION_METHODS,
+    ConfigError,
     IgConfig,
     LayerSpec,
     LogisticModel,
@@ -22,6 +23,8 @@ from explainleak import (
     ig_completeness_gap,
     init_model,
 )
+from explainleak.config import decode
+from explainleak.explain import check_feature_params
 
 # The package re-exports the function `explain`, which shadows the submodule.
 models_module = importlib.import_module("explainleak.models")
@@ -397,6 +400,39 @@ class TestDispatcher:
             explain(small_trained_model, np.zeros(4), "saliency_maps")
 
 
+class TestParamsCodec:
+    """Each method's params dataclass decodes through the one config codec."""
+
+    def test_array_params_pass_through_unchanged(self):
+        sigma, baseline = np.linspace(0.1, 0.4, 4), np.ones(4)
+        assert decode("smoothgrad.sigma", float | np.ndarray, sigma) is sigma
+        assert decode("smoothgrad.sigma", float | np.ndarray, [1, 2]) == [1, 2]
+        assert decode("integrated_gradients.baseline", np.ndarray | None, baseline) is baseline
+        assert SmoothGradConfig.from_dict({"sigma": sigma}).sigma is sigma
+        assert IgConfig.from_dict({"baseline": baseline}).baseline is baseline
+
+    def test_type_error_names_the_dotted_path(self, small_trained_model):
+        message = r"^smoothgrad\.samples must be an integer, got 2\.5$"
+        with pytest.raises(ConfigError, match=message):
+            explain_batch(small_trained_model, np.zeros((2, 4)), "smoothgrad", {"samples": 2.5})
+
+    def test_per_feature_params_need_one_entry_per_feature(self, small_trained_model):
+        X = np.zeros((2, 4))
+        for method, params in [("smoothgrad", {"sigma": 0.5}), ("smoothgrad", {"sigma": [0.5] * 4}),
+                               ("integrated_gradients", None),
+                               ("integrated_gradients", {"baseline": [1.0] * 4})]:
+            check_feature_params(method, params, 4)
+            assert explain_batch(small_trained_model, X, method, params).shape == (2, 4)
+        check_feature_params(None, None, 4)  # a loss or prediction-variance statistic
+        for method, params in [("smoothgrad", {"sigma": [0.5] * 3}),
+                               ("integrated_gradients", {"baseline": [1.0] * 5}),
+                               ("integrated_gradients", {"baseline": 1.0})]:
+            name = next(iter(params))
+            message = rf"^{method}\.{name} needs one entry per feature \(4\)"
+            with pytest.raises(ConfigError, match=message):
+                explain_batch(small_trained_model, X, method, params)
+
+
 # ---------------------------------------------------------------------------
 # Batched engine against per-point explanations
 
@@ -522,9 +558,9 @@ class TestExplainBatch:
         for method in ("gradient", "grad_times_input", "guided_backprop"):
             with pytest.raises(ValueError, match=f"{method} does not take params"):
                 explain_batch(small_trained_model, X, method, {"sigma": 1.0})
-        with pytest.raises(ValueError, match=r"does not take params \['samples'\]"):
+        with pytest.raises(ConfigError, match=r"unknown SurrogateConfig keys: \['samples'\]"):
             explain_batch(small_trained_model, X, "local_surrogate", {"samples": 10})
-        with pytest.raises(ValueError, match=r"does not take params \['steps'\]"):
+        with pytest.raises(ConfigError, match=r"unknown LrpConfig keys: \['steps'\]"):
             explain(small_trained_model, X[0], "lrp", {"steps": 10})
 
     def test_rejects_single_vector_and_unknown_method(self, small_trained_model):

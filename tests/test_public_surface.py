@@ -29,7 +29,9 @@ import explainleak
 # stores no fact twice: a reconstruction step holds its own constraint and its
 # position is its iteration, and the query counts and the inconsistency flag are
 # read from the steps, the recovered points and the reason. Nothing read the greedy
-# cover's seeds, and a graph metrics dict is `dataclasses.asdict`.
+# cover's seeds, and a graph metrics dict is `dataclasses.asdict`. Each experiment
+# gets only its config: no caller handed a runner its own dataset, and the dimension
+# sweep takes its `SweepConfig`, which checks the dims and arch when it is built.
 RETIRED_FUNCTIONS = {
     "explain": [
         "explain_gradient", "explain_grad_times_input", "explain_integrated_gradients",
@@ -60,7 +62,10 @@ RETIRED_PARAMETERS = {
     "traverse_attack": ["schedule", "start_label"],
     "build_loo_cache": ["k"],
     "InfluenceExplainer": ["k"],
-    "run_threshold_experiment": ["run_prefix"],
+    "run_threshold_experiment": ["run_prefix", "dataset"],
+    "run_overfit_sweep": ["dataset"],
+    "run_perturbation_experiment": ["dataset"],
+    "dimension_sweep": ["dims", "template", "arch", "train_cfg"],
     "RevealResult": ["query"],
     "ReconstructionResult": ["constraints", "queries_revealing", "oracle_inconsistent"],
     "reconstruct.ReconstructionStep": ["iteration"],

@@ -7,11 +7,13 @@ import pytest
 import explainleak.synth as synth_mod
 from conftest import finite_difference_gradient
 from explainleak.attacks import AttackStatistic, statistic_values
+from explainleak.config import ConfigError
 from explainleak.models import TrainConfig, TrainingDivergedError, train_logistic
 from explainleak.synth import (
     ARCHS,
     CorrelationResult,
     DimensionResult,
+    SweepConfig,
     SynthConfig,
     dimension_sweep,
     generate_synthetic,
@@ -49,6 +51,7 @@ class TestSynthConfig:
             {"n_features": 3, "class_sep": 0.0},
             {"n_features": 3, "class_sep": -1.0},
             {"n_features": 3, "cluster_std": -0.1},
+            {"n_features": 3, "seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -201,7 +204,7 @@ class TestGradNorms:
 
         monkeypatch.setattr(synth_mod, "statistic_values", recording)
         template = SynthConfig(n_features=2, n_samples=40, seed=0)
-        dimension_sweep([2], template, arch="small", train_cfg=TrainConfig(epochs=2))
+        dimension_sweep(SweepConfig((2,), template, arch="small", train=TrainConfig(epochs=2)))
         assert seen == [GRAD_NORM_L1, GRAD_NORM_L1]
 
 
@@ -266,7 +269,7 @@ FAST_TRAIN = TrainConfig(optimizer="adagrad", lr=0.05, epochs=20, batch_size=16)
 class TestDimensionSweep:
     def test_rows_and_seed_derivation(self):
         template = SynthConfig(n_features=1, n_samples=60, class_sep=2.0, seed=5)
-        rows = dimension_sweep([1, 3], template, arch="small", train_cfg=FAST_TRAIN)
+        rows = dimension_sweep(SweepConfig((1, 3), template, arch="small", train=FAST_TRAIN))
         assert [row.dim for row in rows] == [1, 3]
         for row in rows:
             assert isinstance(row, DimensionResult)
@@ -284,8 +287,9 @@ class TestDimensionSweep:
 
     def test_rerun_gives_identical_results(self):
         template = SynthConfig(n_features=1, n_samples=40, class_sep=2.0, seed=8)
-        first = dimension_sweep([1, 2, 4], template, arch="small", train_cfg=FAST_TRAIN)
-        second = dimension_sweep([1, 2, 4], template, arch="small", train_cfg=FAST_TRAIN)
+        cfg = SweepConfig((1, 2, 4), template, arch="small", train=FAST_TRAIN)
+        first = dimension_sweep(cfg)
+        second = dimension_sweep(cfg)
         assert first == second
 
     def test_diverged_dimension_kept_with_nan_row(self, monkeypatch):
@@ -298,9 +302,7 @@ class TestDimensionSweep:
 
         monkeypatch.setattr(synth_mod, "train", flaky_train)
         template = SynthConfig(n_features=1, n_samples=40, class_sep=2.0, seed=2)
-        rows = dimension_sweep(
-            [1, 2, 3], template, arch="small", train_cfg=FAST_TRAIN
-        )
+        rows = dimension_sweep(SweepConfig((1, 2, 3), template, arch="small", train=FAST_TRAIN))
         assert [row.dim for row in rows] == [1, 2, 3]
         bad = rows[1]
         assert bad.diverged and bad.degenerate
@@ -316,22 +318,31 @@ class TestDimensionSweep:
         template = SynthConfig(
             n_features=1, n_samples=80, class_sep=3.0, cluster_std=0.3, seed=1
         )
-        rows = dimension_sweep(
-            [2],
+        rows = dimension_sweep(SweepConfig(
+            (2,),
             template,
             arch="small",
-            train_cfg=TrainConfig(optimizer="adagrad", lr=0.05, epochs=60),
-        )
+            train=TrainConfig(optimizer="adagrad", lr=0.05, epochs=60),
+        ))
         assert rows[0].train_accuracy >= 0.95
         assert rows[0].test_accuracy >= 0.9
 
-    @pytest.mark.parametrize("dims", [[], [3, 1], [2, 2]])
+    @pytest.mark.parametrize("dims", [(), (3, 1), (2, 2)])
     def test_rejects_bad_dims(self, dims):
         template = SynthConfig(n_features=1, n_samples=20)
-        with pytest.raises(ValueError):
-            dimension_sweep(dims, template, arch="small", train_cfg=FAST_TRAIN)
+        with pytest.raises(ConfigError, match="dims must be non-empty and strictly ascending"):
+            SweepConfig(dims, template, arch="small", train=FAST_TRAIN)
 
     def test_rejects_unknown_arch(self):
         template = SynthConfig(n_features=1, n_samples=20)
-        with pytest.raises(ValueError, match="arch"):
-            dimension_sweep([1], template, arch="huge", train_cfg=FAST_TRAIN)
+        with pytest.raises(ConfigError, match="arch"):
+            SweepConfig((1,), template, arch="huge", train=FAST_TRAIN)
+
+    def test_rejects_a_dim_the_template_cannot_take(self):
+        # A 1-cube has 2 vertices, too few for 3 classes; a 2-cube has 4.
+        template = SynthConfig(n_features=4, n_classes=3, n_samples=30)
+        with pytest.raises(ConfigError, match="dims: 3 classes need 3 distinct vertices"):
+            SweepConfig((1, 4), template, arch="small")
+        with pytest.raises(ConfigError, match="dims: n_features must be >= 1"):
+            SweepConfig((0, 4), template, arch="small")
+        assert SweepConfig((2, 4), template, arch="small").dims == (2, 4)
