@@ -115,14 +115,11 @@ def _experiment_output(result, args) -> Output:
                   {"warnings": result.warnings, "audits": result.audits})
 
 
-def _cmd_attack(args) -> Output:
+def _cmd_attack(args) -> Output:  # and perturb-attack, which defaults its statistics
     cfg = ExperimentConfig.from_dict(_load_config(args))
+    if args.command == "perturb-attack":
+        return _experiment_output(run_perturbation_experiment(cfg), args)
     return _experiment_output(run_threshold_experiment(cfg), args)
-
-
-def _cmd_perturb_attack(args) -> Output:
-    cfg = ExperimentConfig.from_dict(_load_config(args))
-    return _experiment_output(run_perturbation_experiment(cfg), args)
 
 
 def _cmd_sweep_epochs(args) -> Output:
@@ -178,7 +175,7 @@ def build_parser() -> _Parser:
         "sweep-epochs": (_cmd_sweep_epochs, "attack accuracy across training epochs"),
         "reconstruct": (_cmd_reconstruct, "run the reconstruction campaign"),
         "synth": (_cmd_synth, "generate a synthetic dataset CSV"),
-        "perturb-attack": (_cmd_perturb_attack, "reduced-scale perturbation attacks"),
+        "perturb-attack": (_cmd_attack, "reduced-scale perturbation attacks"),
     }
     for name, (func, help_text) in commands.items():
         sub = subparsers.add_parser(name, help=help_text)

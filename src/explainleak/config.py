@@ -6,9 +6,9 @@ recurse, tuples travel as lists, and a scalar must already have its field's
 type (an ``int`` refuses bools and floats; a ``float`` takes an int as it is).
 Only fields annotated ``X | None`` accept null, and a union that names
 ``np.ndarray`` (an explanation's per-feature param) takes its value unchecked.
-A mistyped value (named by its dotted path, as ``train.epochs``), an unknown
-key at any level, or a TypeError/ValueError from a constructor raises
-ConfigError.
+A mistyped value or an unknown key at any level (each named by its dotted
+path, as ``train.epochs``), or a TypeError/ValueError from a constructor
+raises ConfigError.
 """
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ class Config:
             raise ConfigError(f"{name} must be a JSON object, got {payload!r}")
         unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown {name} keys: {sorted(path + key for key in unknown)}")
         hints = typing.get_type_hints(cls)
         try:
             return cls(**{key: decode(path + key, hints[key], v) for key, v in payload.items()})

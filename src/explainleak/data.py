@@ -27,13 +27,10 @@ class Dataset:
             raise ValueError("dataset must contain at least one point")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
             raise ValueError("labels must be 1-D with one entry per row")
-        if not np.issubdtype(self.labels.dtype, np.integer):
-            as_int = self.labels.astype(np.int64)
-            if not np.array_equal(as_int, self.labels):
-                raise ValueError("labels must be integers")
-            self.labels = as_int
-        else:
-            self.labels = self.labels.astype(np.int64)
+        as_int = self.labels.astype(np.int64)
+        if not np.array_equal(as_int, self.labels):
+            raise ValueError("labels must be integers")
+        self.labels = as_int
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative")
         if self.groups is not None and len(self.groups) != self.n_points:

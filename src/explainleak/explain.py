@@ -29,9 +29,6 @@ class Explanation:
     values: np.ndarray
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-
 
 @dataclass
 class IgConfig(Config):

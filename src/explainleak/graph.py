@@ -44,31 +44,28 @@ def strongly_connected_components(edges: list[list[int]]) -> list[list[int]]:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
             for pos in range(edge_pos, len(edges[v])):
                 w = edges[v][pos]
-                if index[w] == -1:
+                if index[w] == -1:  # descend into w; v resumes at its next edge
                     work[-1] = (v, pos + 1)
                     work.append((w, 0))
-                    advanced = True
                     break
                 if on_stack[w]:
                     lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
+            else:  # every edge of v is done
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
     return components
 
 
@@ -152,18 +149,14 @@ def greedy_omniscient_baseline(edges: list[list[int]]) -> GreedyCoverResult:
     unrecovered nodes, until every node that has an incoming path is covered
     (zero-in-degree nodes are unreachable by any crawl and are excluded).
     """
-    n = len(edges)
     reach = [set(_crawl(edges, row)) for row in edges]  # every node a query at v reveals
     has_in_edge = set().union(*edges)
     covered: set[int] = set()
     seed_count = 0
     while not has_in_edge <= covered:
-        best, best_gain = -1, -1
-        for v in range(n):
-            gain = len(reach[v] - covered)
-            if gain > best_gain:
-                best, best_gain = v, gain
-        if best_gain <= 0:
+        gains = [len(nodes - covered) for nodes in reach]
+        best = gains.index(max(gains))  # the first node of the largest gain
+        if gains[best] <= 0:
             break
         seed_count += 1
         covered |= reach[best]

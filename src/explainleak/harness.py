@@ -6,9 +6,9 @@ optimal and shadow calibration, the overfitting sweep, the reduced-scale
 perturbation-method comparison, and reconstruction campaigns. A master seed
 fans out through named, indexed children, so every result depends only on
 the config; emitted CSVs are byte-stable across reruns (wall times go to the
-CLI's manifest only). A threshold or overfit run trains its targets as one
-job list: with 2 or more jobs and usable CPUs, in forked worker processes
-that inherit the BLAS environment; the bytes are the same on either path at a
+CLI's manifest only). A threshold or overfit run's targets and a campaign's
+leave-one-out blocks are job lists for `models.fork_map`, whose forked workers
+inherit the BLAS environment; the bytes are the same on either path at a
 fixed BLAS thread count, and numpy's overflow warnings are silenced on both.
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import platform
 import re
 import zlib
@@ -40,7 +39,7 @@ from .data import Dataset, load_csv_dataset
 from .explain import MLP_METHODS, check_feature_params
 from .graph import build_influence_graph, greedy_omniscient_baseline, scc_metrics, traverse_attack
 from .influence import build_loo_cache, group_reveal_rates, self_reveal_rate, self_reveals
-from .models import LayerSpec, TrainConfig, init_model, train, train_logistic
+from .models import LayerSpec, TrainConfig, fork_map, init_model, train, train_logistic
 from .reconstruct import (
     MarginalSampler,
     TrueDistributionSampler,
@@ -347,33 +346,6 @@ def target_row(dataset: Dataset, cfg: ExperimentConfig, split: TargetSplit, seed
     return accuracies, entries
 
 
-_FORKED: list = []  # a pool worker's [dataset, jobs], put there by its initializer
-
-
-def _forked_row(i: int):
-    dataset, jobs = _FORKED
-    return target_row(dataset, *jobs[i])
-
-
-def _target_rows(dataset: Dataset, jobs: list) -> list:
-    """`target_row` of every (cfg, split, seed) job, in job order.
-
-    With at least 2 jobs and 2 usable CPUs the jobs are mapped over min(jobs,
-    CPUs) forked worker processes, which inherit the dataset and the jobs; only
-    the rows travel back. Otherwise they run in this process.
-    """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()  # Linux only
-    workers = min(len(jobs), len(cpus))
-    if workers < 2:
-        return [target_row(dataset, *job) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, fork, _FORKED.extend, ((dataset, jobs),)) as pool:
-        return list(pool.map(_forked_row, range(len(jobs))))
-
-
 def _score_repetition(cfg, rep, prefix, splits, rows, result: ExperimentResult) -> None:
     """Append one repetition's records, decision blocks and warnings to result."""
     table: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float] | str] = {}
@@ -417,8 +389,8 @@ def _run_threshold(dataset: Dataset, runs: list, result: ExperimentResult) -> Ex
     """Every repetition of each (cfg, run id prefix) in runs, scored into result.
 
     The repetitions' subsets are sampled and audited first; then every target
-    of every repetition is one `_target_rows` job, and each repetition is
-    scored from its targets' rows in order.
+    of every repetition is one `fork_map` job of `target_row`, and each
+    repetition is scored from its targets' rows in order.
     """
     for stat in runs[0][0].statistics:  # before any job; the runs share their statistics
         check_feature_params(stat.method, stat.params, dataset.n_features)
@@ -431,7 +403,7 @@ def _run_threshold(dataset: Dataset, runs: list, result: ExperimentResult) -> Ex
             reps.append((cfg, rep, prefix, splits))
     jobs = [(cfg, split, child_seed(cfg.seed, "target", rep, t))
             for cfg, rep, _, splits in reps for t, split in enumerate(splits)]
-    rows = iter(_target_rows(dataset, jobs))
+    rows = iter(fork_map(target_row, (dataset,), jobs))
     for cfg, rep, prefix, splits in reps:
         _score_repetition(cfg, rep, prefix, splits, [next(rows) for _ in splits], result)
     return result
@@ -484,10 +456,15 @@ def default_perturbation_statistics() -> list[AttackStatistic]:
 
 
 def run_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Reduced-scale comparison of perturbation-based attack statistics."""
-    if not any(s.method in ("local_surrogate", "smoothgrad") for s in cfg.statistics):
-        cfg = replace(cfg, statistics=default_perturbation_statistics())
-    return run_threshold_experiment(cfg, name="perturbation")
+    """Reduced-scale comparison of perturbation-based attack statistics. A config
+    naming neither perturbation method runs the four defaults, with a warning."""
+    if any(s.method in ("local_surrogate", "smoothgrad") for s in cfg.statistics):
+        return run_threshold_experiment(cfg, name="perturbation")
+    result = run_threshold_experiment(
+        replace(cfg, statistics=default_perturbation_statistics()), name="perturbation")
+    dropped = [s.label for s in cfg.statistics]
+    result.warnings.insert(0, f"no perturbation statistic: ran the four defaults, not {dropped}")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ likelihood-form loss when x is dropped and the logistic model retrained:
 I_y(x) = L(y, base) - L(y, without-x). Training is deterministic, so the
 leave-one-out cache is exactly reproducible, and reveal operations rank
 training points by |I| (dropping either of the label orientations flips only
-the sign). All n leave-one-out models train in one batch (`train_logistic_loo`).
+the sign). The n leave-one-out models train in `fork_map` blocks (`train_logistic_loo`).
 `InfluenceOracle` holds the stacked models once; the explainer's top-k reveals
 and the reconstruction attack's top-1 `query` both read it.
 """
@@ -107,7 +107,6 @@ class InfluenceOracle:
         return top
 
     def query(self, y: np.ndarray) -> OracleAnswer:
-        y = np.asarray(y, dtype=np.float64)
         self.query_count += 1
         f = self.base.positive_prob(y)
         (idx,), (influence,) = self.top_k(y, 1 if f >= 0.5 else 0, 1)
@@ -167,7 +166,6 @@ def topk_explain(
 ) -> RevealResult:
     """The k most influential training points by |I|, ties to lower index; a
     None label is the base model's predicted label for y."""
-    y = np.asarray(y, dtype=np.float64)
     if label is None:
         label = expl.predicted_label(y)
     top, influences = expl.top_k(y, label, k)

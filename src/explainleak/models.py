@@ -5,7 +5,7 @@ per-layer activations and a softmax head over its k logits. `LogisticModel` is
 a linear classifier f(x) = 1 / (1 + exp(-(w.x - b))) trained by full-batch
 gradient ascent on the log-likelihood; it is the model family the influence and
 reconstruction machinery operates on; `train_logistic_loo` trains all n
-leave-one-out fits at once.
+leave-one-out fits in blocks, which `fork_map` runs in forked workers.
 
 Everything is deterministic under explicit seeds: weight init draws from a
 seeded generator, and epoch shuffles come from a generator derived from the
@@ -14,6 +14,7 @@ training seed, so identical configs reproduce bit-identical parameters.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +34,45 @@ def _row_blocks(n_rows: int, floats_per_row: int):
     """Row slices that fit in _BLOCK_FLOATS at floats_per_row floats a row (one row at least)."""
     step = max(1, _BLOCK_FLOATS // floats_per_row)
     return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
+
+
+_FORKED: list = []  # a pool worker's [fn, shared, jobs], put there by its initializer
+
+
+def _start_worker(ids, cpus, *forked) -> None:
+    """A pool worker's initializer: keep the map's fn, shared and jobs, and start on a
+    CPU of its own, as forked workers can share one for longer than a short map lasts."""
+    _FORKED.extend(forked)
+    try:  # pinned, it moves there; widened again, the scheduler may still move it
+        os.sched_setaffinity(0, {ids.get()})
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # a CPU this host lacks: it stays where it was forked
+        pass
+
+
+def _forked_call(i: int):
+    fn, shared, jobs = _FORKED
+    return fn(*shared, *jobs[i])
+
+
+def fork_map(fn, shared: tuple, jobs: list) -> list:
+    """[fn(*shared, *job) for job in jobs], in job order: the one map of the LOO
+    blocks, the threshold targets and the sweep dims. With 2 or more jobs and usable
+    CPUs they run on min(jobs, CPUs) forked workers, which inherit fn, shared and the
+    jobs; only results travel back, and a dead worker raises BrokenProcessPool."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()  # Linux only
+    workers = min(len(jobs), len(cpus))
+    if workers < 2:
+        return [fn(*shared, *job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    ids = fork.SimpleQueue()  # one CPU id for each worker
+    for cpu in sorted(cpus)[:workers]:
+        ids.put(cpu)
+    with ProcessPoolExecutor(workers, fork, _start_worker, (ids, cpus, fn, shared, jobs)) as pool:
+        return list(pool.map(_forked_call, range(len(jobs))))
 
 
 class TrainingDivergedError(RuntimeError):
@@ -389,10 +429,6 @@ class LogisticModel:
         if self.w.ndim != 1:
             raise ValueError("w must be a vector")
 
-    @property
-    def n_classes(self) -> int:
-        return 2
-
     def positive_prob(self, x: np.ndarray) -> float:
         """f(x) at one point: the scalar path of every oracle query."""
         return float(sigmoid(np.dot(x, self.w) - self.b))
@@ -461,22 +497,28 @@ def train_logistic(dataset, cfg: TrainConfig) -> LogisticModel:
     return LogisticModel(w=w, b=b)
 
 
+def _loo_block(X: np.ndarray, y: np.ndarray, lr: float, epochs: int, rows: slice) -> np.ndarray:
+    """The leave-one-out weights of `rows`, one block of models trained from zero."""
+    n = len(y)
+    w_blk = np.zeros((rows.stop - rows.start, X.shape[1]))
+    resid = np.empty((len(w_blk), n))
+    for _ in range(epochs):
+        np.matmul(w_blk, X.T, out=resid)
+        np.subtract(y, sigmoid(resid, out=resid), out=resid)
+        np.fill_diagonal(resid[:, rows.start:], 0.0)  # row r leaves out point rows.start + r
+        w_blk += lr * (resid @ X) / (n - 1)
+    return w_blk
+
+
 def train_logistic_loo(dataset, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """All n leave-one-out `train_logistic` fits, (n, d) weights and (n,) biases, in
-    blocks of models. Row i trains on all points with point i's residual zeroed, so
-    each step is the mean gradient of the other n - 1 (the bias is the weight of a
-    constant -1 feature). Rows equal per-subset fits up to summation order; they are
-    returned unchecked, so the caller can name a non-finite row."""
+    `fork_map` jobs of one block each. Row i trains on all points with point i's
+    residual zeroed, so each step is the mean gradient of the other n - 1 (the bias is
+    the weight of a constant -1 feature). Rows equal per-subset fits up to summation
+    order; they are returned unchecked, so the caller can name a non-finite row."""
     y = _binary_targets(dataset.labels)
     n = len(y)
     X = np.hstack([dataset.features, -np.ones((n, 1))])
-    W = np.zeros((n, X.shape[1]))
-    for rows in _row_blocks(n, n):
-        w_blk = W[rows]  # a view: the block trains in place
-        resid = np.empty((len(w_blk), n))
-        for _ in range(cfg.epochs):
-            np.matmul(w_blk, X.T, out=resid)
-            np.subtract(y, sigmoid(resid, out=resid), out=resid)
-            np.fill_diagonal(resid[:, rows.start:], 0.0)  # row r leaves out point rows.start + r
-            w_blk += cfg.lr * (resid @ X) / (n - 1)
+    jobs = [(rows,) for rows in _row_blocks(n, n)]
+    W = np.concatenate(fork_map(_loo_block, (X, y, cfg.lr, cfg.epochs), jobs))
     return W[:, :-1], W[:, -1]

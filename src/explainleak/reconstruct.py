@@ -127,9 +127,7 @@ def algorithm1_reconstruct(
     different point than their anchor even at step ``_EPS_MIN``).
     """
     n = oracle.n_features
-    if y0 is None:
-        y0 = np.zeros(n, dtype=np.float64)
-    y0 = np.asarray(y0, dtype=np.float64).copy()
+    y0 = np.zeros(n) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
     if y0.shape != (n,):
         raise ValueError(f"y0 must have shape ({n},), got {y0.shape}")
     eps0 = 1e-4 * max(1.0, float(np.abs(y0).max()))

@@ -19,6 +19,7 @@ from .models import (
     LayerSpec,
     TrainConfig,
     TrainingDivergedError,
+    fork_map,
     init_model,
     train,
 )
@@ -167,7 +168,7 @@ def _sweep_seed(base_seed: int, dim: int) -> int:
     return int(np.random.SeedSequence([base_seed, dim]).generate_state(1)[0])
 
 
-def _run_dimension(sweep: SweepConfig, dim: int, train_cfg: TrainConfig) -> DimensionResult:
+def _run_dimension(sweep: SweepConfig, train_cfg: TrainConfig, dim: int) -> DimensionResult:
     """One sweep row. The target ends in a tanh output layer, unlike the identity
     layer of `harness.train_target`'s targets; it is kept because criterion 8
     and every `sweep-dim` result are measured with it."""
@@ -208,10 +209,10 @@ def _run_dimension(sweep: SweepConfig, dim: int, train_cfg: TrainConfig) -> Dime
 
 
 def dimension_sweep(cfg: SweepConfig) -> list[DimensionResult]:
-    """Correlation + accuracies per dimension for one architecture.
+    """Correlation + accuracies per dimension, one `fork_map` job each, largest first.
 
     A dimension whose training diverges is kept in the output with NaN
     metrics and the diverged flag.
     """
     train_cfg = cfg.train or TrainConfig(optimizer="adagrad", lr=0.01, epochs=100)
-    return [_run_dimension(cfg, d, train_cfg) for d in cfg.dims]
+    return fork_map(_run_dimension, (cfg, train_cfg), [(d,) for d in cfg.dims[::-1]])[::-1]

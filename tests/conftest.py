@@ -2,6 +2,10 @@
 the per-query reveal ranking that the block paths are held to."""
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -16,6 +20,28 @@ from explainleak import (
     init_model,
     train,
 )
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """`models.fork_map` sees n usable CPUs: with 1 every job runs in this process,
+    with 2 a list of 2 or more jobs is mapped over forked worker processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def worker_guard():
+    """Fail a test still running after 60 s, rather than hang on a lost worker, and
+    one that leaves a worker process behind."""
+    def expire(signum, frame):
+        raise TimeoutError("the run did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
 # CI failure reproduces locally; tests keep their own example counts.

@@ -51,7 +51,8 @@ class TestAttackStatistic:
             AttackStatistic("loss", method="gradient")
 
     def test_params_checked_against_the_method(self):
-        with pytest.raises(ValueError, match=r"unknown SurrogateConfig keys: \['num_sample'\]"):
+        message = r"unknown SurrogateConfig keys: \['local_surrogate\.num_sample'\]"
+        with pytest.raises(ValueError, match=message):
             AttackStatistic("expl_var", "local_surrogate", params={"num_sample": 50})
         with pytest.raises(ValueError, match="samples must be at least 1"):
             AttackStatistic("expl_var", "smoothgrad", params={"samples": 0})

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conftest import use_cpus
 from explainleak import cli, harness, synth
 from explainleak.cli import build_parser, main
 from explainleak.harness import config_hash
@@ -365,7 +366,7 @@ class TestReconstructCommand:
 
 
 class TestPerturbAttackCommand:
-    def test_runs_reduced_scale(self, tmp_path):
+    def test_runs_reduced_scale(self, tmp_path, capsys):
         payload = dict(
             ATTACK_PAYLOAD,
             synth={"n_features": 2, "n_samples": 40, "class_sep": 2.0, "seed": 6},
@@ -376,6 +377,28 @@ class TestPerturbAttackCommand:
         assert main(["perturb-attack", "--config", config, "--out", str(out)]) == 0
         lines = (out / "perturbation_records.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 4  # header + targets x default statistics
+        # The config's gradient statistic was swapped for the defaults, and it says so.
+        warning = "no perturbation statistic: ran the four defaults, not ['expl_var[gradient]']"
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+        manifest = json.loads((out / "perturbation_manifest.json").read_text())
+        assert manifest["warnings"] == [warning]
+
+
+@pytest.mark.usefixtures("worker_guard")
+def test_reconstruct_writes_the_same_bytes_with_a_forked_cache(tmp_path, monkeypatch):
+    # 520 points at train_fraction 0.5 leave 260 to train on: 2 leave-one-out blocks.
+    synth = {**RECON_PAYLOAD["synth"], "n_samples": 520}
+    config = write_config(tmp_path, {**RECON_PAYLOAD, "synth": synth, "train": {
+        **RECON_PAYLOAD["train"], "epochs": 30}})
+    outputs = {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        assert main(["reconstruct", "--config", config, "--out", str(out)]) == 0
+        outputs[cpus] = [(out / name).read_bytes()
+                         for name in ("reconstruction_report.json", "graph_metrics.csv")]
+    assert outputs[1] == outputs[2]
+    assert json.loads(outputs[1][0])["n_train"] == 260
 
 
 class TestSeedRange:
@@ -466,7 +489,7 @@ class TestConfigMistakesExitOneBeforeTraining:
 
     @pytest.mark.parametrize("command, change, message", [
         ("attack", _stat("local_surrogate", {"num_sample": 50}),
-         "unknown SurrogateConfig keys: ['num_sample']"),
+         "unknown SurrogateConfig keys: ['local_surrogate.num_sample']"),
         ("attack", _stat("smoothgrad", {"samples": 0}), "samples must be at least 1"),
         ("attack", _stat("gradient", {"sigma": 5}), "gradient does not take params ['sigma']"),
         ("attack", {"hidden": [0]}, "layer width must be at least 1"),
@@ -591,7 +614,9 @@ TAIL_PAYLOADS = {
     "synth": ({"n_features": 2, "n_samples": 12, "seed": 3}, "synth"),
     "train": (_SMALL_ATTACK, "train"),
     "attack": (_SMALL_ATTACK, "threshold"),
-    "perturb-attack": ({**_SMALL_ATTACK, "points_per_subset": 6}, "perturbation"),
+    # It names a perturbation method: with none, the run warns that it swapped in the defaults.
+    "perturb-attack": ({**_SMALL_ATTACK, "points_per_subset": 6, "statistics": [
+        {"kind": "expl_var", "method": "smoothgrad", "params": {"samples": 2}}]}, "perturbation"),
     "sweep-epochs": ({**_SMALL_ATTACK, "epoch_grid": [1, 2]}, "overfit"),
     "sweep-dim": ({**SWEEP_PAYLOAD, "train": {"epochs": 2}}, "sweep_dim"),
     "reconstruct": (RECON_PAYLOAD, "reconstruct"),

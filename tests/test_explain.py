@@ -558,9 +558,10 @@ class TestExplainBatch:
         for method in ("gradient", "grad_times_input", "guided_backprop"):
             with pytest.raises(ValueError, match=f"{method} does not take params"):
                 explain_batch(small_trained_model, X, method, {"sigma": 1.0})
-        with pytest.raises(ConfigError, match=r"unknown SurrogateConfig keys: \['samples'\]"):
+        message = r"unknown SurrogateConfig keys: \['local_surrogate\.samples'\]"
+        with pytest.raises(ConfigError, match=message):
             explain_batch(small_trained_model, X, "local_surrogate", {"samples": 10})
-        with pytest.raises(ConfigError, match=r"unknown LrpConfig keys: \['steps'\]"):
+        with pytest.raises(ConfigError, match=r"unknown LrpConfig keys: \['lrp\.steps'\]"):
             explain(small_trained_model, X[0], "lrp", {"steps": 10})
 
     def test_rejects_single_vector_and_unknown_method(self, small_trained_model):

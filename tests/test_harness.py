@@ -6,7 +6,7 @@ import json
 import multiprocessing
 import os
 import re
-import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import explainleak
 import explainleak.harness as harness_module
-from conftest import two_blob_dataset
+from conftest import two_blob_dataset, use_cpus
 from explainleak.attacks import AttackStatistic, aggregate_shadow_taus
 from explainleak.cli import main
 from explainleak.harness import (
@@ -42,7 +42,7 @@ from explainleak.harness import (
     write_manifest,
 )
 from explainleak.influence import InfluenceOracle
-from explainleak.models import TrainConfig, TrainingDivergedError
+from explainleak.models import TrainConfig, TrainingDivergedError, fork_map
 from explainleak.reconstruct import reconstruction_query_budget
 from explainleak.synth import SynthConfig
 
@@ -234,6 +234,26 @@ class TestExperimentConfig:
         payload[section][key] = 1
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(payload)
+
+    def test_an_unknown_key_is_named_by_its_dotted_path(self):
+        params = {"kind": "expl_var", "method": "smoothgrad", "params": {"sample": 3}}
+        cases = [
+            ({"typo_key": 1}, "unknown ExperimentConfig keys: ['typo_key']"),
+            ({"train": {"momentum": 1}}, "unknown TrainConfig keys: ['train.momentum']"),
+            ({"synth": {"n_feature": 1}}, "unknown SynthConfig keys: ['synth.n_feature']"),
+            ({"statistics": [{"kind": "loss", "direction": "leq"}]},
+             "unknown AttackStatistic keys: ['statistics.direction']"),
+            ({"statistics": [params]}, "unknown SmoothGradConfig keys: ['smoothgrad.sample']"),
+        ]
+        for change, message in cases:
+            payload = make_experiment_config().to_dict()
+            for key, value in change.items():
+                if isinstance(value, dict):
+                    payload[key].update(value)
+                else:
+                    payload[key] = value
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                ExperimentConfig.from_dict(payload)
 
     def test_from_dict_refuses_non_integer_hidden_widths(self):
         # Widths were once cast with int(), so [8.5] trained a width of 8.
@@ -535,12 +555,6 @@ class TestThresholdExperiment:
             assert by_id[run_id].attack_accuracy == pytest.approx(np.mean(hits))
 
 
-def use_cpus(monkeypatch, n: int) -> None:
-    """The harness sees n usable CPUs: with 1 every target trains in this
-    process, with 2 the targets are mapped over forked worker processes."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def shadow3_config() -> ExperimentConfig:
     return make_experiment_config(
         statistics=[AttackStatistic("loss")], calibrations=["optimal", "shadow(3)"]
@@ -693,23 +707,11 @@ def diverging_at(failing_seed: int):
     return train_target
 
 
-@pytest.fixture
-def deadline():
-    """Fail a test still running after 60 s, rather than hang on a lost worker."""
-    def expire(signum, frame):
-        raise TimeoutError("the run did not finish within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.mark.usefixtures("deadline")
+@pytest.mark.usefixtures("worker_guard")
 class TestWorkerPool:
-    """Targets train in forked workers once a run has 2 jobs and 2 usable CPUs;
-    the result does not depend on where they trained."""
+    """`fork_map` maps a job list over forked workers once it has 2 jobs and 2 usable
+    CPUs; a result does not depend on where its jobs ran. The threshold runs' targets
+    are its jobs here, as are the leave-one-out blocks and the sweep's dims."""
 
     @pytest.mark.parametrize("runner", ["threshold", "overfit"])
     def test_same_bytes_on_both_paths(self, monkeypatch, tmp_path, runner):
@@ -729,7 +731,6 @@ class TestWorkerPool:
         assert outputs[1] == outputs[2]
         failed = [w for w in outputs[1][0] if "training failed" in w]
         assert failed and failed[0].startswith("rep 1 target 2: training failed: training diverged")
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus, jobs, in_workers", [
         (1, 8, False), (2, 8, True), (2, 1, False),
@@ -756,20 +757,39 @@ class TestWorkerPool:
 
         def die(*args):
             if os.getpid() == parent:  # never take the test process down with it
-                raise AssertionError("training ran in the test process")
+                raise AssertionError("the job ran in the test process")
             os._exit(3)
 
-        monkeypatch.setattr(harness_module, "train_target", die)
         use_cpus(monkeypatch, 2)
-        cfg = shadow3_config()
         with pytest.raises(BrokenProcessPool):
-            run_threshold_experiment(cfg)
-        assert multiprocessing.active_children() == []
+            fork_map(die, (), [()] * 4)
+        # The CLI ends such a run with exit code 2.
+        monkeypatch.setattr(harness_module, "train_target", die)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(cfg.to_dict()))
+        config.write_text(json.dumps(shadow3_config().to_dict()))
         assert main(["attack", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "terminated abruptly" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+
+    def test_results_come_back_in_job_order(self, monkeypatch):
+        def job(scale, i):  # a closure: workers inherit the function, nothing pickles it
+            time.sleep(0.2 if i == 0 else 0.0)  # the first job ends last
+            return scale * i, os.getpid()
+
+        use_cpus(monkeypatch, 2)
+        results = fork_map(job, (10,), [(i,) for i in range(6)])
+        assert [value for value, _ in results] == [10 * i for i in range(6)]
+        assert os.getpid() not in {pid for _, pid in results}
+
+    def test_each_worker_starts_on_a_cpu_of_its_own_and_may_move(self, monkeypatch):
+        real = os.sched_getaffinity
+        cpus = real(0)
+        if len(cpus) < 2:
+            pytest.skip("needs 2 usable CPUs")
+        # Pinned to one CPU to move it there, each worker is then widened again.
+        assert fork_map(lambda i: real(0), (), [(i,) for i in range(4)]) == [cpus] * 4
+        # A CPU the host lacks leaves its worker where it was forked.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(cpus), 1 << 20})
+        assert fork_map(lambda i: i, (), [(i,) for i in range(4)]) == [0, 1, 2, 3]
 
     # Raised, a numpy warning fails the run in this process and in a forked worker
     # alike; printed, it would show once per process that met it.
@@ -800,21 +820,18 @@ class TestWorkerPool:
         assert any("training failed" in w for w in warnings)
         assert any("non-finite statistic" in w for w in warnings)
         assert outputs[1][2][0].count(b"\n") > 1  # and some targets were scored
-        assert multiprocessing.active_children() == []
 
     def test_a_worker_error_propagates_and_leaves_no_worker(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("statistic_values() got an unexpected argument")
+        def broken(i):
+            if i == 3:
+                raise TypeError("a programming error in job 3")
+            return i
 
-        monkeypatch.setattr(harness_module, "statistic_values", broken)
         use_cpus(monkeypatch, 2)
-        with pytest.raises(TypeError, match="unexpected argument"):
-            run_threshold_experiment(shadow3_config())
+        with pytest.raises(TypeError, match="job 3"):
+            fork_map(broken, (), [(i,) for i in range(6)])
         assert multiprocessing.active_children() == []
-        monkeypatch.undo()
-        use_cpus(monkeypatch, 2)
-        assert len(run_threshold_experiment(shadow3_config()).records) == 2 * 4 * 2
-        assert multiprocessing.active_children() == []
+        assert fork_map(broken, (), [(i,) for i in range(3)]) == [0, 1, 2]
 
 
 class TestOverfitSweep:
@@ -893,6 +910,18 @@ class TestPerturbationExperiment:
         )
         result = run_perturbation_experiment(cfg)
         assert {r.statistic for r in result.records} == {"expl_var[smoothgrad]"}
+        assert result.warnings == []
+
+    def test_dropped_statistics_are_warned(self):
+        # A config naming neither perturbation method once ran the defaults silently.
+        cfg = self._cfg(statistics=[AttackStatistic("loss"),
+                                    AttackStatistic("expl_var", "integrated_gradients")])
+        result = run_perturbation_experiment(cfg)
+        assert result.warnings == ["no perturbation statistic: ran the four defaults, not "
+                                   "['loss', 'expl_var[integrated_gradients]']"]
+        assert [s["method"] for s in result.config["statistics"]] == [
+            "gradient", None, "local_surrogate", "smoothgrad"]
+        assert len(result.records) == 2 * 4
 
 
 def make_campaign_config(**overrides) -> CampaignConfig:

@@ -23,7 +23,7 @@ from explainleak import (
     topk_explain,
     train_logistic,
 )
-from conftest import assert_same_reveals, loo_caches, reference_top_k, two_blob_dataset
+from conftest import assert_same_reveals, loo_caches, reference_top_k, two_blob_dataset, use_cpus
 from explainleak import influence as influence_module
 from explainleak import models as models_module
 from explainleak.models import train_logistic_loo
@@ -209,6 +209,24 @@ class TestLooCache:
             InfluenceExplainer(ds, base, [base])
 
 
+def in_place_loo(dataset, cfg):
+    """`train_logistic_loo` as one in-place loop: every block trains in a view of one
+    (n, d + 1) array, in this process. The reference for its `fork_map` jobs."""
+    y = dataset.labels.astype(np.float64)
+    n = len(y)
+    X = np.hstack([dataset.features, -np.ones((n, 1))])
+    W = np.zeros((n, X.shape[1]))
+    for rows in models_module._row_blocks(n, n):
+        w_blk = W[rows]
+        resid = np.empty((len(w_blk), n))
+        for _ in range(cfg.epochs):
+            np.matmul(w_blk, X.T, out=resid)
+            np.subtract(y, models_module.sigmoid(resid, out=resid), out=resid)
+            np.fill_diagonal(resid[:, rows.start:], 0.0)
+            w_blk += cfg.lr * (resid @ X) / (n - 1)
+    return W[:, :-1], W[:, -1]
+
+
 class TestBatchedLoo:
     """train_logistic_loo against the per-subset train_logistic fits it replaced."""
 
@@ -227,6 +245,17 @@ class TestBatchedLoo:
             fit = train_logistic(ds.subset(np.delete(np.arange(n), i)), cfg)
             assert np.max(np.abs(W[i] - fit.w)) <= 1e-12
             assert abs(b[i] - fit.b) <= 1e-12
+
+    @pytest.mark.usefixtures("worker_guard")
+    def test_same_bits_in_workers_as_the_in_place_loop(self, monkeypatch):
+        # 300 points make 2 blocks (255 and 45 models), so 2 `fork_map` jobs.
+        ds = two_blob_dataset(n=300, n_features=3, seed=3)
+        cfg = TrainConfig(optimizer="gd", lr=1.0, epochs=30, batch_size=None)
+        W_ref, b_ref = in_place_loo(ds, cfg)
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            W, b = train_logistic_loo(ds, cfg)
+            assert (W.tobytes(), b.tobytes()) == (W_ref.tobytes(), b_ref.tobytes())
 
     def test_cache_holds_the_batched_rows(self, blob_dataset):
         expl = build_loo_cache(blob_dataset, FULL_BATCH)

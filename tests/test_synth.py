@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import explainleak.synth as synth_mod
-from conftest import finite_difference_gradient
+from conftest import finite_difference_gradient, use_cpus
 from explainleak.attacks import AttackStatistic, statistic_values
 from explainleak.config import ConfigError
 from explainleak.models import TrainConfig, TrainingDivergedError, train_logistic
@@ -291,6 +291,18 @@ class TestDimensionSweep:
         first = dimension_sweep(cfg)
         second = dimension_sweep(cfg)
         assert first == second
+
+    @pytest.mark.usefixtures("worker_guard")
+    def test_same_results_in_workers(self, monkeypatch):
+        # The largest dim is mapped first; the rows still come back in dims order.
+        template = SynthConfig(n_features=1, n_samples=40, class_sep=2.0, seed=8)
+        cfg = SweepConfig((1, 2, 4), template, arch="small", train=FAST_TRAIN)
+        rows = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            rows[cpus] = dimension_sweep(cfg)
+        assert repr(rows[1]) == repr(rows[2])  # float reprs round-trip: the same bits
+        assert [row.dim for row in rows[2]] == [1, 2, 4]
 
     def test_diverged_dimension_kept_with_nan_row(self, monkeypatch):
         real_train = synth_mod.train
