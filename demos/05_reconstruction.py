@@ -27,13 +27,9 @@ def main() -> None:
     n_points, n_features = 12, 25
     rng = np.random.default_rng(0)
     base_w = rng.normal(size=n_features)
-    oracle = InfluenceOracle(
-        LogisticModel(base_w, 0.3),
-        [
-            LogisticModel(base_w + rng.normal(scale=0.05, size=n_features), 0.3 + d)
-            for d in rng.normal(scale=0.05, size=n_points)
-        ],
-    )
+    loo_b = 0.3 + rng.normal(scale=0.05, size=n_points)
+    loo_w = base_w + rng.normal(scale=0.05, size=(n_points, n_features))
+    oracle = InfluenceOracle(LogisticModel(base_w, 0.3), loo_w, loo_b)
     result = algorithm1_reconstruct(oracle, y0=np.zeros(n_features), seed=0)
     budget = reconstruction_query_budget(n_features, n_points)
     print("direct attack on a random logistic family")

@@ -70,7 +70,7 @@ class Config:
     def from_dict(cls, payload: dict, path: str = ""):  # path: "train." in a nested config
         name = cls.__name__
         if not isinstance(payload, dict):
-            raise ConfigError(f"{name} must be a JSON object, got {payload!r}")
+            raise ConfigError(f"{path[:-1] or name} must be a JSON object, got {payload!r}")
         unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown {name} keys: {sorted(path + key for key in unknown)}")

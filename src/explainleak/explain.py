@@ -205,15 +205,17 @@ def _method_params(method: str, params: dict | None):
     return cls.from_dict(params or {}, f"{method}.") if cls else None
 
 
-def check_feature_params(method: str | None, params: dict | None, n_features: int) -> None:
-    """Raise ConfigError, naming method.param, unless integrated gradients' baseline
-    holds one entry per feature, as smoothgrad's sigma does when not a scalar."""
+def check_feature_params(method: str | None, params: dict | None, n_features: int):
+    """The method's `_method_params` config (None without a method). Raises ConfigError naming
+    method.param unless IG's baseline, or a non-scalar smoothgrad sigma, has n_features entries."""
+    cfg = None if method is None else _method_params(method, params)
     name = {"integrated_gradients": "baseline", "smoothgrad": "sigma"}.get(method)
-    value = getattr(_method_params(method, params), name) if name else None
+    value = getattr(cfg, name) if name else None
     shape = np.shape(value)
     if value is not None and shape != (n_features,) and (shape or name == "baseline"):
         raise ConfigError(f"{method}.{name} needs one entry per feature ({n_features}), "
                           f"got shape {shape}")
+    return cfg
 
 
 def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None) -> np.ndarray:
@@ -227,13 +229,12 @@ def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None)
     as LogisticModel or any object with `forward_batch`/`input_gradient_batch`,
     get the copies x + E.
     """
-    cfg = _method_params(method, params)
     if method in MLP_METHODS and not isinstance(model, MlpModel):
         raise TypeError(f"{method} walks MlpModel layers")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("explain_batch expects a 2-D array, one point per row")
-    check_feature_params(method, params, X.shape[1])
+    cfg = check_feature_params(method, params, X.shape[1])
     return _METHODS[method][0](model, X, cfg)
 
 

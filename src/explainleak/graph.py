@@ -155,9 +155,7 @@ def greedy_omniscient_baseline(edges: list[list[int]]) -> GreedyCoverResult:
     seed_count = 0
     while not has_in_edge <= covered:
         gains = [len(nodes - covered) for nodes in reach]
-        best = gains.index(max(gains))  # the first node of the largest gain
-        if gains[best] <= 0:
-            break
+        best = gains.index(max(gains))  # the first of the largest gains; an in-edge makes it >= 1
         seed_count += 1
         covered |= reach[best]
     return GreedyCoverResult(seed_count, covered)

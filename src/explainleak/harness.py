@@ -565,18 +565,16 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
     greedy = greedy_omniscient_baseline(graph)
 
     bounds = np.stack([dataset.features.min(axis=0), dataset.features.max(axis=0)], axis=1)
-    rng_traverse = np.random.default_rng(child_seed(cfg.seed, "traverse"))
+    traverse_seed = child_seed(cfg.seed, "traverse")
     if holdout.shape[0] > 0:
-        picks = rng_traverse.choice(
+        picks = np.random.default_rng(traverse_seed).choice(
             holdout.shape[0],
             size=cfg.traverse_starts,
             replace=holdout.shape[0] < cfg.traverse_starts,
         )
         starts = holdout[picks]
     else:
-        starts = rng_traverse.uniform(
-            bounds[:, 0], bounds[:, 1], size=(cfg.traverse_starts, dataset.n_features)
-        )
+        starts = UniformSampler(bounds, traverse_seed).sample_batch(cfg.traverse_starts)
     outcomes = [traverse_attack(expl, graph, start) for start in starts]
     traverse_counts = [len(outcome.recovered) for outcome in outcomes]
 

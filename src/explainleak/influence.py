@@ -6,8 +6,8 @@ I_y(x) = L(y, base) - L(y, without-x). Training is deterministic, so the
 leave-one-out cache is exactly reproducible, and reveal operations rank
 training points by |I| (dropping either of the label orientations flips only
 the sign). The n leave-one-out models train in `fork_map` blocks (`train_logistic_loo`).
-`InfluenceOracle` holds the stacked models once; the explainer's top-k reveals
-and the reconstruction attack's top-1 `query` both read it.
+`InfluenceOracle` holds its (n, d) weights and (n,) biases once; the explainer's
+top-k reveals and the reconstruction attack's top-1 `query` both read them.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ class OracleAnswer:
 
 
 class InfluenceOracle:
-    """A base logistic model and its stacked leave-one-out twins: the one
+    """A base logistic model and its leave-one-out twins as weight and bias rows: the one
     influence kernel, and the top-1 oracle the reconstruction attack queries.
 
     `query` labels y with the base model's prediction, so the influence is the
@@ -49,16 +49,19 @@ class InfluenceOracle:
     raises ValueError. Every `query` call increments ``query_count``.
     """
 
-    def __init__(self, base: LogisticModel, loo_models: list[LogisticModel]):
+    def __init__(self, base: LogisticModel, loo_w: np.ndarray, loo_b: np.ndarray):
         self.base = base
-        self.loo_models = list(loo_models)
-        self._loo_w = np.stack([m.w for m in self.loo_models])
-        self._loo_b = np.array([m.b for m in self.loo_models])
+        self.loo_w = np.array(loo_w, dtype=np.float64, order="C")  # (n, d): one row per point
+        self.loo_b = np.array(loo_b, dtype=np.float64, order="C")
         self.query_count = 0
 
     @property
+    def loo_models(self) -> list[LogisticModel]:  # leakbench's tracer counts them
+        return [LogisticModel(w=w, b=b) for w, b in zip(self.loo_w, self.loo_b)]
+
+    @property
     def n_points(self) -> int:
-        return len(self.loo_models)
+        return len(self.loo_b)
 
     @property
     def n_features(self) -> int:
@@ -77,7 +80,7 @@ class InfluenceOracle:
         if label is None:
             label = self.predicted_label(y)
         f_base = self.base.positive_prob(y)
-        f_loo = sigmoid(self._loo_w @ y - self._loo_b)
+        f_loo = sigmoid(self.loo_w @ y - self.loo_b)
         signed = f_base - f_loo
         return signed if label == 0 else -signed
 
@@ -98,8 +101,8 @@ class InfluenceOracle:
         top = np.empty((len(Y), k), dtype=np.intp)
         for rows in _row_blocks(len(Y), n):
             blk = Y[rows]
-            neg = blk @ self._loo_w.T
-            neg -= self._loo_b
+            neg = blk @ self.loo_w.T
+            neg -= self.loo_b
             sigmoid(neg, out=neg)
             neg -= self.base.positive_prob_batch(blk)[:, None]
             np.negative(np.abs(neg, out=neg), out=neg)
@@ -141,10 +144,10 @@ def _rank_block(neg: np.ndarray, k: int) -> np.ndarray:
 class InfluenceExplainer(InfluenceOracle):
     """The oracle over its training set."""
 
-    def __init__(self, dataset: Dataset, base: LogisticModel, loo_models: list[LogisticModel]):
-        if len(loo_models) != dataset.n_points:
+    def __init__(self, dataset: Dataset, base: LogisticModel, loo_w: np.ndarray, loo_b: np.ndarray):
+        if len(loo_b) != dataset.n_points:
             raise ValueError("need one leave-one-out model per training point")
-        super().__init__(base, loo_models)
+        super().__init__(base, loo_w, loo_b)
         self.dataset = dataset
 
 
@@ -157,8 +160,7 @@ def build_loo_cache(dataset: Dataset, cfg: TrainConfig) -> InfluenceExplainer:
     if bad.size:
         exc = TrainingDivergedError(cfg.epochs - 1, cfg.epochs - 1, float("nan"))
         raise RuntimeError(f"leave-one-out retraining failed for index {bad[0]}: {exc}") from exc
-    loo_models = [LogisticModel(w=w, b=bias) for w, bias in zip(W, b)]
-    return InfluenceExplainer(dataset, base, loo_models)
+    return InfluenceExplainer(dataset, base, W, b)
 
 
 def topk_explain(

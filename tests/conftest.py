@@ -89,29 +89,26 @@ def two_blob_dataset(
     return Dataset(features[order], labels[order])
 
 
-def tangent_fixture(m: int) -> tuple[LogisticModel, list[LogisticModel], np.ndarray]:
+def tangent_fixture(m: int) -> tuple[LogisticModel, np.ndarray, np.ndarray, np.ndarray]:
     """One-dimensional oracle family where reveals follow tangent lines of t -> t^2.
 
     Base model is flat (w=0, b=0); dropping point k yields w=2k, b=k^2, so
     the leave-one-out logit at query t is the tangent line 2kt - k^2 of the
-    parabola at t=k. Queries t=1..m are returned alongside the models: the
-    oracle's reveal at t is the k whose tangent value is largest in absolute
-    terms, which is generally not the nearest k.
+    parabola at t=k. Queries t=1..m are returned after the (m, 1) weights and
+    (m,) biases: the oracle's reveal at t is the k whose tangent value is
+    largest in absolute terms, which is generally not the nearest k.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     base = LogisticModel(w=np.zeros(1), b=0.0)
-    loos = [
-        LogisticModel(w=np.array([2.0 * k]), b=float(k * k)) for k in range(1, m + 1)
-    ]
-    queries = np.arange(1, m + 1, dtype=np.float64)[:, None]
-    return base, loos, queries
+    k = np.arange(1, m + 1, dtype=np.float64)
+    return base, 2.0 * k[:, None], k * k, k[:, None]
 
 
 def same_direction_fixture(
     w: np.ndarray, b: float, deltas: np.ndarray
-) -> tuple[LogisticModel, list[LogisticModel]]:
-    """Leave-one-out models that differ from the base only in the offset.
+) -> tuple[LogisticModel, np.ndarray, np.ndarray]:
+    """Leave-one-out weights and biases that differ from the base only in the offset.
 
     With a shared weight vector the influence ordering is the same at every
     query point (larger offset shift wins), so a top-1 oracle can never be
@@ -123,8 +120,7 @@ def same_direction_fixture(
     if np.unique(deltas).size != deltas.size:
         raise ValueError("offset shifts must be distinct")
     base = LogisticModel(w=w.copy(), b=float(b))
-    loos = [LogisticModel(w=w.copy(), b=float(b + d)) for d in deltas]
-    return base, loos
+    return base, np.tile(w, (deltas.size, 1)), b + deltas
 
 
 def reference_top_k(expl, y, k):

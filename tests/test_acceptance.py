@@ -353,10 +353,7 @@ def test_criterion_10_subspace_reduction_recovers_everything():
             np.linalg.matrix_rank(np.stack([loo_w[i], loo_w[j]])) == 2
             for i, j in combinations(range(20), 2)
         ), "fixture lost pairwise independence"
-        oracle = InfluenceOracle(
-            LogisticModel(base_w, 0.3),
-            [LogisticModel(loo_w[i], loo_b[i]) for i in range(20)],
-        )
+        oracle = InfluenceOracle(LogisticModel(base_w, 0.3), loo_w, loo_b)
         result = algorithm1_reconstruct(oracle, y0=np.zeros(50), seed=seed)
         assert sorted(result.recovered) == list(range(20)), (
             f"seed {seed} recovered only {len(result.recovered)}/20"
@@ -374,18 +371,17 @@ def test_criterion_10_subspace_reduction_recovers_everything():
 
 def test_criterion_11_worst_case_fixtures():
     # Each tangent line w_k*t - b_k peaks exactly at its own query t = k.
-    base, loos, queries = tangent_fixture(10)
+    base, loo_w, loo_b, queries = tangent_fixture(10)
     assert base.w[0] == 0.0 and base.b == 0.0
     for k, y in enumerate(queries):
-        lines = np.array([model.w[0] * y[0] - model.b for model in loos])
+        lines = loo_w[:, 0] * y[0] - loo_b
         assert int(np.argmax(lines)) == k
         assert lines[k] > np.max(np.delete(lines, k)), "tangency must be strict"
 
     # The shared-slope family collapses every query to the same reveal.
-    base2, loos2 = same_direction_fixture(
+    oracle = InfluenceOracle(*same_direction_fixture(
         w=np.array([1.3]), b=0.2, deltas=np.linspace(0.5, 2.0, 8)
-    )
-    oracle = InfluenceOracle(base2, loos2)
+    ))
     revealed = {
         oracle.query(np.array([t])).index for t in np.linspace(-5.0, 5.0, 1000)
     }

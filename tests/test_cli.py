@@ -1,11 +1,20 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
+import operator
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import use_cpus
 from explainleak import cli, harness, synth
@@ -583,8 +592,14 @@ class TestMistypedValuesExitOne:
          "epoch_grid must be an integer, got 1.5"),
         ("attack", {**ATTACK_PAYLOAD, "statistics": [{"kind": "loss", "use_l1": 1}]},
          "statistics.use_l1 must be a boolean, got 1"),
+        # A nested config that is not an object once named only its class.
+        ("reconstruct", {**RECON_PAYLOAD, "synth": [1]}, "synth must be a JSON object, got [1]"),
+        ("attack", {**ATTACK_PAYLOAD, "train": 5}, "train must be a JSON object, got 5"),
+        ("attack", {**ATTACK_PAYLOAD, "statistics": ["loss"]},
+         "statistics must be a JSON object, got 'loss'"),
     ], ids=["seed", "hidden", "repetitions", "epochs", "samples", "kernel_width", "n_samples",
-            "graph_k", "traverse_starts", "calibrations", "epoch_grid", "use_l1"])
+            "graph_k", "traverse_starts", "calibrations", "epoch_grid", "use_l1", "synth-list",
+            "train-number", "statistic-string"])
     def test_exits_1_naming_the_field(self, tmp_path, capsys, monkeypatch, command, payload,
                                       message):
         fits = []
@@ -660,6 +675,68 @@ class TestCommandTail:
         assert all("training diverged" in w for w in manifest["warnings"])
         assert captured.err == "".join(f"warning: {w}\n" for w in manifest["warnings"])
         assert len(manifest["audits"]) == 1
+
+
+def _json_kind(value) -> str:
+    return "null" if value is None else type(value).__name__  # bool, int, float, str, list, dict
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
+                          st.floats(-1e6, 1e6), st.text(max_size=4))
+_JSON_VALUES = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(-10**6, 10**6),
+    "float": st.floats(-1e6, 1e6), "str": st.text(max_size=4),
+    "list": st.lists(_JSON_SCALARS, max_size=2),
+    "dict": st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2),
+}
+
+
+def _fields(payload):
+    """(path, name) of every value of a config and of every value one level below it: a
+    nested config's fields, a list's items and, for a list of configs, their fields. A
+    config error about the value at path names it by name, its key or its list's key."""
+    found = []
+    for key, value in payload.items():
+        found.append(((key,), key))
+        children = value.items() if isinstance(value, dict) else enumerate(
+            value if isinstance(value, list) else [])
+        for sub, child in children:
+            found.append(((key, sub), sub if isinstance(sub, str) else key))
+            if isinstance(child, dict):
+                found += [((key, sub, leaf), leaf) for leaf in child]
+    return found
+
+
+@st.composite
+def mistyped_configs(draw):
+    """A `TAIL_PAYLOADS` config with one value swapped for a value of another JSON type."""
+    command = draw(st.sampled_from(sorted(TAIL_PAYLOADS)), label="command")
+    payload = json.loads(json.dumps(TAIL_PAYLOADS[command][0]))  # a deep copy
+    path, name = draw(st.sampled_from(_fields(payload)), label="field")
+    *parents, last = path
+    owner = functools.reduce(operator.getitem, parents, payload)
+    kinds = sorted(set(_JSON_VALUES) - {_json_kind(owner[last])})
+    owner[last] = draw(st.sampled_from(kinds).flatmap(_JSON_VALUES.get), label="value")
+    return command, payload, name
+
+
+class TestMistypedFieldProperty:
+    """Any one value of a valid config swapped for a value of another JSON type is
+    either accepted (a float field takes an int, an optional field null) or refused
+    with exit 1 and a message naming the field: never a runtime failure (exit 2)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mistyped_configs())
+    def test_exits_0_or_1_naming_the_field(self, case):
+        command, payload, name = case
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(payload))
+            code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err.getvalue()), err.getvalue()
 
 
 def _synth_seed(command, seed):

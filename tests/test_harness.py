@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import explainleak
 import explainleak.harness as harness_module
 from conftest import two_blob_dataset, use_cpus
+from explainleak import influence as influence_module
 from explainleak.attacks import AttackStatistic, aggregate_shadow_taus
 from explainleak.cli import main
 from explainleak.harness import (
@@ -42,7 +43,7 @@ from explainleak.harness import (
     write_manifest,
 )
 from explainleak.influence import InfluenceOracle
-from explainleak.models import TrainConfig, TrainingDivergedError, fork_map
+from explainleak.models import LogisticModel, TrainConfig, TrainingDivergedError, fork_map
 from explainleak.reconstruct import reconstruction_query_budget
 from explainleak.synth import SynthConfig
 
@@ -1120,17 +1121,29 @@ class TestReconstructionCampaign:
         assert reveal["12"]["self_reveal_rate"] == 1.0
 
     def test_loo_models_are_stacked_once(self, monkeypatch):
-        # The reconstruction oracle is the explainer itself, not a second stack.
-        stacked = []
-        real = InfluenceOracle.__init__
+        # The campaign fits one model, the base; the oracle, which is the explainer
+        # itself, holds the batched build's two arrays as they came.
+        models, oracles, built = [], [], []
+        real_post_init, real_init = LogisticModel.__post_init__, InfluenceOracle.__init__
+        real_loo = influence_module.train_logistic_loo
 
-        def counting(self, base, loo_models):
-            stacked.append(len(loo_models))
-            real(self, base, loo_models)
+        def counting_model(self):
+            models.append(self)
+            real_post_init(self)
 
-        monkeypatch.setattr(InfluenceOracle, "__init__", counting)
+        def counting_oracle(self, *args):
+            oracles.append(self)
+            real_init(self, *args)
+
+        monkeypatch.setattr(LogisticModel, "__post_init__", counting_model)
+        monkeypatch.setattr(InfluenceOracle, "__init__", counting_oracle)
+        monkeypatch.setattr(influence_module, "train_logistic_loo",
+                            lambda *args: built.append(real_loo(*args)) or built[-1])
         run_reconstruction_campaign(make_campaign_config())
-        assert stacked == [12]
+        assert len(models) == 1 and len(oracles) == 1 and len(built) == 1
+        (oracle,), ((W, b),) = oracles, built
+        assert oracle.base is models[0]
+        assert (oracle.loo_w.tobytes(), oracle.loo_b.tobytes()) == (W.tobytes(), b.tobytes())
 
     def test_rerun_gives_identical_report(self, campaign):
         cfg, report = campaign

@@ -1,6 +1,7 @@
 """Leave-one-out influence explanations against hand-derived values."""
 from __future__ import annotations
 
+import os
 import warnings
 from unittest import mock
 
@@ -32,7 +33,7 @@ FULL_BATCH = TrainConfig(optimizer="gd", lr=1.0, epochs=100, batch_size=None)
 
 
 def fake_explainer(base, loos, features=None, labels=None, groups=None):
-    """An explainer over fabricated models for exact-value tests."""
+    """An explainer over the rows of fabricated models, for exact-value tests."""
     n = len(loos)
     dim = base.w.size
     if features is None:
@@ -40,7 +41,7 @@ def fake_explainer(base, loos, features=None, labels=None, groups=None):
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
     ds = Dataset(np.asarray(features, dtype=np.float64), labels, groups=groups)
-    return InfluenceExplainer(ds, base, list(loos))
+    return InfluenceExplainer(ds, base, [m.w for m in loos], [m.b for m in loos])
 
 
 def sigmoid(z: float) -> float:
@@ -167,13 +168,13 @@ class TestLooCache:
         first = build_loo_cache(blob_dataset, FULL_BATCH)
         second = build_loo_cache(blob_dataset, FULL_BATCH)
         np.testing.assert_array_equal(first.base.w, second.base.w)
-        for a, b in zip(first.loo_models, second.loo_models):
-            np.testing.assert_array_equal(a.w, b.w)
-            assert a.b == b.b
+        assert first.loo_w.tobytes() == second.loo_w.tobytes()
+        assert first.loo_b.tobytes() == second.loo_b.tobytes()
 
     def test_one_model_per_point(self, blob_dataset):
         expl = build_loo_cache(blob_dataset, FULL_BATCH)
-        assert len(expl.loo_models) == blob_dataset.n_points
+        assert expl.n_points == len(expl.loo_models) == blob_dataset.n_points
+        assert expl.loo_w.shape == (blob_dataset.n_points, blob_dataset.n_features)
 
     def test_failure_tagged_with_point_index(self, monkeypatch, blob_dataset):
         # The leave-one-out models come from one batched fit, so a failed
@@ -205,8 +206,8 @@ class TestLooCache:
     def test_model_count_validated(self):
         ds = Dataset(np.zeros((3, 1)), np.zeros(3, dtype=np.int64))
         base = LogisticModel(np.zeros(1), 0.0)
-        with pytest.raises(ValueError):
-            InfluenceExplainer(ds, base, [base])
+        with pytest.raises(ValueError, match="one leave-one-out model per training point"):
+            InfluenceExplainer(ds, base, np.zeros((1, 1)), np.zeros(1))
 
 
 def in_place_loo(dataset, cfg):
@@ -239,7 +240,10 @@ class TestBatchedLoo:
         rng = np.random.default_rng(seed)
         ds = Dataset(rng.normal(size=(n, d)), rng.integers(0, 2, n))
         cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, batch_size=None)
-        with mock.patch.object(models_module, "_BLOCK_FLOATS", block_rows * n):
+        # One usable CPU keeps every block in this process: a test of the block
+        # arithmetic alone (the next test covers the forked build).
+        with mock.patch.object(models_module, "_BLOCK_FLOATS", block_rows * n), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
             W, b = train_logistic_loo(ds, cfg)
         for i in range(n):
             fit = train_logistic(ds.subset(np.delete(np.arange(n), i)), cfg)
@@ -258,10 +262,13 @@ class TestBatchedLoo:
             assert (W.tobytes(), b.tobytes()) == (W_ref.tobytes(), b_ref.tobytes())
 
     def test_cache_holds_the_batched_rows(self, blob_dataset):
+        # One C-contiguous copy of each array, the layout every query's BLAS call reads.
         expl = build_loo_cache(blob_dataset, FULL_BATCH)
         W, b = train_logistic_loo(blob_dataset, FULL_BATCH)
-        np.testing.assert_array_equal(np.stack([m.w for m in expl.loo_models]), W)
-        np.testing.assert_array_equal([m.b for m in expl.loo_models], b)
+        assert expl.loo_w.flags.c_contiguous and expl.loo_b.flags.c_contiguous
+        assert (expl.loo_w.tobytes(), expl.loo_b.tobytes()) == (W.tobytes(), b.tobytes())
+        rows = expl.loo_models  # rebuilt from the rows for leakbench's tracer
+        assert [(m.w.tolist(), m.b) for m in rows] == list(zip(W.tolist(), b.tolist()))
 
     def test_rejects_multiclass_labels(self):
         with pytest.raises(ValueError, match="binary"):

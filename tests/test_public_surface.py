@@ -25,10 +25,11 @@ import explainleak
 # around the influence graph (its out-edge rows are the graph). The retired
 # parameters and fields below had no reader: a traversal's start label only flips
 # signs that the |I| ranking never reads, every reveal read names its own k, no
-# caller passed a run prefix and a reveal's echo of its query went unread. A result
-# stores no fact twice: a reconstruction step holds its own constraint and its
-# position is its iteration, and the query counts and the inconsistency flag are
-# read from the steps, the recovered points and the reason. Nothing read the greedy
+# caller passed a run prefix and a reveal's echo of its query went unread. The oracle
+# takes the leave-one-out cache as the two arrays the batched build returns, not a list
+# of per-point models. A result stores no fact twice: a reconstruction step holds its
+# own constraint and its position is its iteration, and the query counts and the
+# inconsistency flag are read from the steps, the recovered points and the reason. Nothing read the greedy
 # cover's seeds, and a graph metrics dict is `dataclasses.asdict`. Each experiment
 # gets only its config: no caller handed a runner its own dataset, and the dimension
 # sweep takes its `SweepConfig`, which checks the dims and arch when it is built.
@@ -61,7 +62,8 @@ RETIRED_PARAMETERS = {
     "init_model": ["final"],
     "traverse_attack": ["schedule", "start_label"],
     "build_loo_cache": ["k"],
-    "InfluenceExplainer": ["k"],
+    "InfluenceOracle": ["loo_models"],
+    "InfluenceExplainer": ["k", "loo_models"],
     "run_threshold_experiment": ["run_prefix", "dataset"],
     "run_overfit_sweep": ["dataset"],
     "run_perturbation_experiment": ["dataset"],

@@ -49,19 +49,13 @@ def theorem_regime(seed: int = 7, n_points: int = 20, n_features: int = 50):
     base_b = 0.3
     loo_w = base_w + rng.normal(scale=0.05, size=(n_points, n_features))
     loo_b = base_b + rng.normal(scale=0.05, size=n_points)
-    base = LogisticModel(base_w, base_b)
-    loos = [LogisticModel(loo_w[i], loo_b[i]) for i in range(n_points)]
-    return base, loos
+    return LogisticModel(base_w, base_b), loo_w, loo_b
 
 
 class TestOracle:
     def test_answer_hand_computed(self):
         base = LogisticModel(w=np.array([1.0, 0.0]), b=0.0)
-        loos = [
-            LogisticModel(w=np.array([1.0, 2.0]), b=0.0),
-            LogisticModel(w=np.array([1.0, -0.5]), b=0.2),
-        ]
-        oracle = InfluenceOracle(base, loos)
+        oracle = InfluenceOracle(base, np.array([[1.0, 2.0], [1.0, -0.5]]), np.array([0.0, 0.2]))
         y = np.array([0.4, 0.8])
         f = sigmoid(0.4)  # >= 0.5, so influence is f_loo - f
         expected = np.array(
@@ -74,8 +68,7 @@ class TestOracle:
 
     def test_negative_side_flips_sign(self):
         base = LogisticModel(w=np.array([1.0]), b=0.0)
-        loo = LogisticModel(w=np.array([2.0]), b=0.0)
-        oracle = InfluenceOracle(base, [loo])
+        oracle = InfluenceOracle(base, np.array([[2.0]]), np.array([0.0]))
         y = np.array([-1.0])
         f, f_loo = sigmoid(-1.0), sigmoid(-2.0)
         assert f < 0.5
@@ -83,13 +76,11 @@ class TestOracle:
 
     def test_tie_goes_to_lowest_index(self):
         base = LogisticModel(w=np.array([0.5]), b=0.0)
-        twin = LogisticModel(w=np.array([1.5]), b=0.3)
-        oracle = InfluenceOracle(base, [twin, LogisticModel(twin.w.copy(), twin.b)])
+        oracle = InfluenceOracle(base, np.array([[1.5], [1.5]]), np.array([0.3, 0.3]))
         assert oracle.query(np.array([2.0])).index == 0
 
     def test_query_count_increments(self):
-        base, loos = theorem_regime(n_points=3, n_features=4)
-        oracle = InfluenceOracle(base, loos)
+        oracle = InfluenceOracle(*theorem_regime(n_points=3, n_features=4))
         assert oracle.query_count == 0
         oracle.query(np.zeros(4))
         oracle.query(np.ones(4))
@@ -112,7 +103,7 @@ class TestOracle:
     def test_answers_equal_topk_explain(self):
         ds = two_blob_dataset(n=30, n_features=3, seed=81)
         expl = build_loo_cache(ds, FULL_BATCH)
-        oracle = InfluenceOracle(expl.base, expl.loo_models)
+        oracle = InfluenceOracle(expl.base, expl.loo_w, expl.loo_b)
         for y in np.random.default_rng(82).normal(scale=2.0, size=(50, 3)):
             answer = oracle.query(y)
             reveal = topk_explain(expl, y, None, 1)
@@ -121,9 +112,9 @@ class TestOracle:
             assert answer.prediction == expl.base.positive_prob(y)
 
     def test_nan_query_raises(self):
-        base, loos = theorem_regime(n_points=4, n_features=2)
+        oracle = InfluenceOracle(*theorem_regime(n_points=4, n_features=2))
         with pytest.raises(ValueError, match="NaN"):
-            InfluenceOracle(base, loos).query(np.array([np.nan, 0.8]))
+            oracle.query(np.array([np.nan, 0.8]))
 
     def test_answers_are_frozen(self):
         answer = OracleAnswer(prediction=0.5, index=0, influence=0.1)
@@ -150,26 +141,25 @@ class TestTangentFixture:
     def test_tangent_argmax_is_matching_point(self):
         # Tangent value of point i at query t is 2it - i^2 = t^2 - (t - i)^2,
         # strictly maximized at i = t for every query in 1..m.
-        base, loos, queries = tangent_fixture(6)
+        base, loo_w, loo_b, queries = tangent_fixture(6)
         assert np.all(base.w == 0.0) and base.b == 0.0
         for k, y in enumerate(queries, start=1):
-            tangents = np.array([m.w @ y - m.b for m in loos])
+            tangents = loo_w @ y - loo_b
             assert int(np.argmax(tangents)) == k - 1
             others = np.delete(tangents, k - 1)
             assert np.all(tangents[k - 1] > others)
 
     def test_m3_query2_strict_maximum(self):
-        _, loos, queries = tangent_fixture(3)
-        y = queries[1]
-        tangents = np.array([m.w @ y - m.b for m in loos])
+        _, loo_w, loo_b, queries = tangent_fixture(3)
+        tangents = loo_w @ queries[1] - loo_b
         np.testing.assert_allclose(tangents, [3.0, 4.0, 3.0])
         assert tangents[1] > tangents[0] and tangents[1] > tangents[2]
 
     def test_models_are_parabola_tangents(self):
-        _, loos, _ = tangent_fixture(4)
-        for k, model in enumerate(loos, start=1):
-            assert model.w[0] == 2.0 * k
-            assert model.b == float(k * k)
+        _, loo_w, loo_b, _ = tangent_fixture(4)
+        k = np.arange(1, 5)
+        np.testing.assert_array_equal(loo_w, 2.0 * k[:, None])
+        np.testing.assert_array_equal(loo_b, k * k)
 
     def test_m_validated(self):
         with pytest.raises(ValueError):
@@ -178,21 +168,19 @@ class TestTangentFixture:
 
 class TestSameDirectionFixture:
     def test_grid_search_only_ever_reveals_extreme_point(self):
-        base, loos = same_direction_fixture(
+        oracle = InfluenceOracle(*same_direction_fixture(
             np.array([1.0, -2.0]), 0.5, np.array([0.3, 0.7, 1.1])
-        )
-        oracle = InfluenceOracle(base, loos)
+        ))
         rng = np.random.default_rng(81)
         for _ in range(100):
             y = rng.normal(scale=2.0, size=2)
             assert oracle.query(y).index == 2
 
     def test_algorithm_detects_dependence_and_stops(self):
-        base, loos = same_direction_fixture(
+        oracle = InfluenceOracle(*same_direction_fixture(
             np.array([1.0, -2.0]), 0.5, np.array([0.3, 0.7, 1.1])
-        )
-        result = algorithm1_reconstruct(InfluenceOracle(base, loos),
-                                        y0=np.zeros(2), seed=1)
+        ))
+        result = algorithm1_reconstruct(oracle, y0=np.zeros(2), seed=1)
         assert result.reason == "linear_dependence"
         assert result.recovered == [2]
         assert not result.oracle_inconsistent
@@ -206,19 +194,17 @@ class TestSameDirectionFixture:
 
 class TestAlgorithmSmallCases:
     def test_two_point_one_dimension_recovers_both(self):
-        base = LogisticModel(np.array([0.5]), 0.0)
-        loos = [LogisticModel(np.array([0.8]), 0.1),
-                LogisticModel(np.array([0.1]), -0.2)]
-        result = algorithm1_reconstruct(InfluenceOracle(base, loos),
-                                        y0=np.zeros(1), seed=2)
+        oracle = InfluenceOracle(LogisticModel(np.array([0.5]), 0.0),
+                                 np.array([[0.8], [0.1]]), np.array([0.1, -0.2]))
+        result = algorithm1_reconstruct(oracle, y0=np.zeros(1), seed=2)
         assert result.reason == "dimension_exhausted"
         assert sorted(result.recovered) == [0, 1]
         assert result.termination_queries >= 1
 
     def test_max_points_one_stops_after_first_cluster(self):
-        base, loos = theorem_regime(n_points=5, n_features=8)
         result = algorithm1_reconstruct(
-            InfluenceOracle(base, loos), y0=np.zeros(8), max_points=1, seed=0
+            InfluenceOracle(*theorem_regime(n_points=5, n_features=8)), y0=np.zeros(8),
+            max_points=1, seed=0,
         )
         assert result.reason == "max_points"
         assert len(result.recovered) == 1
@@ -227,14 +213,14 @@ class TestAlgorithmSmallCases:
         assert result.retries == 0
 
     def test_y0_shape_validated(self):
-        base, loos = theorem_regime(n_points=2, n_features=4)
+        oracle = InfluenceOracle(*theorem_regime(n_points=2, n_features=4))
         with pytest.raises(ValueError):
-            algorithm1_reconstruct(InfluenceOracle(base, loos), y0=np.zeros(3))
+            algorithm1_reconstruct(oracle, y0=np.zeros(3))
 
     def test_first_cluster_uses_default_epsilon(self):
-        base, loos = theorem_regime(n_points=3, n_features=4)
         result = algorithm1_reconstruct(
-            InfluenceOracle(base, loos), y0=np.zeros(4), max_points=1, seed=0
+            InfluenceOracle(*theorem_regime(n_points=3, n_features=4)), y0=np.zeros(4),
+            max_points=1, seed=0,
         )
         np.testing.assert_array_equal(result.steps[0].eps, np.full(4, 1e-4))
 
@@ -262,46 +248,44 @@ class TestOrthogonalComplement:
 
 @pytest.fixture(scope="module")
 def run():
-    base, loos = theorem_regime()
-    oracle = InfluenceOracle(base, loos)
+    oracle = InfluenceOracle(*theorem_regime())
     result = algorithm1_reconstruct(oracle, y0=np.zeros(50), seed=0)
-    return base, loos, oracle, result
+    return oracle, result
 
 
 class TestTheoremRegime:
     def test_full_recovery(self, run):
-        _, loos, _, result = run
-        assert sorted(result.recovered) == list(range(len(loos)))
+        oracle, result = run
+        assert sorted(result.recovered) == list(range(oracle.n_points))
         assert result.reason == "influence_exhausted"
 
     def test_query_budget_met_without_retries(self, run):
-        _, _, oracle, result = run
+        oracle, result = run
         assert result.retries == 0
         assert result.queries_revealing <= reconstruction_query_budget(50, 20)
         assert result.queries_total == oracle.query_count
 
     def test_base_model_recovered(self, run):
-        base, _, _, result = run
-        assert np.max(np.abs(result.base_w - base.w)) < 1e-6
-        assert abs(result.base_b - base.b) < 1e-6
+        oracle, result = run
+        assert np.max(np.abs(result.base_w - oracle.base.w)) < 1e-6
+        assert abs(result.base_b - oracle.base.b) < 1e-6
 
     def test_first_cluster_fit_matches_leave_one_out_model(self, run):
-        _, loos, _, result = run
+        oracle, result = run
         first = result.steps[0]
         assert not first.rank_deficient
-        revealed = loos[first.index]
-        assert np.max(np.abs(first.w_fit - revealed.w)) < 1e-4
-        assert abs(first.b_fit - revealed.b) < 1e-4
+        assert np.max(np.abs(first.w_fit - oracle.loo_w[first.index])) < 1e-4
+        assert abs(first.b_fit - oracle.loo_b[first.index]) < 1e-4
 
     def test_later_clusters_flagged_rank_deficient(self, run):
-        _, _, _, result = run
+        _, result = run
         flags = [s.rank_deficient for s in result.steps]
         assert flags[0] is False
         assert all(flags[1:])
         assert [s.index for s in result.steps] == result.recovered[: len(result.steps)]
 
     def test_anchors_respect_all_prior_constraints(self, run):
-        _, _, _, result = run
+        _, result = run
         constraints = [step.constraint for step in result.steps]
         assert None not in constraints  # the influence ran out, so every round sliced
         for pos, step in enumerate(result.steps):
@@ -313,25 +297,23 @@ class TestTheoremRegime:
     def test_recovers_min_n_d_points_within_budget(self, n, d, seed):
         # Not min(n, d + 1): with n > d the last look, at the pinned-down
         # anchor, can reveal a point that is already recovered.
-        base, loos = theorem_regime(seed, n, d)
-        result = algorithm1_reconstruct(InfluenceOracle(base, loos), y0=np.zeros(d), seed=seed)
+        result = algorithm1_reconstruct(InfluenceOracle(*theorem_regime(seed, n, d)),
+                                        y0=np.zeros(d), seed=seed)
         rounds = min(n, d)
         assert len(result.recovered) >= rounds
         assert result.queries_revealing - result.retries <= reconstruction_query_budget(d, rounds)
 
     def test_sliced_points_lose_influence_at_later_anchors(self, run):
-        base, loos, _, result = run
+        oracle, result = run
         for pos, step in enumerate(result.steps[:-1]):
-            revealed = loos[step.index]
-            dw = revealed.w - base.w
-            db = revealed.b - base.b
+            dw = oracle.loo_w[step.index] - oracle.base.w
+            db = oracle.loo_b[step.index] - oracle.base.b
             for later in result.steps[pos + 1 :]:
                 assert abs(dw @ later.anchor - db) < 1e-6
 
     def test_max_points_run_spends_exactly_the_budget(self):
-        base, loos = theorem_regime()
         result = algorithm1_reconstruct(
-            InfluenceOracle(base, loos), y0=np.zeros(50), max_points=20, seed=0
+            InfluenceOracle(*theorem_regime()), y0=np.zeros(50), max_points=20, seed=0
         )
         assert result.reason == "max_points"
         assert result.queries_total == 830
@@ -363,8 +345,7 @@ class _FickleOracle(InfluenceOracle):
 class TestDegenerateOracles:
     def test_repeat_reveal_stops_cleanly(self):
         base = LogisticModel(w=np.array([0.2, 0.1]), b=0.0)
-        dummy = LogisticModel(w=np.zeros(2), b=0.0)
-        oracle = _AlwaysPointZeroOracle(base, [dummy, dummy])
+        oracle = _AlwaysPointZeroOracle(base, np.zeros((2, 2)), np.zeros(2))
         result = algorithm1_reconstruct(oracle, y0=np.zeros(2), seed=3)
         assert result.reason == "repeat_reveal"
         assert result.recovered == [0]
@@ -372,8 +353,7 @@ class TestDegenerateOracles:
 
     def test_inconsistent_probes_abort(self):
         base = LogisticModel(w=np.array([0.3, -0.2]), b=0.1)
-        dummy = LogisticModel(w=np.zeros(2), b=0.0)
-        oracle = _FickleOracle(base, [dummy, dummy])
+        oracle = _FickleOracle(base, np.zeros((2, 2)), np.zeros(2))
         result = algorithm1_reconstruct(oracle, y0=np.zeros(2), seed=4)
         assert result.reason == "oracle_inconsistent"
         assert result.oracle_inconsistent
