@@ -136,13 +136,9 @@ def _cmd_sweep_dim(args) -> Output:
     cfg = SweepConfig.from_dict(payload)
     results = dimension_sweep(cfg)
     path = _out_dir(args) / "dimension_sweep.csv"
-    with open(path, "w", newline="") as handle:
-        handle.write("dim,arch,correlation,train_acc,test_acc,seed,diverged\n")
-        for row in results:
-            handle.write(
-                f"{row.dim},{row.arch},{row.correlation},{row.train_accuracy},"
-                f"{row.test_accuracy},{row.seed},{int(row.diverged)}\n"
-            )
+    rows = [f"{r.dim},{r.arch},{r.correlation},{r.train_accuracy},{r.test_accuracy},{r.seed},"
+            f"{int(r.diverged)}\n" for r in results]
+    path.write_text("dim,arch,correlation,train_acc,test_acc,seed,diverged\n" + "".join(rows))
     summary = f"swept {len(results)} dimensions, wrote {path}"
     return Output("sweep_dim", cfg.to_dict(), cfg.synth.seed, summary)
 
@@ -152,13 +148,12 @@ def _cmd_reconstruct(args) -> Output:
     report = run_reconstruction_campaign(cfg)
     out = _out_dir(args)
     path = out / "reconstruction_report.json"
-    with open(path, "w") as handle:
+    with open(path, "w") as handle:  # streamed: the whole text at once would raise peak RSS
         json.dump(report, handle, sort_keys=True, indent=2)
         handle.write("\n")
     graph = report["graph"]
-    with open(out / "graph_metrics.csv", "w", newline="") as handle:
-        handle.write(",".join(graph) + "\n")
-        handle.write(",".join(str(graph[key]) for key in graph) + "\n")
+    lines = [",".join(graph), ",".join(map(str, graph.values())), ""]
+    (out / "graph_metrics.csv").write_text("\n".join(lines))
     recon = report["reconstruction"]
     summary = (f"reconstruction recovered {recon['recovered_count']}/{report['n_train']} "
                f"points ({recon['reason']}), report at {path}")

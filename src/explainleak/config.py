@@ -80,4 +80,4 @@ class Config:
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {name}: {exc}") from exc
+            raise ConfigError(f"bad {path[:-1] or name}: {exc}") from exc

@@ -82,10 +82,9 @@ def load_csv_dataset(
         if len(set(header)) < len(header):
             name = next(name for i, name in enumerate(header) if name in header[:i])
             raise ValueError(f"{path}: column {name!r} appears more than once in header")
-        if label_column not in header:
-            raise ValueError(f"{path}: no column named {label_column!r} in header")
-        if group_column is not None and group_column not in header:
-            raise ValueError(f"{path}: no column named {group_column!r} in header")
+        for column in (label_column, group_column):
+            if column is not None and column not in header:
+                raise ValueError(f"{path}: no column named {column!r} in header")
         label_idx = header.index(label_column)
         group_idx = header.index(group_column) if group_column is not None else None
         feature_idx = [

@@ -193,19 +193,21 @@ EXPLANATION_METHODS = tuple(_METHODS)
 MLP_METHODS = ("guided_backprop", "lrp")  # the structural methods walk MlpModel layers
 
 
-def _method_params(method: str, params: dict | None):
+def _method_params(method: str, params: dict | Config | None):
     """The method's params dataclass decoded from params by the config codec (None
-    for a method without params); an unknown method, or any param on a method
-    without params, raises ValueError."""
+    for a method without params), or params as they are if decoded already; an
+    unknown method, or any param on a method without params, raises ValueError."""
     if method not in _METHODS:
         raise ValueError(f"unknown explanation method {method!r}")
     cls = _METHODS[method][1]
     if cls is None and params:
         raise ValueError(f"{method} does not take params {sorted(params)}")
+    if isinstance(params, cls or ()):
+        return params
     return cls.from_dict(params or {}, f"{method}.") if cls else None
 
 
-def check_feature_params(method: str | None, params: dict | None, n_features: int):
+def check_feature_params(method: str | None, params: dict | Config | None, n_features: int):
     """The method's `_method_params` config (None without a method). Raises ConfigError naming
     method.param unless IG's baseline, or a non-scalar smoothgrad sigma, has n_features entries."""
     cfg = None if method is None else _method_params(method, params)
@@ -218,8 +220,9 @@ def check_feature_params(method: str | None, params: dict | None, n_features: in
     return cfg
 
 
-def explain_batch(model, X: np.ndarray, method: str, params: dict | None = None) -> np.ndarray:
-    """Explanations of every row of X as an (N, d) array; params as in `explain`.
+def explain_batch(model, X: np.ndarray, method: str, params=None) -> np.ndarray:
+    """Explanations of every row of X as an (N, d) array; params as in `explain`, or
+    the method's params dataclass (as `explain` hands on the one it decoded).
 
     Row i is `explain(model, X[i], method, params).values` up to summation
     order (see `explain`). Sampling methods draw their seeded noise once for
@@ -269,7 +272,7 @@ def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Ex
         info = {"target_class": int(classes[0]), "kernel_width": width, "ridge_lambda": lam,
                 "num_samples": cfg.num_samples, "seed": cfg.seed, "intercept": float(intercept[0])}
         return Explanation(method, coef[0], info)
-    values = explain_batch(model, x[None, :], method, params)[0]
+    values = explain_batch(model, x[None, :], method, cfg)[0]
     if method == "smoothgrad":
         sigma = np.asarray(cfg.sigma, dtype=np.float64).tolist()  # a float or a list
         info = {"sigma": sigma, "samples": cfg.samples, "seed": cfg.seed}

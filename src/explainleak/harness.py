@@ -7,9 +7,9 @@ perturbation-method comparison, and reconstruction campaigns. A master seed
 fans out through named, indexed children, so every result depends only on
 the config; emitted CSVs are byte-stable across reruns (wall times go to the
 CLI's manifest only). A threshold or overfit run's targets and a campaign's
-leave-one-out blocks are job lists for `models.fork_map`, whose forked workers
-inherit the BLAS environment; the bytes are the same on either path at a
-fixed BLAS thread count, and numpy's overflow warnings are silenced on both.
+leave-one-out blocks are job lists for `models.fork_map`, whose workers, forked
+with no pool, inherit the BLAS environment; the bytes are the same on either path
+at a fixed BLAS thread count, and numpy's overflow warnings are silenced on both.
 """
 from __future__ import annotations
 
@@ -173,15 +173,14 @@ def sampling_protocol(
     if subset_size < 2 or subset_size % 2:
         raise ConfigError("subset size must be even and >= 2")
     rng = np.random.default_rng(seed)
-    chunks: list[np.ndarray] = []
     if resample:
         if subset_size > dataset.n_points:
             raise ConfigError(
                 f"subsets of {subset_size} points need at least {subset_size} "
                 f"but only {dataset.n_points} are available"
             )
-        for _ in range(n_subsets):
-            chunks.append(rng.choice(dataset.n_points, size=subset_size, replace=False))
+        chunks = [rng.choice(dataset.n_points, size=subset_size, replace=False)
+                  for _ in range(n_subsets)]
     else:
         if n_subsets * subset_size > dataset.n_points:
             raise ConfigError(
@@ -190,8 +189,7 @@ def sampling_protocol(
                 "are available (set resample=true to allow overlap)"
             )
         order = rng.permutation(dataset.n_points)
-        for i in range(n_subsets):
-            chunks.append(order[i * subset_size : (i + 1) * subset_size])
+        chunks = [order[i * subset_size : (i + 1) * subset_size] for i in range(n_subsets)]
     half = subset_size // 2
     return [TargetSplit(train=c[:half], test=c[half:]) for c in chunks]
 
@@ -540,8 +538,7 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         }
         if step.constraint is not None:
             normal, rhs = step.constraint
-            entry["constraint_normal"] = normal.tolist()
-            entry["constraint_rhs"] = rhs
+            entry.update(constraint_normal=normal.tolist(), constraint_rhs=rhs)
         step_log.append(entry)
     report_recon = {
         "recovered_count": len(recon.recovered),
@@ -642,6 +639,4 @@ def write_manifest(
                "versions": versions, "timings": timings}
     if extra:
         payload.update(extra)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

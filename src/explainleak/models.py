@@ -5,7 +5,7 @@ per-layer activations and a softmax head over its k logits. `LogisticModel` is
 a linear classifier f(x) = 1 / (1 + exp(-(w.x - b))) trained by full-batch
 gradient ascent on the log-likelihood; it is the model family the influence and
 reconstruction machinery operates on; `train_logistic_loo` trains all n
-leave-one-out fits in blocks, which `fork_map` runs in forked workers.
+leave-one-out fits in blocks, which `fork_map` runs in workers it forks itself.
 
 Everything is deterministic under explicit seeds: weight init draws from a
 seeded generator, and epoch shuffles come from a generator derived from the
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,43 +38,65 @@ def _row_blocks(n_rows: int, floats_per_row: int):
     return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
 
 
-_FORKED: list = []  # a pool worker's [fn, shared, jobs], put there by its initializer
-
-
-def _start_worker(ids, cpus, *forked) -> None:
-    """A pool worker's initializer: keep the map's fn, shared and jobs, and start on a
-    CPU of its own, as forked workers can share one for longer than a short map lasts."""
-    _FORKED.extend(forked)
+def _run_share(pipe: int, cpu: int, cpus, fn, shared: tuple, jobs: list) -> None:
+    """A forked worker's jobs, run in turn from a CPU of its own (forked workers can share
+    one for longer than a short map lasts); their results, or its error, go down pipe."""
     try:  # pinned, it moves there; widened again, the scheduler may still move it
-        os.sched_setaffinity(0, {ids.get()})
+        os.sched_setaffinity(0, {cpu})
         os.sched_setaffinity(0, cpus)
     except OSError:  # a CPU this host lacks: it stays where it was forked
         pass
-
-
-def _forked_call(i: int):
-    fn, shared, jobs = _FORKED
-    return fn(*shared, *jobs[i])
+    try:
+        sent = [fn(*shared, *job) for job in jobs]
+    except Exception as exc:  # raised again, as itself, in the parent
+        sent = exc
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with open(pipe, "wb") as out:
+        out.write(pickle.dumps(sent))
 
 
 def fork_map(fn, shared: tuple, jobs: list) -> list:
-    """[fn(*shared, *job) for job in jobs], in job order: the one map of the LOO
-    blocks, the threshold targets and the sweep dims. With 2 or more jobs and usable
-    CPUs they run on min(jobs, CPUs) forked workers, which inherit fn, shared and the
-    jobs; only results travel back, and a dead worker raises BrokenProcessPool."""
+    """[fn(*shared, *job) for job in jobs], in job order: the one map of the LOO blocks,
+    the threshold targets and the sweep dims. With 2 or more jobs and usable CPUs, it
+    forks w = min(jobs, CPUs) workers, no pool: worker k inherits fn, shared and the jobs,
+    runs jobs k, k + w, ... and pickles back their results down a pipe of its own while
+    the parent waits. A job's error is raised as itself, a dead worker's as BrokenProcessPool."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()  # Linux only
-    workers = min(len(jobs), len(cpus))
-    if workers < 2:
+    w = min(len(jobs), len(cpus))
+    if w < 2:
         return [fn(*shared, *job) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import signal  # only a forked map needs it
 
-    fork = multiprocessing.get_context("fork")
-    ids = fork.SimpleQueue()  # one CPU id for each worker
-    for cpu in sorted(cpus)[:workers]:
-        ids.put(cpu)
-    with ProcessPoolExecutor(workers, fork, _start_worker, (ids, cpus, fn, shared, jobs)) as pool:
-        return list(pool.map(_forked_call, range(len(jobs))))
+    sys.stdout.flush()  # or a worker prints the parent's buffered text a second time
+    sys.stderr.flush()
+    workers, results = [], [None] * len(jobs)
+    try:
+        for k, cpu in enumerate(sorted(cpus)[:w]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller's stack
+                try:
+                    _run_share(write, cpu, cpus, fn, shared, jobs[k::w])
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        for k, (_, pipe) in enumerate(workers):
+            sent = pipe.read()
+            if not sent:
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool("a forked worker terminated abruptly")
+            sent = pickle.loads(sent)
+            if isinstance(sent, Exception):
+                raise sent
+            results[k::w] = sent
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -347,14 +371,10 @@ class MlpModel:
 def init_model(layers: Sequence[LayerSpec], input_dim: int, seed: int) -> MlpModel:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    fan_in = input_dim
-    for spec in layers:
-        scale = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-scale, scale, size=(fan_in, spec.width)))
-        biases.append(np.zeros(spec.width))
-        fan_in = spec.width
+    fan_ins = [input_dim] + [spec.width for spec in layers[:-1]]
+    weights = [rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=(fan_in, spec.width))
+               for fan_in, spec in zip(fan_ins, layers)]
+    biases = [np.zeros(spec.width) for spec in layers]
     return MlpModel(layers, input_dim, weights, biases, seed=seed)
 
 

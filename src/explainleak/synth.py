@@ -63,19 +63,13 @@ class SynthConfig(Config):
 def _hypercube_centers(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """k distinct vertices of {0,1}^n, as rows."""
     if n <= 10:
-        all_vertices = np.array(
-            [[(v >> j) & 1 for j in range(n)] for v in range(2**n)], dtype=np.float64
-        )
-        return all_vertices[rng.permutation(2**n)[:k]]
-    chosen: list[np.ndarray] = []
-    seen: set[tuple[int, ...]] = set()
+        all_vertices = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        return all_vertices[rng.permutation(2**n)[:k]].astype(np.float64)
+    chosen: dict[bytes, np.ndarray] = {}  # each vertex by its bytes, in first-draw order
     while len(chosen) < k:
         vertex = rng.integers(0, 2, size=n)
-        key = tuple(int(v) for v in vertex)
-        if key not in seen:
-            seen.add(key)
-            chosen.append(vertex.astype(np.float64))
-    return np.stack(chosen)
+        chosen.setdefault(vertex.tobytes(), vertex)
+    return np.stack(list(chosen.values())).astype(np.float64)
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
@@ -90,16 +84,11 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     centers *= cfg.class_sep
     base, extra = divmod(cfg.n_samples, cfg.n_classes)
     counts = [base + (1 if c < extra else 0) for c in range(cfg.n_classes)]
-    blocks = []
-    labels = []
-    for c, count in enumerate(counts):
-        noise = rng.normal(0.0, cfg.cluster_std, size=(count, cfg.n_features))
-        blocks.append(centers[c] + noise)
-        labels.append(np.full(count, c, dtype=np.int64))
-    features = np.concatenate(blocks, axis=0)
-    label_arr = np.concatenate(labels)
+    features = np.concatenate([center + rng.normal(0.0, cfg.cluster_std, (count, len(center)))
+                               for center, count in zip(centers, counts)])
+    labels = np.repeat(np.arange(cfg.n_classes, dtype=np.int64), counts)
     order = rng.permutation(cfg.n_samples)
-    return Dataset(features=features[order], labels=label_arr[order])
+    return Dataset(features=features[order], labels=labels[order])
 
 
 class CorrelationResult(NamedTuple):
@@ -193,9 +182,7 @@ def _run_dimension(sweep: SweepConfig, train_cfg: TrainConfig, dim: int) -> Dime
     norms = np.concatenate(
         [statistic_values(stat, model, part.features) for part in (train_set, test_set)]
     )
-    membership = np.concatenate(
-        [np.ones(train_set.n_points, bool), np.zeros(test_set.n_points, bool)]
-    )
+    membership = np.arange(len(norms)) < train_set.n_points
     corr = membership_correlation(norms, membership)
     return DimensionResult(
         dim=dim,

@@ -2,15 +2,18 @@
 the per-query reveal ranking that the block paths are held to."""
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import explainleak
 from explainleak import (
     Dataset,
     LayerSpec,
@@ -22,10 +25,27 @@ from explainleak import (
 )
 
 
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """`python -c code` in a fresh interpreter that imports this checkout's explainleak."""
+    src = str(Path(explainleak.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def use_cpus(monkeypatch, n: int) -> None:
     """`models.fork_map` sees n usable CPUs: with 1 every job runs in this process,
     with 2 a list of 2 or more jobs is mapped over forked worker processes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child() -> None:
+    """This process has no child left, running or exited: `os.fork` children are
+    invisible to `multiprocessing.active_children()`, so ask the kernel."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -40,7 +60,7 @@ def worker_guard():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run, so a

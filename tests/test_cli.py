@@ -720,6 +720,25 @@ def mistyped_configs(draw):
     return command, payload, name
 
 
+class TestNestedValueErrorsNameTheirPath:
+    """A value refused by a nested config's own checks is named by the config's path
+    (it once read `bad TrainConfig: lr must be positive`); a top-level config keeps
+    its class name."""
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("reconstruct", {**RECON_PAYLOAD, "train": {**RECON_PAYLOAD["train"], "lr": -1}},
+         "bad train: lr must be positive"),
+        ("reconstruct", {**RECON_PAYLOAD, "synth": {**RECON_PAYLOAD["synth"], "class_sep": 0}},
+         "bad synth: class_sep must be positive"),
+        ("attack", {**ATTACK_PAYLOAD, **_stat("smoothgrad", {"samples": 0})},
+         "bad smoothgrad: samples must be at least 1"),
+    ], ids=["train", "synth", "smoothgrad"])
+    def test_exits_1_naming_the_path(self, tmp_path, capsys, command, payload, message):
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 class TestMistypedFieldProperty:
     """Any one value of a valid config swapped for a value of another JSON type is
     either accepted (a float field takes an int, an optional field null) or refused

@@ -23,7 +23,7 @@ from explainleak import (
     ig_completeness_gap,
     init_model,
 )
-from explainleak.config import decode
+from explainleak.config import Config, decode
 from explainleak.explain import check_feature_params
 
 # The package re-exports the function `explain`, which shadows the submodule.
@@ -431,6 +431,16 @@ class TestParamsCodec:
             message = rf"^{method}\.{name} needs one entry per feature \(4\)"
             with pytest.raises(ConfigError, match=message):
                 explain_batch(small_trained_model, X, method, params)
+
+    def test_explain_decodes_its_params_once(self, small_trained_model, monkeypatch):
+        decoded = []
+        real = Config.from_dict.__func__
+        monkeypatch.setattr(Config, "from_dict", classmethod(
+            lambda cls, payload, path="": decoded.append(cls) or real(cls, payload, path)))
+        x = np.full(4, 0.5)
+        explain(small_trained_model, x, "smoothgrad", {"sigma": [0.5] * 4, "samples": 3})
+        explain(small_trained_model, x, "integrated_gradients", {"steps": 7})
+        assert decoded == [SmoothGradConfig, IgConfig]
 
 
 # ---------------------------------------------------------------------------

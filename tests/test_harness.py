@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
 import re
+import signal
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import explainleak
 import explainleak.harness as harness_module
-from conftest import two_blob_dataset, use_cpus
+from conftest import assert_no_child, run_python, two_blob_dataset, use_cpus
 from explainleak import influence as influence_module
 from explainleak.attacks import AttackStatistic, aggregate_shadow_taus
 from explainleak.cli import main
@@ -831,8 +832,50 @@ class TestWorkerPool:
         use_cpus(monkeypatch, 2)
         with pytest.raises(TypeError, match="job 3"):
             fork_map(broken, (), [(i,) for i in range(6)])
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert fork_map(broken, (), [(i,) for i in range(3)]) == [0, 1, 2]
+
+    def test_a_map_interrupted_in_the_parent_leaves_no_worker(self, monkeypatch):
+        def expire(signum, frame):
+            raise TimeoutError("interrupted")
+
+        use_cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, expire)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)  # while the workers sleep
+            start = time.perf_counter()
+            with pytest.raises(TimeoutError, match="interrupted"):
+                fork_map(time.sleep, (), [(30,), (30,)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            signal.alarm(60)  # the guard's deadline again
+        assert time.perf_counter() - start < 10
+        assert_no_child()
+
+    def test_text_printed_before_a_map_appears_once(self, monkeypatch, capfd):
+        use_cpus(monkeypatch, 2)
+        # A buffered stdout (capfd's own writes through), so the text is still in this
+        # process's buffer at the fork; each worker flushes its stdout before it exits.
+        with open(1, "w", closefd=False) as stdout, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            print("before the map", end="")
+            assert fork_map(lambda i: print(f" job {i}", end="") or i, (), [(0,), (1,)]) == [0, 1]
+        out = capfd.readouterr().out
+        assert out.count("before the map") == 1
+        assert sorted(out.split(" job ")) == ["0", "1", "before the map"]
+
+    def test_a_forked_map_imports_no_process_pool(self):
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from explainleak.models import fork_map\n"
+            "assert fork_map(lambda i: i * i, (), [(i,) for i in range(4)]) == [0, 1, 4, 9]\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        run = run_python(code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
 
 
 class TestOverfitSweep:

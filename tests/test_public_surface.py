@@ -5,15 +5,12 @@ from __future__ import annotations
 import importlib
 import inspect
 import json
-import os
-import subprocess
-import sys
 from functools import reduce
-from pathlib import Path
 
 import pytest
 
 import explainleak
+from conftest import run_python
 
 # Retired because nothing in the package called them: per-point copies of batch
 # operations (each has a batch path that remains), test fixtures, an unused codec,
@@ -112,18 +109,9 @@ def test_retired_parameters_are_gone(owner):
     assert not set(RETIRED_PARAMETERS[owner]) & parameters.keys()
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    src = str(Path(explainleak.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
-    )
-
-
 def test_runtime_needs_numpy_only(tmp_path):
     """The CLI imports no scipy, and a reconstruction runs where scipy cannot load."""
-    loaded = _run_python("import sys, explainleak.cli; print('scipy' in sys.modules)")
+    loaded = run_python("import sys, explainleak.cli; print('scipy' in sys.modules)")
     assert loaded.returncode == 0, loaded.stderr
     assert loaded.stdout.strip() == "False"
 
@@ -134,7 +122,7 @@ def test_runtime_needs_numpy_only(tmp_path):
         "reveal_ks": [1, 3], "graph_k": 2, "traverse_starts": 2, "baseline_queries": 5,
     }))
     args = ["reconstruct", "--config", str(config), "--out", str(tmp_path / "out")]
-    run = _run_python(
+    run = run_python(
         "import sys; sys.modules['scipy'] = None\n"  # any `import scipy` now fails
         f"from explainleak.cli import main; sys.exit(main({args!r}))"
     )
