@@ -20,6 +20,8 @@ from .data import Dataset
 from .models import LogisticModel, TrainConfig, TrainingDivergedError, _row_blocks, sigmoid
 from .models import train_logistic, train_logistic_loo
 
+_ARGMIN_K = 64  # up to this k, k argmin passes beat one stable argsort of a block
+
 
 @dataclass
 class RevealResult:
@@ -122,23 +124,21 @@ def _check_k(k: int, n: int) -> None:
 
 
 def _rank_block(neg: np.ndarray, k: int) -> np.ndarray:
-    """Per row of a (rows, n) block of -|I|, the columns of its k smallest
-    entries in ascending order, ties to the lower index: the first k columns of
-    a stable argsort. Only rows with a tie at the k-th value are fully sorted.
-    A NaN raises ValueError naming the highest NaN index of the first NaN row;
-    the caller has checked k with `_check_k`."""
+    """Per row of a (rows, n) block of -|I|, the columns of its k smallest entries
+    in ascending order, ties to the lower index: the first k columns of a stable
+    argsort. Up to `_ARGMIN_K` it takes k first minima, masking all but the last with
+    +inf in the block, which both callers pass as a temporary. A NaN raises ValueError naming
+    the highest NaN index of the first NaN row; the caller has checked k with `_check_k`."""
     if np.isnan(neg.min()):
         row = np.isnan(neg[np.isnan(neg).any(axis=1).argmax()])
         raise ValueError(f"influence of training point {np.flatnonzero(row)[-1]} is NaN")
-    if k == 1:  # the first minimum, as a stable sort ranks it: 9 µs, not 57, per oracle query
-        return neg.argmin(axis=1)[:, None]
-    cand = np.sort(np.argpartition(neg, k - 1, axis=1)[:, :k], axis=1)
-    vals = np.take_along_axis(neg, cand, axis=1)
-    top = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    tied = np.flatnonzero(np.count_nonzero(neg <= vals.max(axis=1)[:, None], axis=1) > k)
-    if tied.size:
-        top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
-    return top
+    if k > _ARGMIN_K:
+        return np.argsort(neg, axis=1, kind="stable")[:, :k]
+    top = np.empty((k, len(neg)), dtype=np.intp)  # row j holds pass j's columns
+    for j in range(k - 1):  # +inf is never a -|I|; a k = 1 oracle query is one argmin
+        neg[np.arange(len(neg)), neg.argmin(axis=1, out=top[j])] = np.inf
+    neg.argmin(axis=1, out=top[-1])
+    return top.T
 
 
 class InfluenceExplainer(InfluenceOracle):

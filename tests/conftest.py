@@ -153,22 +153,23 @@ def reference_top_k(expl, y, k):
     return order[:k].copy()
 
 
-def clear_gap(expl, y, j: int) -> bool:
-    """Whether the j-th and (j+1)-th largest |I| at y differ by more than 1e-12
-    (|I| is at most 1): gemm and gemv round differently, so a block answer
-    matches the per-query ranking only up to gaps of that size."""
+def clear_gaps(expl, y) -> np.ndarray:
+    """Entry j - 1: whether the j-th and (j+1)-th largest |I| at y differ by more
+    than 1e-12 (|I| is at most 1), always true at j = n: gemm and gemv round
+    differently, so a block answer matches the per-query ranking only up to gaps
+    of that size."""
     a = np.sort(np.abs(expl.influence(y)))[::-1]
-    return j == a.size or a[j - 1] - a[j] > 1e-12
+    return np.append(a[:-1] - a[1:] > 1e-12, True)
 
 
 def assert_same_reveals(top, expl, Y, k):
     """Row i of a block answer against the per-query ranking of Y[i]: every
     prefix of the ranking that ends at a clear gap holds the same indices."""
     assert top.shape == (len(Y), k)
-    for row, y in zip(top, Y):
-        ref = reference_top_k(expl, y, k)
+    for row, y in zip(top.tolist(), Y):
+        ref, gaps = reference_top_k(expl, y, k).tolist(), clear_gaps(expl, y)
         for j in range(1, k + 1):
-            if clear_gap(expl, y, j):
+            if gaps[j - 1]:
                 assert sorted(row[:j]) == sorted(ref[:j]), (j, row, ref)
 
 

@@ -27,7 +27,7 @@ from explainleak import (
 from explainleak import models as models_module
 from explainleak.reconstruct import OracleAnswer, _orthogonal_complement
 from conftest import (
-    clear_gap,
+    clear_gaps,
     loo_caches,
     reference_top_k,
     same_direction_fixture,
@@ -531,6 +531,7 @@ class TestBaselineAttack:
         seen: set[int] = set()
         expected = []
         for y, row in zip(Y, block):
-            seen.update((reference_top_k(expl, y, k) if clear_gap(expl, y, k) else row).tolist())
+            clear = clear_gaps(expl, y)[k - 1]
+            seen.update((reference_top_k(expl, y, k) if clear else row).tolist())
             expected.append(len(seen) / n)
         assert curve == expected
