@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from explainleak.attacks import AttackStatistic
-from explainleak.harness import ExperimentConfig, run_overfit_sweep
+from explainleak.harness import OverfitConfig, run_overfit_sweep
 from explainleak.models import TrainConfig
 from explainleak.synth import SweepConfig, SynthConfig, dimension_sweep
 
@@ -24,7 +24,8 @@ def bar(value: float, scale: float = 100.0) -> str:
 
 
 def main() -> None:
-    cfg = ExperimentConfig(
+    grid = list(range(5, 41, 5))
+    cfg = OverfitConfig(
         synth=SynthConfig(
             n_features=100,
             n_classes=10,
@@ -42,9 +43,9 @@ def main() -> None:
         subsets_per_repetition=4,
         points_per_subset=100,
         seed=0,
+        epoch_grid=grid,
     )
-    grid = list(range(5, 41, 5))
-    result = run_overfit_sweep(cfg, grid)
+    result = run_overfit_sweep(cfg)
 
     print("longer training -> stronger membership signal")
     print(f"{'epochs':>7} {'train-test gap':>15} {'attack accuracy':>16}")

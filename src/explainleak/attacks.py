@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .explain import _method_params, explain_batch
+from .explain import check_feature_params, explain_batch
 from .explain import explain  # noqa: F401  (public name; the benchmark's tracer wraps it)
 
 STATISTIC_KINDS = ("loss", "pred_var", "expl_var")
@@ -47,7 +47,7 @@ class AttackStatistic(Config):
         if self.kind not in STATISTIC_KINDS:
             raise ValueError(f"kind must be one of {STATISTIC_KINDS}")
         if self.kind == "expl_var":
-            _method_params(self.method, self.params)  # raises on an unknown method or param
+            check_feature_params(self.method, self.params)  # raises on an unknown method or param
         elif self.method is not None or self.params:
             raise ValueError(f"{self.kind} takes no explanation method or params")
         if self.use_l1 and self.kind != "expl_var":

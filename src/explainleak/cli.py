@@ -19,12 +19,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import decode
 from .data import write_csv_dataset
 from .harness import (
     CampaignConfig,
     ConfigError,
     ExperimentConfig,
+    OverfitConfig,
     child_seed,
     run_overfit_sweep,
     run_perturbation_experiment,
@@ -34,8 +34,6 @@ from .harness import (
     write_manifest,
 )
 from .synth import SweepConfig, SynthConfig, dimension_sweep, generate_synthetic
-
-DEFAULT_EPOCH_GRID = list(range(5, 51, 5))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,8 +102,13 @@ def _cmd_train(args) -> Output:
     return Output("train", cfg.to_dict(), cfg.seed, summary)
 
 
-def _experiment_output(result, args) -> Output:
-    """Write an experiment result's CSVs to --out; its manifest keeps warnings and audits."""
+def _cmd_experiment(args) -> Output:
+    """attack, perturb-attack and sweep-epochs: decode, run, write the CSVs. The table is
+    built at each call, so a runner patched in this module is the one that runs."""
+    cls, runner = {"attack": (ExperimentConfig, run_threshold_experiment),
+                   "perturb-attack": (ExperimentConfig, run_perturbation_experiment),
+                   "sweep-epochs": (OverfitConfig, run_overfit_sweep)}[args.command]
+    result = runner(cls.from_dict(_load_config(args)))
     records, path = result.records, result.write(_out_dir(args))["records"]
     summary = f"no attack records produced, wrote {path}"
     if records:
@@ -113,20 +116,6 @@ def _experiment_output(result, args) -> Output:
         summary = f"{len(records)} attack records, mean accuracy {mean_acc:.4f}, wrote {path}"
     return Output(result.name, result.config, result.config["seed"], summary, result.warnings,
                   {"warnings": result.warnings, "audits": result.audits})
-
-
-def _cmd_attack(args) -> Output:  # and perturb-attack, which defaults its statistics
-    cfg = ExperimentConfig.from_dict(_load_config(args))
-    if args.command == "perturb-attack":
-        return _experiment_output(run_perturbation_experiment(cfg), args)
-    return _experiment_output(run_threshold_experiment(cfg), args)
-
-
-def _cmd_sweep_epochs(args) -> Output:
-    payload = _load_config(args)
-    grid = payload.pop("epoch_grid", DEFAULT_EPOCH_GRID)
-    cfg = ExperimentConfig.from_dict(payload)
-    return _experiment_output(run_overfit_sweep(cfg, decode("epoch_grid", list[int], grid)), args)
 
 
 def _cmd_sweep_dim(args) -> Output:
@@ -165,12 +154,12 @@ def build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     commands = {
         "train": (_cmd_train, "train a model on the configured dataset"),
-        "attack": (_cmd_attack, "run the threshold membership experiment"),
+        "attack": (_cmd_experiment, "run the threshold membership experiment"),
         "sweep-dim": (_cmd_sweep_dim, "gradient-norm correlation across dimensions"),
-        "sweep-epochs": (_cmd_sweep_epochs, "attack accuracy across training epochs"),
+        "sweep-epochs": (_cmd_experiment, "attack accuracy across training epochs"),
         "reconstruct": (_cmd_reconstruct, "run the reconstruction campaign"),
         "synth": (_cmd_synth, "generate a synthetic dataset CSV"),
-        "perturb-attack": (_cmd_attack, "reduced-scale perturbation attacks"),
+        "perturb-attack": (_cmd_experiment, "reduced-scale perturbation attacks"),
     }
     for name, (func, help_text) in commands.items():
         sub = subparsers.add_parser(name, help=help_text)

@@ -193,26 +193,21 @@ EXPLANATION_METHODS = tuple(_METHODS)
 MLP_METHODS = ("guided_backprop", "lrp")  # the structural methods walk MlpModel layers
 
 
-def _method_params(method: str, params: dict | Config | None):
-    """The method's params dataclass decoded from params by the config codec (None
-    for a method without params), or params as they are if decoded already; an
-    unknown method, or any param on a method without params, raises ValueError."""
+def check_feature_params(method: str, params: dict | Config | None, n_features: int | None = None):
+    """The method's params dataclass decoded from params by the config codec (None for a
+    method without params), or params as they are if decoded already. An unknown method, or
+    any param on a method without params, raises ValueError; given n_features, ConfigError
+    naming method.param unless IG's baseline, or a non-scalar smoothgrad sigma, has that many."""
     if method not in _METHODS:
         raise ValueError(f"unknown explanation method {method!r}")
     cls = _METHODS[method][1]
-    if cls is None and params:
-        raise ValueError(f"{method} does not take params {sorted(params)}")
-    if isinstance(params, cls or ()):
-        return params
-    return cls.from_dict(params or {}, f"{method}.") if cls else None
-
-
-def check_feature_params(method: str | None, params: dict | Config | None, n_features: int):
-    """The method's `_method_params` config (None without a method). Raises ConfigError naming
-    method.param unless IG's baseline, or a non-scalar smoothgrad sigma, has n_features entries."""
-    cfg = None if method is None else _method_params(method, params)
+    if cls is None:
+        if params:
+            raise ValueError(f"{method} does not take params {sorted(params)}")
+        return None
+    cfg = params if isinstance(params, cls) else cls.from_dict(params or {}, f"{method}.")
     name = {"integrated_gradients": "baseline", "smoothgrad": "sigma"}.get(method)
-    value = getattr(cfg, name) if name else None
+    value = getattr(cfg, name) if name and n_features is not None else None
     shape = np.shape(value)
     if value is not None and shape != (n_features,) and (shape or name == "baseline"):
         raise ConfigError(f"{method}.{name} needs one entry per feature ({n_features}), "
@@ -266,7 +261,7 @@ def explain(model, x: np.ndarray, method: str, params: dict | None = None) -> Ex
     gemv and a many-row one with gemm, which round differently.
     """
     x = np.asarray(x, dtype=np.float64)
-    cfg = _method_params(method, params)
+    cfg = check_feature_params(method, params)
     if method == "local_surrogate":
         coef, intercept, classes, width, lam = _local_surrogate(model, x[None, :], cfg)
         info = {"target_class": int(classes[0]), "kernel_width": width, "ridge_lambda": lam,

@@ -383,31 +383,34 @@ def _score_repetition(cfg, rep, prefix, splits, rows, result: ExperimentResult) 
             result.decisions.blocks.append(block)
 
 
-def _run_threshold(dataset: Dataset, runs: list, result: ExperimentResult) -> ExperimentResult:
-    """Every repetition of each (cfg, run id prefix) in runs, scored into result.
+def _run_threshold(name: str, cfg: ExperimentConfig, runs: list) -> ExperimentResult:
+    """The result `name` of cfg: every repetition of each (config, run id prefix) in runs.
 
     The repetitions' subsets are sampled and audited first; then every target
     of every repetition is one `fork_map` job of `target_row`, and each
     repetition is scored from its targets' rows in order.
     """
-    for stat in runs[0][0].statistics:  # before any job; the runs share their statistics
-        check_feature_params(stat.method, stat.params, dataset.n_features)
+    dataset = cfg.load_dataset()
+    for stat in cfg.statistics:  # before any job; the runs share cfg's statistics
+        if stat.method is not None:
+            check_feature_params(stat.method, stat.params, dataset.n_features)
+    result = ExperimentResult(name, [], DecisionTable(), [], cfg.to_dict())
     reps = []
-    for cfg, prefix in runs:
-        for rep in range(cfg.repetitions):
-            splits = sampling_protocol(dataset, cfg.subsets_per_repetition, cfg.points_per_subset,
-                                       cfg.resample, child_seed(cfg.seed, "protocol", rep))
-            result.audits.append(validate_protocol(splits, dataset.n_points, cfg.resample))
-            reps.append((cfg, rep, prefix, splits))
-    jobs = [(cfg, split, child_seed(cfg.seed, "target", rep, t))
-            for cfg, rep, _, splits in reps for t, split in enumerate(splits)]
+    for run, prefix in runs:
+        for rep in range(run.repetitions):
+            splits = sampling_protocol(dataset, run.subsets_per_repetition, run.points_per_subset,
+                                       run.resample, child_seed(run.seed, "protocol", rep))
+            result.audits.append(validate_protocol(splits, dataset.n_points, run.resample))
+            reps.append((run, rep, prefix, splits))
+    jobs = [(run, split, child_seed(run.seed, "target", rep, t))
+            for run, rep, _, splits in reps for t, split in enumerate(splits)]
     rows = iter(fork_map(target_row, (dataset,), jobs))
-    for cfg, rep, prefix, splits in reps:
-        _score_repetition(cfg, rep, prefix, splits, [next(rows) for _ in splits], result)
+    for run, rep, prefix, splits in reps:
+        _score_repetition(run, rep, prefix, splits, [next(rows) for _ in splits], result)
     return result
 
 
-def run_threshold_experiment(cfg: ExperimentConfig, name: str = "threshold") -> ExperimentResult:
+def run_threshold_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Train targets per repetition and attack each with every statistic.
 
     Per repetition: sample subsets, train one target per subset, compute
@@ -418,24 +421,32 @@ def run_threshold_experiment(cfg: ExperimentConfig, name: str = "threshold") -> 
     statistic) is scanned at most once per repetition: its tau serves the
     target's own optimal record and every sibling's shadow records.
     """
-    result = ExperimentResult(name, [], DecisionTable(), [], cfg.to_dict())
-    return _run_threshold(cfg.load_dataset(), [(cfg, "")], result)
+    return _run_threshold("threshold", cfg, [(cfg, "")])
 
 
-def run_overfit_sweep(cfg: ExperimentConfig, epoch_grid: list[int]) -> ExperimentResult:
+@dataclass
+class OverfitConfig(ExperimentConfig):
+    """The overfitting sweep: an experiment and the epoch budgets it is re-run at."""
+
+    epoch_grid: list[int] = field(default_factory=lambda: list(range(5, 51, 5)))
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.epoch_grid or min(self.epoch_grid) < 1:
+            raise ConfigError(
+                f"epoch grid must be non-empty with every entry >= 1, got {self.epoch_grid}")
+
+
+def run_overfit_sweep(cfg: OverfitConfig) -> ExperimentResult:
     """Re-run the optimal-calibration attack at each epoch budget.
 
     The sampling protocol and model initializations derive from seeds that
     do not involve the epoch count, so every grid entry retrains the same
     targets on the same subsets and only the training length varies.
     """
-    if not epoch_grid or min(epoch_grid) < 1:
-        raise ConfigError(f"epoch grid must be non-empty with every entry >= 1, got {epoch_grid}")
-    config = {**cfg.to_dict(), "epoch_grid": [int(e) for e in epoch_grid]}
     runs = [(replace(cfg, train=replace(cfg.train, epochs=epochs), calibrations=["optimal"]),
-             f"e{epochs}-") for epochs in config["epoch_grid"]]
-    result = ExperimentResult("overfit", [], DecisionTable(), [], config)
-    return _run_threshold(cfg.load_dataset(), runs, result)
+             f"e{epochs}-") for epochs in cfg.epoch_grid]
+    return _run_threshold("overfit", cfg, runs)
 
 
 def default_perturbation_statistics() -> list[AttackStatistic]:
@@ -457,9 +468,9 @@ def run_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Reduced-scale comparison of perturbation-based attack statistics. A config
     naming neither perturbation method runs the four defaults, with a warning."""
     if any(s.method in ("local_surrogate", "smoothgrad") for s in cfg.statistics):
-        return run_threshold_experiment(cfg, name="perturbation")
-    result = run_threshold_experiment(
-        replace(cfg, statistics=default_perturbation_statistics()), name="perturbation")
+        return _run_threshold("perturbation", cfg, [(cfg, "")])
+    ran = replace(cfg, statistics=default_perturbation_statistics())
+    result = _run_threshold("perturbation", ran, [(ran, "")])
     dropped = [s.label for s in cfg.statistics]
     result.warnings.insert(0, f"no perturbation statistic: ran the four defaults, not {dropped}")
     return result

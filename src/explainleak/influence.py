@@ -55,6 +55,9 @@ class InfluenceOracle:
         self.base = base
         self.loo_w = np.array(loo_w, dtype=np.float64, order="C")  # (n, d): one row per point
         self.loo_b = np.array(loo_b, dtype=np.float64, order="C")
+        if self.loo_b.ndim != 1 or self.loo_w.shape != (len(self.loo_b), base.w.size):
+            raise ValueError(f"leave-one-out weights {self.loo_w.shape} and biases "
+                             f"{self.loo_b.shape} do not fit a {base.w.size}-feature base")
         self.query_count = 0
 
     @property

@@ -33,6 +33,7 @@ from explainleak.graph import (
 )
 from explainleak.harness import (
     ExperimentConfig,
+    OverfitConfig,
     run_overfit_sweep,
     run_threshold_experiment,
 )
@@ -255,7 +256,8 @@ def test_criterion_06_attack_succeeds_only_in_overfit_regime(overfit_experiment)
 
 def test_criterion_07_attack_accuracy_rises_with_epochs():
     start = time.perf_counter()
-    cfg = ExperimentConfig(
+    grid = list(range(5, 51, 5))
+    cfg = OverfitConfig(
         synth=OVERFIT_SYNTH,
         hidden=(50,),
         activation="tanh",
@@ -266,9 +268,9 @@ def test_criterion_07_attack_accuracy_rises_with_epochs():
         subsets_per_repetition=4,
         points_per_subset=500,
         seed=1,
+        epoch_grid=grid,
     )
-    grid = list(range(5, 51, 5))
-    result = run_overfit_sweep(cfg, grid)
+    result = run_overfit_sweep(cfg)
     means = [
         float(np.mean([r.attack_accuracy for r in result.records if r.epochs == e]))
         for e in grid

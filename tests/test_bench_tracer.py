@@ -7,9 +7,12 @@ in the ordinary suite.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
-from explainleak import harness, influence, models, reconstruct
+import pytest
+
+from explainleak import cli, harness, influence, models, reconstruct
 
 TRACING = Path(__file__).resolve().parent.parent / "leakbench" / "tracing.py"
 
@@ -44,3 +47,28 @@ def test_install_then_restore_returns_the_originals():
     assert influence.topk_explain is originals[1]
     assert models.MlpModel.forward_stack is originals[2]
     assert reconstruct.topk_explain is originals[3]
+
+
+_TINY_ATTACK = {
+    "synth": {"n_features": 2, "n_samples": 40, "class_sep": 2.0, "seed": 1},
+    "hidden": [4],
+    "train": {"epochs": 2},
+    "statistics": [{"kind": "expl_var", "method": "smoothgrad", "params": {"samples": 2}}],
+    "subsets_per_repetition": 2,
+    "points_per_subset": 6,
+}
+
+
+@pytest.mark.parametrize("command", ["attack", "perturb-attack"])
+def test_a_traced_experiment_command_records_its_run(tmp_path, command):
+    """The CLI finds its runner when the command runs, so the patched one is called."""
+    tracing = _load_tracing()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_TINY_ATTACK))
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        restore()
+    assert [span[1] for span in tracer.spans].count("harness.run") == 1

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import use_cpus
 from explainleak import cli, harness, synth
 from explainleak.cli import build_parser, main
-from explainleak.harness import config_hash
+from explainleak.harness import ExperimentConfig, config_hash
 
 ATTACK_PAYLOAD = {
     "synth": {"n_features": 2, "n_samples": 80, "class_sep": 2.0, "seed": 1},
@@ -271,6 +271,33 @@ class TestSweepCommands:
         epochs_col = header.index("epochs")
         epochs = {line.split(",")[epochs_col] for line in lines[1:]}
         assert epochs == {"1", "2"}
+
+    @pytest.mark.parametrize("grid", [[1, 2], None], ids=["grid", "default-grid"])
+    def test_sweep_epochs_manifest_keeps_its_config(self, tmp_path, grid):
+        """The epoch grid is an `OverfitConfig` key; the manifest still records the
+        experiment's config with the grid appended, as when the CLI decoded it apart."""
+        payload = ATTACK_PAYLOAD if grid is None else {**ATTACK_PAYLOAD, "epoch_grid": grid}
+        out = tmp_path / "out"
+        assert main(["sweep-epochs", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "overfit_manifest.json").read_text())
+        expected = {**ExperimentConfig.from_dict(ATTACK_PAYLOAD).to_dict(),
+                    "epoch_grid": grid or list(range(5, 51, 5))}
+        assert manifest["config"] == expected
+        assert manifest["config_hash"] == config_hash(expected)
+
+    def test_sweep_dim_refuses_a_null_train(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**SWEEP_PAYLOAD, "train": None})
+        assert main(["sweep-dim", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: train must not be null\n"
+
+    def test_sweep_dim_records_its_default_training(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, SWEEP_PAYLOAD)
+        assert main(["sweep-dim", "--config", config, "--out", str(out)]) == 0
+        manifest = json.loads((out / "sweep_dim_manifest.json").read_text())
+        assert manifest["config"]["train"] == {"optimizer": "adagrad", "lr": 0.01, "lr_decay": 0.0,
+                                               "epochs": 100, "batch_size": 32, "seed": 0}
 
     def test_sweep_dim_csv_layout(self, tmp_path):
         payload = {

@@ -423,7 +423,10 @@ class TestParamsCodec:
                                ("integrated_gradients", {"baseline": [1.0] * 4})]:
             check_feature_params(method, params, 4)
             assert explain_batch(small_trained_model, X, method, params).shape == (2, 4)
-        check_feature_params(None, None, 4)  # a loss or prediction-variance statistic
+        assert check_feature_params("gradient", None, 4) is None  # a method without params
+        check_feature_params("smoothgrad", {"sigma": [0.5] * 3})  # no feature count, no check
+        with pytest.raises(ValueError, match="unknown explanation method None"):
+            check_feature_params(None, None, 4)  # an explanation statistic needs its method
         for method, params in [("smoothgrad", {"sigma": [0.5] * 3}),
                                ("integrated_gradients", {"baseline": [1.0] * 5}),
                                ("integrated_gradients", {"baseline": 1.0})]:

@@ -30,6 +30,7 @@ from explainleak.harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
+    OverfitConfig,
     RunRecord,
     TargetSplit,
     child_seed,
@@ -113,7 +114,7 @@ class TestParseCalibration:
             parse_calibration(text)
 
 
-def make_experiment_config(**overrides) -> ExperimentConfig:
+def make_experiment_config(cls=ExperimentConfig, **overrides) -> ExperimentConfig:
     base = dict(
         synth=SynthConfig(n_features=3, n_samples=160, class_sep=2.0, seed=0),
         hidden=(8,),
@@ -126,7 +127,7 @@ def make_experiment_config(**overrides) -> ExperimentConfig:
         seed=7,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return cls(**base)
 
 
 SEED_RANGE_ERROR = r"seed must be in \[0, 2\*\*32\)"
@@ -726,7 +727,7 @@ class TestWorkerPool:
             if runner == "threshold":
                 result = run_threshold_experiment(cfg)
             else:
-                result = run_overfit_sweep(cfg, [3, 15])
+                result = run_overfit_sweep(OverfitConfig(**vars(cfg), epoch_grid=[3, 15]))
             paths = result.write(tmp_path / str(cpus))
             outputs[cpus] = (result.warnings, result.audits,
                              [paths[kind].read_bytes() for kind in ("records", "decisions")])
@@ -879,8 +880,10 @@ class TestWorkerPool:
 
 
 class TestOverfitSweep:
-    def _cfg(self) -> ExperimentConfig:
+    def _cfg(self, epoch_grid) -> OverfitConfig:
         return make_experiment_config(
+            OverfitConfig,
+            epoch_grid=epoch_grid,
             synth=SynthConfig(n_features=2, n_samples=80, class_sep=2.0, seed=1),
             statistics=[AttackStatistic("expl_var", "gradient")],
             calibrations=["shadow(1)"],  # sweep must override this with optimal
@@ -891,21 +894,21 @@ class TestOverfitSweep:
         )
 
     def test_epoch_grid_rows(self):
-        result = run_overfit_sweep(self._cfg(), [1, 8])
+        result = run_overfit_sweep(self._cfg([1, 8]))
         assert len(result.records) == 2 * 2  # grid x targets, one stat, optimal only
         assert {r.epochs for r in result.records} == {1, 8}
         assert all(r.calibration == "optimal" for r in result.records)
         assert result.config["epoch_grid"] == [1, 8]
 
     def test_single_entry_grid(self):
-        result = run_overfit_sweep(self._cfg(), [3])
+        result = run_overfit_sweep(self._cfg([3]))
         assert len(result.records) == 2
         assert all(r.epochs == 3 for r in result.records)
 
     def test_same_subsets_across_epochs(self):
         # Only the training length may vary along the grid, so decisions for
         # matching run roles must score the exact same points.
-        result = run_overfit_sweep(self._cfg(), [1, 8])
+        result = run_overfit_sweep(self._cfg([1, 8]))
         points: dict[str, list[int]] = {}
         for run_id, run_points, *_ in result.decisions:
             points.setdefault(run_id, []).extend(run_points.tolist())
@@ -913,11 +916,11 @@ class TestOverfitSweep:
         assert points["e1-r0-t1-s0-c0"] == points["e8-r0-t1-s0-c0"]
 
     def test_decisions_csv_matches_csv_writer(self, tmp_path):
-        assert_decisions_csv_is_csv_writer_output(run_overfit_sweep(self._cfg(), [1, 8]), tmp_path)
+        assert_decisions_csv_is_csv_writer_output(run_overfit_sweep(self._cfg([1, 8])), tmp_path)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError, match="grid"):
-            run_overfit_sweep(self._cfg(), [])
+            self._cfg([])
 
 
 class TestPerturbationExperiment:

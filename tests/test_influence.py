@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from explainleak import (
     Dataset,
     InfluenceExplainer,
+    InfluenceOracle,
     LogisticModel,
     TrainConfig,
     TrainingDivergedError,
@@ -208,6 +210,17 @@ class TestLooCache:
         base = LogisticModel(np.zeros(1), 0.0)
         with pytest.raises(ValueError, match="one leave-one-out model per training point"):
             InfluenceExplainer(ds, base, np.zeros((1, 1)), np.zeros(1))
+
+    @pytest.mark.parametrize("loo_w, loo_b", [
+        (np.zeros((3, 2)), np.zeros(1)),  # once built, counted 1 point and ranked 3 rows
+        (np.zeros((2, 3)), np.zeros(2)),  # once failed only when queried, inside a matmul
+        (np.zeros((2, 2)), np.zeros((2, 1))),
+    ], ids=["rows", "features", "bias-matrix"])
+    def test_oracle_refuses_an_inconsistent_cache(self, loo_w, loo_b):
+        message = (f"leave-one-out weights {loo_w.shape} and biases {loo_b.shape} "
+                   "do not fit a 2-feature base")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            InfluenceOracle(LogisticModel(np.array([1.0, 2.0]), 0.0), loo_w, loo_b)
 
 
 def in_place_loo(dataset, cfg):

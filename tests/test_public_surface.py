@@ -28,8 +28,10 @@ from conftest import run_python
 # own constraint and its position is its iteration, and the query counts and the
 # inconsistency flag are read from the steps, the recovered points and the reason. Nothing read the greedy
 # cover's seeds, and a graph metrics dict is `dataclasses.asdict`. Each experiment
-# gets only its config: no caller handed a runner its own dataset, and the dimension
-# sweep takes its `SweepConfig`, which checks the dims and arch when it is built.
+# gets only its config: no caller handed a runner its own dataset, the dimension
+# sweep takes its `SweepConfig`, which checks the dims and arch when it is built, the
+# overfitting sweep its `OverfitConfig`, which holds the epoch grid, and a threshold
+# run is named by the runner that ran it.
 RETIRED_FUNCTIONS = {
     "explain": [
         "explain_gradient", "explain_grad_times_input", "explain_integrated_gradients",
@@ -61,8 +63,8 @@ RETIRED_PARAMETERS = {
     "build_loo_cache": ["k"],
     "InfluenceOracle": ["loo_models"],
     "InfluenceExplainer": ["k", "loo_models"],
-    "run_threshold_experiment": ["run_prefix", "dataset"],
-    "run_overfit_sweep": ["dataset"],
+    "run_threshold_experiment": ["run_prefix", "dataset", "name"],
+    "run_overfit_sweep": ["dataset", "epoch_grid"],
     "run_perturbation_experiment": ["dataset"],
     "dimension_sweep": ["dims", "template", "arch", "train_cfg"],
     "RevealResult": ["query"],
