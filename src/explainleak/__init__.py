@@ -5,6 +5,8 @@ membership inference from explanation variance, influence-based training
 point reveals, training-set reconstruction against influence oracles, and
 the experiment harness tying them together.
 """
+from types import ModuleType as _ModuleType
+
 from .attacks import (
     AttackStatistic,
     ThresholdRule,
@@ -88,71 +90,6 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARCHS",
-    "AttackStatistic",
-    "CampaignConfig",
-    "ConfigError",
-    "CorrelationResult",
-    "Dataset",
-    "EXPLANATION_METHODS",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "Explanation",
-    "GraphMetrics",
-    "IgConfig",
-    "InfluenceExplainer",
-    "InfluenceOracle",
-    "LayerSpec",
-    "LogisticModel",
-    "MarginalSampler",
-    "MlpModel",
-    "OracleAnswer",
-    "OverfitConfig",
-    "ReconstructionResult",
-    "RevealResult",
-    "RunRecord",
-    "SamplerExhaustedError",
-    "SmoothGradConfig",
-    "SurrogateConfig",
-    "SynthConfig",
-    "ThresholdRule",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "TrueDistributionSampler",
-    "UniformSampler",
-    "aggregate_shadow_taus",
-    "algorithm1_reconstruct",
-    "baseline_attack",
-    "build_influence_graph",
-    "build_loo_cache",
-    "child_seed",
-    "dimension_sweep",
-    "explain",
-    "explain_batch",
-    "generate_synthetic",
-    "greedy_omniscient_baseline",
-    "group_reveal_rates",
-    "ig_completeness_gap",
-    "init_model",
-    "load_csv_dataset",
-    "membership_correlation",
-    "optimal_threshold",
-    "reconstruction_query_budget",
-    "run_overfit_sweep",
-    "run_perturbation_experiment",
-    "run_reconstruction_campaign",
-    "run_threshold_experiment",
-    "sampling_protocol",
-    "scc_metrics",
-    "self_reveal_rate",
-    "self_reveals",
-    "statistic_values",
-    "strongly_connected_components",
-    "topk_explain",
-    "train",
-    "train_logistic",
-    "traverse_attack",
-    "validate_protocol",
-    "write_csv_dataset",
-]
+# Every public name imported above but the submodules (`from __future__` would add one).
+__all__ = sorted(n for n, v in globals().items()
+                 if not n.startswith("_") and not isinstance(v, _ModuleType))

@@ -31,6 +31,7 @@ from .harness import (
     run_reconstruction_campaign,
     run_threshold_experiment,
     train_target,
+    write_json,
     write_manifest,
 )
 from .synth import SweepConfig, SynthConfig, dimension_sweep, generate_synthetic
@@ -137,9 +138,7 @@ def _cmd_reconstruct(args) -> Output:
     report = run_reconstruction_campaign(cfg)
     out = _out_dir(args)
     path = out / "reconstruction_report.json"
-    with open(path, "w") as handle:  # streamed: the whole text at once would raise peak RSS
-        json.dump(report, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(path, report)
     graph = report["graph"]
     lines = [",".join(graph), ",".join(map(str, graph.values())), ""]
     (out / "graph_metrics.csv").write_text("\n".join(lines))

@@ -9,6 +9,7 @@ stores what its attack found; its query count is derived from that.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -145,17 +146,35 @@ class GreedyCoverResult:
 def greedy_omniscient_baseline(edges: list[list[int]]) -> GreedyCoverResult:
     """Greedy seed selection with full knowledge of the influence graph.
 
-    Repeatedly seeds at the node whose crawl would cover the most still
-    unrecovered nodes, until every node that has an incoming path is covered
-    (zero-in-degree nodes are unreachable by any crawl and are excluded).
+    Repeatedly seeds at the node whose crawl would cover the most still unrecovered nodes,
+    ties to the lowest index, until every node that has an incoming path is covered
+    (zero-in-degree nodes are unreachable by any crawl and are excluded). Each node's crawl
+    is a bitset built once per strongly connected component; seeds come off a lazy max-heap.
     """
-    reach = [set(_crawl(edges, row)) for row in edges]  # every node a query at v reveals
-    has_in_edge = set().union(*edges)
-    covered: set[int] = set()
-    seed_count = 0
-    while not has_in_edge <= covered:
-        gains = [len(nodes - covered) for nodes in reach]
-        best = gains.index(max(gains))  # the first of the largest gains; an in-edge makes it >= 1
-        seed_count += 1
-        covered |= reach[best]
-    return GreedyCoverResult(seed_count, covered)
+    bit = [1 << v for v in range(len(edges))]
+    reach = [0] * len(edges)  # bitset of every node a query at v reveals
+    has_in_edge = 0
+    # Tarjan emits sinks first, so an edge leaving a component meets a finished reach. An edge
+    # inside a cycle meets an unfinished reach of 0 and ORs in its member's bit.
+    for component in strongly_connected_components(edges):
+        nodes = 0
+        for v in component:
+            for w in edges[v]:
+                nodes |= bit[w] | reach[w]
+        for v in component:
+            reach[v] = nodes
+        has_in_edge |= nodes
+    # Gains only fall as cover grows, so a stale key (-gain, v) bounds v's true one: a
+    # refreshed key that still sorts first is the first of the largest gains.
+    heap = [(-nodes.bit_count(), v) for v, nodes in enumerate(reach)]
+    heapq.heapify(heap)
+    covered = seed_count = 0
+    while has_in_edge & ~covered:
+        v = heapq.heappop(heap)[1]
+        key = (-(reach[v] & ~covered).bit_count(), v)
+        if heap and heap[0] < key:
+            heapq.heappush(heap, key)
+        else:  # an in-edge still uncovered makes its gain >= 1; v's falls to 0 for good
+            seed_count += 1
+            covered |= reach[v]
+    return GreedyCoverResult(seed_count, {v for v, b in enumerate(bit) if covered & b})

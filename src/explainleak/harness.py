@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import platform
 import re
 import zlib
@@ -435,6 +436,8 @@ class OverfitConfig(ExperimentConfig):
         if not self.epoch_grid or min(self.epoch_grid) < 1:
             raise ConfigError(
                 f"epoch grid must be non-empty with every entry >= 1, got {self.epoch_grid}")
+        if repeated := [e for e in self.epoch_grid if self.epoch_grid.count(e) > 1]:
+            raise ConfigError(f"epoch grid repeats budget {repeated[0]}: {self.epoch_grid}")
 
 
 def run_overfit_sweep(cfg: OverfitConfig) -> ExperimentResult:
@@ -651,3 +654,36 @@ def write_manifest(
     if extra:
         payload.update(extra)
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def write_json(path: str | Path, obj) -> None:
+    """The bytes of ``json.dump(obj, sort_keys=True, indent=2)`` and a newline, streamed;
+    a key that is not a str raises TypeError. json's indent path is its pure-Python encoder,
+    so a list of finite floats is written here as joins of ``float.__repr__``, json's float text."""
+
+    def parts(obj, indent: str):
+        inner = indent + "  "
+        if isinstance(obj, dict) and obj:
+            for i, key in enumerate(sorted(obj)):
+                if not isinstance(key, str):  # json.dump would write str(key), sorted apart
+                    raise TypeError(f"write_json takes str keys only, got {key!r}")
+                yield f"{',' if i else '{'}\n{inner}{json.dumps(key)}: "
+                yield from parts(obj[key], inner)
+            yield f"\n{indent}}}"
+        elif isinstance(obj, (list, tuple)) and obj:
+            if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+                sep = f",\n{inner}"
+                for start in range(0, len(obj), 256):  # one join of a whole curve raised peak RSS
+                    yield (sep if start else f"[\n{inner}") + sep.join(
+                        map(float.__repr__, obj[start : start + 256]))
+            else:
+                for i, value in enumerate(obj):
+                    yield f"{',' if i else '['}\n{inner}"
+                    yield from parts(value, inner)
+            yield f"\n{indent}]"
+        else:  # a leaf, or an empty container: json's own text
+            yield json.dumps(obj)
+
+    with open(path, "w") as handle:
+        handle.writelines(parts(obj, ""))
+        handle.write("\n")

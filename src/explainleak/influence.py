@@ -73,7 +73,7 @@ class InfluenceOracle:
         return self.base.w.shape[0]
 
     def predicted_label(self, y: np.ndarray) -> int:
-        return 1 if self.base.positive_prob(y) >= 0.5 else 0
+        return _label(self.base.positive_prob(y))
 
     def influence(self, y: np.ndarray, label: int | None = None) -> np.ndarray:
         """Signed influence of every training point on the query point.
@@ -82,19 +82,17 @@ class InfluenceOracle:
         sign. Defaults to the base model's predicted label for y.
         """
         y = np.asarray(y, dtype=np.float64)
-        if label is None:
-            label = self.predicted_label(y)
-        f_base = self.base.positive_prob(y)
-        f_loo = sigmoid(self.loo_w @ y - self.loo_b)
-        signed = f_base - f_loo
-        return signed if label == 0 else -signed
+        return self._signed(y, self.base.positive_prob(y), label)
+
+    def _signed(self, y: np.ndarray, f: float, label: int | None = None) -> np.ndarray:
+        """`influence` at a float64 y whose base prediction f the caller holds."""
+        signed = f - sigmoid(self.loo_w @ y - self.loo_b)
+        return signed if (_label(f) if label is None else label) == 0 else -signed
 
     def top_k(self, y: np.ndarray, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices and influences of the k largest |I|, ranked by `_rank_block`."""
         _check_k(k, self.n_points)
-        influences = self.influence(y, label)
-        top = _rank_block(-np.abs(influences)[None, :], k)[0]
-        return top, influences[top]
+        return _top(self.influence(y, label), k)
 
     def top_k_rows(self, Y: np.ndarray, k: int) -> np.ndarray:
         """(q, k) indices of the k largest |I| at each row of Y, ranked by
@@ -116,9 +114,20 @@ class InfluenceOracle:
 
     def query(self, y: np.ndarray) -> OracleAnswer:
         self.query_count += 1
+        y = np.asarray(y, dtype=np.float64)
         f = self.base.positive_prob(y)
-        (idx,), (influence,) = self.top_k(y, 1 if f >= 0.5 else 0, 1)
+        _check_k(1, self.n_points)
+        (idx,), (influence,) = _top(self._signed(y, f), 1)
         return OracleAnswer(prediction=float(f), index=int(idx), influence=float(influence))
+
+
+def _label(f: float) -> int:  # the base model's label where it predicts f
+    return 1 if f >= 0.5 else 0
+
+
+def _top(influences: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    top = _rank_block(-np.abs(influences)[None, :], k)[0]
+    return top, influences[top]
 
 
 def _check_k(k: int, n: int) -> None:

@@ -7,7 +7,8 @@ instances of each reconstruction workload here holds the influence read paths
 test run, and one instance of ``perturbation`` holds the sampled explanations
 (the surrogate and smoothgrad through an MLP's shared first layer) to them.
 One instance of ``membership_csv`` holds CSV parsing and the decision writer
-to its fingerprint exactly.
+to its fingerprint exactly, and instance 0 of each reconstruction workload holds
+the report writer to json's own text.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from explainleak.cli import main
+from explainleak.harness import CampaignConfig, run_reconstruction_campaign, write_json
 
 BENCH = Path(__file__).resolve().parent.parent / "leakbench"
 
@@ -51,6 +53,16 @@ def _replay(tmp_path, workload: str, command: str, instance: int) -> str:
 @pytest.mark.parametrize("workload", ["reconstruction", "influence_queries"])
 def test_report_matches_recorded_fingerprint(tmp_path, capsys, workload, instance):
     _replay(tmp_path, workload, "reconstruct", instance)
+
+
+@pytest.mark.parametrize("workload", ["reconstruction", "influence_queries"])
+def test_report_bytes_are_json_indent_2(tmp_path, workload):
+    """Instance 0's report, as `write_json` streams it, is json's `indent=2` text."""
+    config = workloads.experiment_config(workload, 0, tmp_path)
+    report = run_reconstruction_campaign(CampaignConfig.from_dict(config))
+    write_json(tmp_path / "report.json", report)
+    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "report.json").read_text() == expected
 
 
 def test_perturbation_records_match_recorded_fingerprint(tmp_path, capsys):

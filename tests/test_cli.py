@@ -531,12 +531,13 @@ class TestConfigMistakesExitOneBeforeTraining:
         ("attack", {"hidden": [0]}, "layer width must be at least 1"),
         ("attack", {"activation": "swish"}, "activation must be one of"),
         ("sweep-epochs", {"epoch_grid": [0, 5]}, "every entry >= 1, got [0, 5]"),
+        ("sweep-epochs", {"epoch_grid": [2, 3, 2]}, "epoch grid repeats budget 2: [2, 3, 2]"),
         ("attack", {**_stat("lrp", {}), **_LOGISTIC},
          "lrp walks MlpModel layers, which a logistic target lacks"),
         ("attack", {**_stat("guided_backprop", {}), **_LOGISTIC},
          "guided_backprop walks MlpModel layers, which a logistic target lacks"),
     ], ids=["params-typo", "zero-samples", "params-on-gradient", "zero-width", "activation",
-            "zero-epochs", "logistic-lrp", "logistic-guided-backprop"])
+            "zero-epochs", "repeated-epochs", "logistic-lrp", "logistic-guided-backprop"])
     def test_exits_1_before_training(self, tmp_path, capsys, monkeypatch, command, change,
                                      message):
         trained = []

@@ -74,6 +74,29 @@ def reference_traverse(expl, start_query, k):
     return recovered, queries
 
 
+def reference_greedy(edges: list[list[int]]) -> tuple[int, set[int]]:
+    """The crawl-set greedy `greedy_omniscient_baseline` replaced: one crawl set per
+    node, and every node's gain recounted for each seed."""
+    def crawl(row):
+        seen, frontier = set(row), deque(row)
+        while frontier:
+            for w in edges[frontier.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return seen
+
+    reach = [crawl(row) for row in edges]
+    has_in_edge = set().union(*edges)
+    covered: set[int] = set()
+    seed_count = 0
+    while not has_in_edge <= covered:
+        gains = [len(nodes - covered) for nodes in reach]
+        seed_count += 1
+        covered |= reach[gains.index(max(gains))]
+    return seed_count, covered
+
+
 def _random_edges(rng, n: int, out_degree: int) -> list[list[int]]:
     return [
         list(rng.choice(n, size=min(out_degree, n), replace=False))
@@ -270,3 +293,25 @@ class TestGreedyBaseline:
         result = greedy_omniscient_baseline(edges)
         has_in = {v for targets in edges for v in targets}
         assert has_in <= result.covered
+
+    # Either branch of `_digraphs` draws self-loops, empty rows and nodes with no
+    # in-edges; the second also duplicate edges. Small graphs tie their gains often.
+    @settings(max_examples=300, deadline=None)
+    @given(edges=st.integers(0, 6).flatmap(_digraphs))
+    def test_matches_crawl_set_greedy(self, edges):
+        result = greedy_omniscient_baseline(edges)
+        assert (result.seed_count, result.covered) == reference_greedy(edges)
+
+    def test_ties_go_to_the_lowest_index(self):
+        # Nodes 0, 3 and 6 each reach two nodes. Seeding 0, then 3, takes two seeds;
+        # seeding 6 first would take three.
+        edges = [[1, 2, 1], [], [], [4, 5], [], [], [1, 4]]
+        result = greedy_omniscient_baseline(edges)
+        assert (result.seed_count, result.covered) == (2, {1, 2, 4, 5}) == reference_greedy(edges)
+
+    @pytest.mark.parametrize("n, n_features, k", [(60, 2, 2), (120, 5, 5)])
+    def test_matches_crawl_set_greedy_on_self_reveal_graphs(self, n, n_features, k):
+        expl = build_loo_cache(two_blob_dataset(n=n, n_features=n_features, seed=n), FULL_BATCH)
+        graph = build_influence_graph(self_reveals(expl, k))
+        result = greedy_omniscient_baseline(graph)
+        assert (result.seed_count, result.covered) == reference_greedy(graph)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import explainleak
@@ -42,6 +42,7 @@ from explainleak.harness import (
     run_threshold_experiment,
     sampling_protocol,
     validate_protocol,
+    write_json,
     write_manifest,
 )
 from explainleak.influence import InfluenceOracle
@@ -1204,7 +1205,30 @@ class TestReconstructionCampaign:
             run_reconstruction_campaign(cfg)
 
 
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, float("inf"), float("-inf")])
+_STRINGS = st.text() | st.sampled_from(["\u0000", "\x1f\n\t\"\\", "\u2028\ud800"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    lambda inner: st.lists(inner) | st.dictionaries(_STRINGS, inner),
+    max_leaves=30,
+)
+
+
 class TestWriters:
+    @settings(max_examples=150, deadline=None)
+    @given(obj=_JSON)
+    @example(obj={"curve": [i / 7 for i in range(600)], "tail": [0.5] * 257})  # several slices
+    def test_write_json_is_json_indent_2(self, tmp_path_factory, obj):
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        write_json(path, obj)
+        assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    def test_write_json_refuses_a_key_that_is_not_a_str(self, tmp_path):
+        # json.dump would write {1: 2} as "1": 2 and sort such keys before converting them.
+        with pytest.raises(TypeError, match="str keys only, got 1"):
+            write_json(tmp_path / "bad.json", {"a": {1: 2}})
+
     def test_config_hash_key_order_invariant(self):
         assert config_hash({"a": 1, "b": [2, 3]}) == config_hash({"b": [2, 3], "a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
@@ -1216,13 +1240,14 @@ class TestWriters:
             {"seed": 3},
             seed=3,
             timings={"total_seconds": 0.5},
-            extra={"note": "ok"},
+            extra={"note": "ok", "counts": {1: 2}},  # json.dumps takes a key that is not a str
         )
         payload = json.loads(path.read_text())
         assert payload["config"] == {"seed": 3}
         assert payload["config_hash"] == config_hash({"seed": 3})
         assert payload["timings"] == {"total_seconds": 0.5}
         assert payload["note"] == "ok"
+        assert payload["counts"] == {"1": 2}
 
     def test_manifest_names_the_package_version(self, tmp_path):
         # Read from the package itself, so it holds when run from a source tree

@@ -80,6 +80,31 @@ def _public(owner: str):
     return reduce(getattr, owner.split("."), explainleak)
 
 
+# `__all__` is derived from the names `__init__` imports; a new import there widens
+# the public surface, so the surface is pinned here.
+PUBLIC_NAMES = """
+    ARCHS AttackStatistic CampaignConfig ConfigError CorrelationResult Dataset
+    EXPLANATION_METHODS ExperimentConfig ExperimentResult Explanation GraphMetrics IgConfig
+    InfluenceExplainer InfluenceOracle LayerSpec LogisticModel MarginalSampler MlpModel
+    OracleAnswer OverfitConfig ReconstructionResult RevealResult RunRecord
+    SamplerExhaustedError SmoothGradConfig SurrogateConfig SynthConfig ThresholdRule
+    TrainConfig TrainingDivergedError TrueDistributionSampler UniformSampler
+    aggregate_shadow_taus algorithm1_reconstruct baseline_attack build_influence_graph
+    build_loo_cache child_seed dimension_sweep explain explain_batch generate_synthetic
+    greedy_omniscient_baseline group_reveal_rates ig_completeness_gap init_model
+    load_csv_dataset membership_correlation optimal_threshold reconstruction_query_budget
+    run_overfit_sweep run_perturbation_experiment run_reconstruction_campaign
+    run_threshold_experiment sampling_protocol scc_metrics self_reveal_rate self_reveals
+    statistic_values strongly_connected_components topk_explain train train_logistic
+    traverse_attack validate_protocol write_csv_dataset
+""".split()
+
+
+def test_all_is_the_pinned_surface():
+    assert len(PUBLIC_NAMES) == 66
+    assert explainleak.__all__ == PUBLIC_NAMES
+
+
 def test_all_is_sorted_unique_and_importable():
     names = explainleak.__all__
     assert names == sorted(names)

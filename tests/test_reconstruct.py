@@ -111,6 +111,19 @@ class TestOracle:
             assert answer.influence == reveal.influences[0]
             assert answer.prediction == expl.base.positive_prob(y)
 
+    def test_answers_equal_the_two_prediction_formulation(self):
+        """`query` predicts at y once; its answers are those of `top_k` with the label
+        predicted again at y, on the decision boundary (f = 0.5 exactly) too."""
+        rng = np.random.default_rng(84)
+        base = LogisticModel(w=np.array([1.0, -1.0, 0.5]), b=0.25)
+        oracle = InfluenceOracle(base, rng.normal(size=(40, 3)), rng.normal(size=40))
+        on_boundary = np.array([0.7, 0.7, 0.5])
+        assert base.positive_prob(on_boundary) == 0.5
+        for y in [on_boundary, *rng.normal(scale=2.0, size=(50, 3))]:
+            f = base.positive_prob(y)
+            (idx,), (influence,) = oracle.top_k(y, 1 if f >= 0.5 else 0, 1)
+            assert oracle.query(y) == OracleAnswer(f, int(idx), float(influence))
+
     def test_nan_query_raises(self):
         oracle = InfluenceOracle(*theorem_regime(n_points=4, n_features=2))
         with pytest.raises(ValueError, match="NaN"):
