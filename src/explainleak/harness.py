@@ -6,10 +6,10 @@ optimal and shadow calibration, the overfitting sweep, the reduced-scale
 perturbation-method comparison, and reconstruction campaigns. A master seed
 fans out through named, indexed children, so every result depends only on
 the config; emitted CSVs are byte-stable across reruns (wall times go to the
-CLI's manifest only). A threshold or overfit run's targets and a campaign's
-leave-one-out blocks are job lists for `models.fork_map`, whose workers, forked
-with no pool, inherit the BLAS environment; the bytes are the same on either path
-at a fixed BLAS thread count, and numpy's overflow warnings are silenced on both.
+CLI's manifest only). `models.fork_map` maps a threshold or overfit run's targets, then
+their statistics' member and non-member halves, and a campaign's leave-one-out blocks. Its
+workers, forked with no pool, inherit the BLAS environment; the bytes are the same on either
+path at a fixed BLAS thread count, and numpy's overflow warnings are silenced on both.
 """
 from __future__ import annotations
 
@@ -160,10 +160,8 @@ class TargetSplit:
         return np.concatenate([self.train, self.test])
 
 
-def sampling_protocol(
-    dataset: Dataset, n_subsets: int = 4, subset_size: int | None = None,
-    resample: bool = False, seed: int = 0,
-) -> list[TargetSplit]:
+def sampling_protocol(dataset: Dataset, n_subsets: int = 4, subset_size: int | None = None,
+                      resample: bool = False, seed: int = 0) -> list[TargetSplit]:
     """Seeded subsets split 50/50 into member (train) and non-member halves.
 
     Subsets are pairwise disjoint unless ``resample`` allows them to be
@@ -318,41 +316,48 @@ def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes
     return train(model, train_set, train_cfg)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite statistic raises when scanned
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing forward pass is not warned
 def target_row(dataset: Dataset, cfg: ExperimentConfig, split: TargetSplit, seed: int):
-    """One target's row of its repetition's table, or why its training failed.
-
-    The row is the target's (train, test) accuracy and, per statistic, its
-    member values, non-member values and optimal tau, or the message of the
-    error that stopped them. The tau serves its own and its siblings' records.
-    """
+    """One target, trained, and its (train, test) accuracy, or why its training failed."""
     X, y = dataset.features, dataset.labels
     try:
         model = train_target(dataset.subset(split.train), cfg, seed, dataset.n_classes)
-        accuracies = (model.accuracy(X[split.train], y[split.train]),
-                      model.accuracy(X[split.test], y[split.test]))
+        return model, (model.accuracy(X[split.train], y[split.train]),
+                       model.accuracy(X[split.test], y[split.test]))
     except (ValueError, RuntimeError) as exc:  # keep the experiment alive, log it
         return f"training failed: {exc}"
-    entries: list[tuple[np.ndarray, np.ndarray, float] | str] = []
-    for stat in cfg.statistics:
-        try:
-            member = statistic_values(stat, model, X[split.train], y[split.train])
-            nonmember = statistic_values(stat, model, X[split.test], y[split.test])
-            tau = optimal_threshold(member, nonmember, stat.member_if)[0]
-            entries.append((member, nonmember, tau))
-        except (ValueError, RuntimeError) as exc:
-            entries.append(str(exc))
-    return accuracies, entries
 
 
-def _score_repetition(cfg, rep, prefix, splits, rows, result: ExperimentResult) -> None:
-    """Append one repetition's records, decision blocks and warnings to result."""
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite statistic raises when scanned
+def _half_values(dataset: Dataset, stat: AttackStatistic, model, rows: np.ndarray):
+    """The statistic's values on one half, members or non-members, or its error."""
+    try:
+        return statistic_values(stat, model, dataset.features[rows], dataset.labels[rows])
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # midpoints of huge statistics may overflow
+def _table_entry(stat: AttackStatistic, member, nonmember):
+    """(member values, non-member values, optimal tau), or the first error among them."""
+    if isinstance(member, str) or isinstance(nonmember, str):
+        return member if isinstance(member, str) else nonmember
+    try:
+        return member, nonmember, optimal_threshold(member, nonmember, stat.member_if)[0]
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+
+
+def _score_repetition(cfg, rep, prefix, splits, rows, halves, result: ExperimentResult) -> None:
+    """Append one repetition's records, decision blocks and warnings to result: rows
+    hold each target's accuracies or training error, halves its statistics' values."""
     table: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float] | str] = {}
     for t, row in enumerate(rows):
         if isinstance(row, str):
             result.warnings.append(f"rep {rep} target {t}: {row}")
         else:
-            table.update(((t, si), entry) for si, entry in enumerate(row[1]))
+            table.update(((t, si), _table_entry(stat, next(halves), next(halves)))
+                         for si, stat in enumerate(cfg.statistics))
     for (t, si), entry in table.items():
         stat = cfg.statistics[si]
         where = f"rep {rep} target {t} stat {stat.label}"
@@ -378,7 +383,7 @@ def _score_repetition(cfg, rep, prefix, splits, rows, result: ExperimentResult) 
             run_id = f"{prefix}r{rep}-t{t}-s{si}-c{ci}"
             result.records.append(RunRecord(
                 run_id, rep, t, stat.label, calibration, tau,
-                float(np.mean(guesses == truth)), *rows[t][0], cfg.train.epochs,
+                float(np.mean(guesses == truth)), *rows[t], cfg.train.epochs,
             ))
             block = DecisionBlock(run_id, splits[t].all_indices, values, guesses, truth)
             result.decisions.blocks.append(block)
@@ -387,9 +392,9 @@ def _score_repetition(cfg, rep, prefix, splits, rows, result: ExperimentResult) 
 def _run_threshold(name: str, cfg: ExperimentConfig, runs: list) -> ExperimentResult:
     """The result `name` of cfg: every repetition of each (config, run id prefix) in runs.
 
-    The repetitions' subsets are sampled and audited first; then every target
-    of every repetition is one `fork_map` job of `target_row`, and each
-    repetition is scored from its targets' rows in order.
+    The subsets are sampled and audited first. Each target is one `fork_map` job of
+    `target_row`, then each (target, statistic, member or non-member half) one of
+    `_half_values`; the taus are scanned here, and the models freed before scoring.
     """
     dataset = cfg.load_dataset()
     for stat in cfg.statistics:  # before any job; the runs share cfg's statistics
@@ -405,9 +410,15 @@ def _run_threshold(name: str, cfg: ExperimentConfig, runs: list) -> ExperimentRe
             reps.append((run, rep, prefix, splits))
     jobs = [(run, split, child_seed(run.seed, "target", rep, t))
             for run, rep, _, splits in reps for t, split in enumerate(splits)]
-    rows = iter(fork_map(target_row, (dataset,), jobs))
+    fitted = fork_map(target_row, (dataset,), jobs)
+    halves = [(stat, row[0], half) for (_, split, _), row in zip(jobs, fitted)
+              if not isinstance(row, str) for stat in cfg.statistics
+              for half in (split.train, split.test)]
+    values = iter(fork_map(_half_values, (dataset,), halves))
+    rows = iter([row if isinstance(row, str) else row[1] for row in fitted])
+    del fitted, halves  # the models, freed before scoring
     for run, rep, prefix, splits in reps:
-        _score_repetition(run, rep, prefix, splits, [next(rows) for _ in splits], result)
+        _score_repetition(run, rep, prefix, splits, [next(rows) for _ in splits], values, result)
     return result
 
 
@@ -441,7 +452,8 @@ class OverfitConfig(ExperimentConfig):
 
 
 def run_overfit_sweep(cfg: OverfitConfig) -> ExperimentResult:
-    """Re-run the optimal-calibration attack at each epoch budget.
+    """Re-run the optimal-calibration attack at each epoch budget; a first warning
+    names the config's other calibrations, which are dropped.
 
     The sampling protocol and model initializations derive from seeds that
     do not involve the epoch count, so every grid entry retrains the same
@@ -449,7 +461,11 @@ def run_overfit_sweep(cfg: OverfitConfig) -> ExperimentResult:
     """
     runs = [(replace(cfg, train=replace(cfg.train, epochs=epochs), calibrations=["optimal"]),
              f"e{epochs}-") for epochs in cfg.epoch_grid]
-    return _run_threshold("overfit", cfg, runs)
+    result = _run_threshold("overfit", cfg, runs)
+    if dropped := [c for c in cfg.calibrations if c != "optimal"]:
+        result.warnings.insert(0, f"sweep-epochs scores the optimal calibration only: "
+                                  f"dropped {dropped}")
+    return result
 
 
 def default_perturbation_statistics() -> list[AttackStatistic]:
@@ -638,13 +654,8 @@ def config_hash(config: dict) -> str:
     ).hexdigest()
 
 
-def write_manifest(
-    path: str | Path,
-    config: dict,
-    seed: int,
-    timings: dict,
-    extra: dict | None = None,
-) -> None:
+def write_manifest(path: str | Path, config: dict, seed: int, timings: dict,
+                   extra: dict | None = None) -> None:
     from . import __version__
 
     versions = {"python": platform.python_version(), "numpy": np.__version__,

@@ -57,11 +57,11 @@ def _run_share(pipe: int, cpu: int, cpus, fn, shared: tuple, jobs: list) -> None
 
 
 def fork_map(fn, shared: tuple, jobs: list) -> list:
-    """[fn(*shared, *job) for job in jobs], in job order: the one map of the LOO blocks,
-    the threshold targets and the sweep dims. With 2 or more jobs and usable CPUs, it
-    forks w = min(jobs, CPUs) workers, no pool: worker k inherits fn, shared and the jobs,
-    runs jobs k, k + w, ... and pickles back their results down a pipe of its own while
-    the parent waits. A job's error is raised as itself, a dead worker's as BrokenProcessPool."""
+    """[fn(*shared, *job) for job in jobs], in job order: the one map of the LOO blocks, the
+    threshold targets, their statistics' halves and the sweep dims. With 2 or more jobs and
+    usable CPUs, it forks w = min(jobs, CPUs) workers, no pool: worker k inherits fn, shared and
+    the jobs, runs jobs k, k + w, ... and pickles back their results down its own pipe while the
+    parent waits. A job's error is raised as itself, a dead worker's as BrokenProcessPool."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()  # Linux only
     w = min(len(jobs), len(cpus))
     if w < 2:
@@ -103,9 +103,7 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a training loss stops being finite."""
 
     def __init__(self, epoch: int, step: int, loss: float):
-        super().__init__(
-            f"training diverged at epoch {epoch}, step {step}: loss={loss!r}"
-        )
+        super().__init__(f"training diverged at epoch {epoch}, step {step}: loss={loss!r}")
         self.epoch = epoch
         self.step = step
         self.loss = loss
@@ -125,7 +123,7 @@ _ACTIVATIONS = {
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
     "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(z.dtype)),
     "sigmoid": (sigmoid, lambda z, a: a * (1.0 - a)),
-    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+    "identity": (lambda z: z, None),  # f' = 1: _backward passes the gradient on as it is
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 
@@ -136,9 +134,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-row -log p[label], p clamped below at _LOSS_CLAMP."""
-    return -np.log(np.maximum(probs[np.arange(len(labels)), labels], _LOSS_CLAMP))
+def _cross_entropy(picked: np.ndarray) -> np.ndarray:
+    """Per-row -log p, p each row's label probability clamped below at _LOSS_CLAMP."""
+    return -np.log(np.maximum(picked, _LOSS_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -150,9 +148,7 @@ class LayerSpec:
         if self.width < 1:
             raise ValueError("layer width must be at least 1")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
-            )
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass
@@ -197,15 +193,9 @@ class MlpModel:
     """Fully connected classifier: affine + activation per layer, then a
     softmax over the `layers[-1].width` logits, one per class."""
 
-    def __init__(
-        self,
-        layers: Sequence[LayerSpec],
-        input_dim: int,
-        weights: Sequence[np.ndarray],
-        biases: Sequence[np.ndarray],
-        seed: int | None = None,
-        train_config: TrainConfig | None = None,
-    ):
+    def __init__(self, layers: Sequence[LayerSpec], input_dim: int, weights: Sequence[np.ndarray],
+                 biases: Sequence[np.ndarray], seed: int | None = None,
+                 train_config: TrainConfig | None = None):
         if not layers:
             raise ValueError("at least one layer is required")
         if input_dim < 1:
@@ -219,9 +209,7 @@ class MlpModel:
             W = np.asarray(W, dtype=np.float64)
             bvec = np.asarray(bvec, dtype=np.float64)
             if W.shape != (fan_in, spec.width):
-                raise ValueError(
-                    f"weight shape {W.shape} does not match ({fan_in}, {spec.width})"
-                )
+                raise ValueError(f"weight shape {W.shape} does not match ({fan_in}, {spec.width})")
             if bvec.shape != (spec.width,):
                 raise ValueError(f"bias shape {bvec.shape} does not match ({spec.width},)")
             self.weights.append(W)
@@ -268,16 +256,10 @@ class MlpModel:
         return float(np.mean(self.predict_batch(X) == np.asarray(labels)))
 
     def loss_batch(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return _cross_entropy(self.forward_batch(X), np.asarray(labels))
+        return _cross_entropy(self.forward_batch(X)[np.arange(len(labels)), np.asarray(labels)])
 
     # ------------------------------------------------------------------
     # gradients
-
-    def _head_delta(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """d(mean CE)/d(last activation), times batch size."""
-        delta = probs.copy()
-        delta[np.arange(len(labels)), labels] -= 1.0
-        return delta
 
     def param_gradients(self, X: np.ndarray, labels: np.ndarray):
         """Mean cross-entropy gradients for every layer, a list of (dW, db), and
@@ -286,13 +268,21 @@ class MlpModel:
         labels = np.asarray(labels)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("gradient requires a non-empty 2-D batch")
+        grads = [(np.empty_like(W), np.empty_like(b)) for W, b in zip(self.weights, self.biases)]
+        return grads, float(np.mean(_cross_entropy(self._gradient_step(X, labels, grads))))
+
+    def _gradient_step(self, X: np.ndarray, labels: np.ndarray, grads) -> np.ndarray:
+        """Write the mean cross-entropy gradients into grads' (dW, db) arrays; returns
+        each row's label probability, NaN where the forward pass broke down."""
         zs, acts, probs = self.forward_stack(X)
-        loss = float(np.mean(_cross_entropy(probs, labels)))
-        delta = self._head_delta(probs, labels) / X.shape[0]
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
-        for l, dz in self._backward(zs, acts[1:], delta):
-            grads[l] = (acts[l].T @ dz, dz.sum(axis=0))
-        return grads, loss
+        rows = np.arange(len(labels))
+        picked = probs[rows, labels]
+        probs[rows, labels] -= 1.0  # d(CE)/d(last activation), times the batch size
+        probs /= X.shape[0]
+        for l, dz in self._backward(zs, acts[1:], probs):
+            np.matmul(acts[l].T, dz, out=grads[l][0])
+            dz.sum(axis=0, out=grads[l][1])
+        return picked
 
     def _backward(self, zs, outs, delta, guided=False):
         """The backward pass from delta, the gradient at the last activation:
@@ -301,10 +291,11 @@ class MlpModel:
         `input_gradient_batch`."""
         for l in range(len(self.layers) - 1, -1, -1):
             spec = self.layers[l]
+            derivative = _ACTIVATIONS[spec.activation][1]
             if guided and spec.activation == "relu":
                 dz = delta * (zs[l] > 0.0) * (delta > 0.0)
             else:
-                dz = delta * _ACTIVATIONS[spec.activation][1](zs[l], outs[l])
+                dz = delta if derivative is None else delta * derivative(zs[l], outs[l])
             yield l, dz
             if l:
                 delta = dz @ self.weights[l].T
@@ -324,9 +315,8 @@ class MlpModel:
             pass
         return dz
 
-    def input_gradient_batch(
-        self, X: np.ndarray, target_classes: np.ndarray | None = None, guided: bool = False
-    ) -> np.ndarray:
+    def input_gradient_batch(self, X: np.ndarray, target_classes: np.ndarray | None = None,
+                             guided: bool = False) -> np.ndarray:
         """Per-row gradients of the target-class probability (default: predicted).
         `guided` zeroes the gradient at a ReLU also where the gradient arriving
         from above is negative, as guided backprop does."""
@@ -340,9 +330,7 @@ class MlpModel:
 
     def to_json(self) -> str:
         payload = {
-            "arch": [
-                {"width": s.width, "activation": s.activation} for s in self.layers
-            ],
+            "arch": [{"width": s.width, "activation": s.activation} for s in self.layers],
             "input_dim": self.input_dim,
             "weights": [W.tolist() for W in self.weights],
             "biases": [b.tolist() for b in self.biases],
@@ -386,6 +374,8 @@ def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
     epoch. The step-decayed learning rate lr/(1 + decay*step) advances once
     per mini-batch. A non-finite batch loss, or a non-finite parameter after the
     last step, raises TrainingDivergedError; numpy's overflow warnings are silenced.
+    The optimizer updates one flat copy of the parameters, and model.weights and
+    model.biases become views of it: arrays a caller held before are not updated.
     """
     X = dataset.features
     labels = dataset.labels
@@ -395,38 +385,38 @@ def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
     batch_size = cfg.batch_size if cfg.batch_size is not None else n
     rng = np.random.default_rng(cfg.seed)
 
-    params = [p for pair in zip(model.weights, model.biases) for p in pair]  # W1, b1, ..
-    accum = [np.zeros_like(p) for p in params]  # Adagrad's or Adam's squared gradients
-    moment = [np.zeros_like(p) for p in params]  # Adam's first moment
+    params, L = model.weights + model.biases, len(model.layers)  # W1 .. WL, b1 .. bL
+    theta = np.concatenate([p.ravel() for p in params])
+    # each step's gradients, Adagrad's or Adam's squared gradients, Adam's first moment
+    g, accum, moment = np.zeros((3, theta.size))
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    theta_views, g_views = ([v.reshape(p.shape) for v, p in zip(np.split(flat, cuts), params)]
+                            for flat in (theta, g))
+    model.weights, model.biases = theta_views[:L], theta_views[L:]
+    grads = list(zip(g_views[:L], g_views[L:]))  # (dW, db) per layer, written in place
     step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            pairs, loss = model.param_gradients(X[batch], labels[batch])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, step, loss)
-            grads = [g for pair in pairs for g in pair]
+            picked = model._gradient_step(X[batch], labels[batch], grads)
+            if not np.isfinite(picked.sum()):  # only a NaN probability makes the loss non-finite
+                raise TrainingDivergedError(epoch, step, float(np.mean(_cross_entropy(picked))))
             lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
             step += 1
             if cfg.optimizer == "adagrad":
-                for p, g, a in zip(params, grads, accum):
-                    a += g * g
-                    p -= lr_t * g / (np.sqrt(a) + 1e-10)
+                accum += g * g
+                theta -= lr_t * g / (np.sqrt(accum) + 1e-10)
             elif cfg.optimizer == "adam":
                 b1, b2, eps = 0.9, 0.999, 1e-8
-                corr1 = 1 - b1**step
-                corr2 = 1 - b2**step
-                for p, g, m, v in zip(params, grads, moment, accum):
-                    m *= b1
-                    m += (1 - b1) * g
-                    v *= b2
-                    v += (1 - b2) * g * g
-                    p -= lr_t * (m / corr1) / (np.sqrt(v / corr2) + eps)
+                moment *= b1
+                moment += (1 - b1) * g
+                accum *= b2
+                accum += (1 - b2) * g * g
+                theta -= lr_t * (moment / (1 - b1**step)) / (np.sqrt(accum / (1 - b2**step)) + eps)
             else:  # plain full-batch gradient step
-                for p, g in zip(params, grads):
-                    p -= lr_t * g
-    if not all(np.isfinite(p).all() for p in params):  # the last update overflowed
+                theta -= lr_t * g
+    if not np.isfinite(theta).all():  # the last update overflowed
         raise TrainingDivergedError(cfg.epochs - 1, step - 1, float("nan"))
     model.train_config = cfg
     return model
@@ -466,9 +456,8 @@ class LogisticModel:
     def accuracy(self, X: np.ndarray, labels: np.ndarray) -> float:
         return float(np.mean(self.predict_batch(X) == np.asarray(labels)))
 
-    def input_gradient_batch(
-        self, X: np.ndarray, target_classes: np.ndarray | None = None
-    ) -> np.ndarray:
+    def input_gradient_batch(self, X: np.ndarray,
+                             target_classes: np.ndarray | None = None) -> np.ndarray:
         f = self.positive_prob_batch(X)
         if target_classes is None:
             target_classes = (f >= 0.5).astype(np.int64)

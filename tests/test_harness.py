@@ -620,7 +620,8 @@ class TestWarningChannel:
     def test_failed_sibling_entry_is_computed_once(self, monkeypatch, tmp_path):
         # The recorders keep nothing in this process, so the targets may train
         # in worker processes: target 1 is tagged on its model, and each failing
-        # call appends a line to a file.
+        # call appends a line to a file. The statistic runs once per half, members
+        # and non-members; a recompute for each sibling would make more calls.
         cfg = shadow3_config()
         failing_seed = child_seed(cfg.seed, "target", 0, 1)
         real_train, real_values = harness_module.train, harness_module.statistic_values
@@ -642,7 +643,7 @@ class TestWarningChannel:
         monkeypatch.setattr(harness_module, "train", recording_train)
         monkeypatch.setattr(harness_module, "statistic_values", failing_on_target1)
         result = run_threshold_experiment(cfg)
-        assert len(calls.read_text().splitlines()) == 1
+        assert len(calls.read_text().splitlines()) == 2
         assert result.warnings == [
             "rep 0 target 0 stat loss shadow(3): bad statistic on target 1",
             "rep 0 target 1 stat loss: bad statistic on target 1",
@@ -711,30 +712,59 @@ def diverging_at(failing_seed: int):
     return train_target
 
 
+def failing_on(rows: np.ndarray):
+    """`statistic_values` whose smoothgrad statistic fails on exactly these feature rows."""
+    real = harness_module.statistic_values
+
+    def statistic_values(stat, model, X, labels):
+        if stat.method == "smoothgrad" and np.array_equal(X, rows):
+            raise ValueError("smoothgrad failed on these rows")
+        return real(stat, model, X, labels)
+
+    return statistic_values
+
+
 @pytest.mark.usefixtures("worker_guard")
 class TestWorkerPool:
     """`fork_map` maps a job list over forked workers once it has 2 jobs and 2 usable
     CPUs; a result does not depend on where its jobs ran. The threshold runs' targets
     are its jobs here, as are the leave-one-out blocks and the sweep's dims."""
 
-    @pytest.mark.parametrize("runner", ["threshold", "overfit"])
+    @pytest.mark.parametrize("runner", ["threshold", "overfit", "perturbation"])
     def test_same_bytes_on_both_paths(self, monkeypatch, tmp_path, runner):
         cfg = make_experiment_config(calibrations=["optimal", "shadow(1)", "shadow(3)"])
         monkeypatch.setattr(harness_module, "train_target",
                             diverging_at(child_seed(cfg.seed, "target", 1, 2)))
+        if runner == "perturbation":  # smoothgrad fails on rep 0 target 1's non-members only
+            cfg = replace(cfg, statistics=[
+                AttackStatistic("expl_var", "local_surrogate", params={"num_samples": 20}),
+                AttackStatistic("expl_var", "smoothgrad", params={"samples": 5, "sigma": 1.0})])
+            split = sampling_protocol(cfg.load_dataset(), 4, cfg.points_per_subset,
+                                      seed=child_seed(cfg.seed, "protocol", 0))[1]
+            monkeypatch.setattr(harness_module, "statistic_values",
+                                failing_on(cfg.load_dataset().features[split.test]))
         outputs = {}
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             if runner == "threshold":
                 result = run_threshold_experiment(cfg)
-            else:
+            elif runner == "overfit":
                 result = run_overfit_sweep(OverfitConfig(**vars(cfg), epoch_grid=[3, 15]))
+            else:
+                result = run_perturbation_experiment(cfg)
             paths = result.write(tmp_path / str(cpus))
             outputs[cpus] = (result.warnings, result.audits,
                              [paths[kind].read_bytes() for kind in ("records", "decisions")])
         assert outputs[1] == outputs[2]
         failed = [w for w in outputs[1][0] if "training failed" in w]
         assert failed and failed[0].startswith("rep 1 target 2: training failed: training diverged")
+        if runner == "perturbation":
+            assert outputs[1][0][:2] == [
+                "rep 0 target 0 stat expl_var[smoothgrad] shadow(1): smoothgrad failed on these rows",
+                "rep 0 target 0 stat expl_var[smoothgrad] shadow(3): smoothgrad failed on these rows",
+            ]
+            assert "rep 0 target 1 stat expl_var[smoothgrad]: smoothgrad failed on these rows" \
+                in outputs[1][0]
 
     @pytest.mark.parametrize("cpus, jobs, in_workers", [
         (1, 8, False), (2, 8, True), (2, 1, False),
@@ -900,6 +930,15 @@ class TestOverfitSweep:
         assert {r.epochs for r in result.records} == {1, 8}
         assert all(r.calibration == "optimal" for r in result.records)
         assert result.config["epoch_grid"] == [1, 8]
+
+    def test_dropped_calibrations_are_warned(self, tmp_path):
+        # The sweep once replaced the config's calibrations with optimal silently.
+        result = run_overfit_sweep(self._cfg([1, 8]))
+        assert result.warnings[0] == ("sweep-epochs scores the optimal calibration only: "
+                                      "dropped ['shadow(1)']")
+        assert result.config["calibrations"] == ["shadow(1)"]
+        cfg = replace(self._cfg([1, 8]), calibrations=["optimal"])
+        assert run_overfit_sweep(cfg).warnings == []
 
     def test_single_entry_grid(self):
         result = run_overfit_sweep(self._cfg([3]))

@@ -187,7 +187,9 @@ _DERIV = {
 def _loop_param_gradients(model, X, labels):
     """The backward loop `param_gradients` ran before it shared `_backward`."""
     zs, acts, probs = model.forward_stack(X)
-    delta = model._head_delta(probs, labels) / X.shape[0]
+    delta = probs.copy()
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta = delta / X.shape[0]
     grads = [None] * len(model.layers)
     for l in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[l]
@@ -218,9 +220,11 @@ def _loop_input_gradient(model, X, guided):
         delta = dz @ model.weights[l].T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _per_layer_train(model, dataset, cfg):
     """`train` as it was before its optimizers ran over one parameter list: every
-    update rule written out for each layer's W and again for its b."""
+    update rule written out for each layer's W and again for its b, on the
+    gradients of the old backward loop and a loss computed each step."""
     X = dataset.features
     labels = dataset.labels
     n = X.shape[0]
@@ -229,11 +233,14 @@ def _per_layer_train(model, dataset, cfg):
     accum = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)]
     adam_m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(model.weights, model.biases)]
     step = 0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            grads, _ = model.param_gradients(X[batch], labels[batch])
+            loss = float(np.mean(model.loss_batch(X[batch], labels[batch])))
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, step, loss)
+            grads = _loop_param_gradients(model, X[batch], labels[batch])
             lr_t = cfg.lr / (1.0 + cfg.lr_decay * step)
             step += 1
             if cfg.optimizer == "adagrad":
@@ -264,6 +271,8 @@ def _per_layer_train(model, dataset, cfg):
                 for l, (dW, db) in enumerate(grads):
                     model.weights[l] -= lr_t * dW
                     model.biases[l] -= lr_t * db
+    if not all(np.isfinite(p).all() for p in model.weights + model.biases):
+        raise TrainingDivergedError(cfg.epochs - 1, step - 1, float("nan"))
     return model
 
 
@@ -297,36 +306,72 @@ class TestOneBackwardLoop:
         layers = [LayerSpec(10, "tanh"), LayerSpec(2, "identity")]
         new = train(init_model(layers, 12, seed=6), ds, cfg)
 
-        def loop_gradients(self, X, labels):
-            loss = float(np.mean(self.loss_batch(X, labels)))
-            return _loop_param_gradients(self, X, labels), loss
+        def loop_step(self, X, labels, grads):
+            for (dW, db), (want_W, want_b) in zip(grads, _loop_param_gradients(self, X, labels)):
+                dW[...], db[...] = want_W, want_b
+            return self.forward_batch(X)[np.arange(len(labels)), labels]
 
-        monkeypatch.setattr(MlpModel, "param_gradients", loop_gradients)
+        monkeypatch.setattr(MlpModel, "_gradient_step", loop_step)
         old = train(init_model(layers, 12, seed=6), ds, cfg)
         for a, b in zip(new.weights + new.biases, old.weights + old.biases):
             np.testing.assert_array_equal(a, b)
 
 
 class TestOneParameterList:
-    """`train` runs each optimizer once over [W1, b1, .., WL, bL]; the weights
-    are bit-identical to the per-layer W and b updates it replaced."""
+    """`train` runs each optimizer once over one flat vector of [W1, .., WL, b1, .., bL]
+    and checks each step's label probabilities, not its loss; the weights, and
+    where a fit diverges its epoch, step and message, are those of the per-layer
+    W and b updates it replaced."""
+
+    DEEP = [LayerSpec(9, "tanh"), LayerSpec(7, "relu"), LayerSpec(5, "sigmoid"),
+            LayerSpec(4, "identity"), LayerSpec(2, "identity")]
+    TWO_HIDDEN = [LayerSpec(8, "relu"), LayerSpec(6, "tanh"), LayerSpec(2, "identity")]
 
     @pytest.mark.parametrize("optimizer, lr_decay", [
         ("adagrad", 0.0), ("adagrad", 0.3), ("adam", 0.0), ("adam", 0.3), ("gd", 0.0), ("gd", 0.3),
     ])
     def test_weights_equal_the_per_layer_updates(self, optimizer, lr_decay):
+        self._assert_same_weights(optimizer, lr_decay, None if optimizer == "gd" else 8, self.DEEP)
+
+    @pytest.mark.parametrize("optimizer, lr_decay, batch_size", [
+        ("adagrad", 0.0, None), ("adagrad", 0.3, 8), ("adam", 0.3, None), ("adam", 0.0, 8),
+        ("gd", 0.0, None), ("gd", 0.3, None),
+    ])
+    def test_two_hidden_layers_and_full_batches(self, optimizer, lr_decay, batch_size):
+        self._assert_same_weights(optimizer, lr_decay, batch_size, self.TWO_HIDDEN)
+
+    def _assert_same_weights(self, optimizer, lr_decay, batch_size, layers):
         ds = two_blob_dataset(n=40, n_features=12, seed=5)
-        batch_size = None if optimizer == "gd" else 8
         cfg = TrainConfig(optimizer=optimizer, lr=0.05, lr_decay=lr_decay, epochs=15,
                           batch_size=batch_size, seed=5)
-        layers = [LayerSpec(9, "tanh"), LayerSpec(7, "relu"), LayerSpec(5, "sigmoid"),
-                  LayerSpec(4, "identity"), LayerSpec(2, "identity")]
         new = train(init_model(layers, 12, seed=6), ds, cfg)
         old = _per_layer_train(init_model(layers, 12, seed=6), ds, cfg)
         for a, b in zip(new.weights + new.biases, old.weights + old.biases):
             np.testing.assert_array_equal(a, b)
         start = init_model(layers, 12, seed=6)
         assert all(not np.array_equal(a, b) for a, b in zip(new.weights, start.weights))
+
+    def test_a_fit_diverging_mid_run_stops_where_the_old_loop_stopped(self):
+        ds = two_blob_dataset(n=40, n_features=12, seed=5)
+        layers = [LayerSpec(6, "identity"), LayerSpec(5, "identity"), LayerSpec(2, "identity")]
+        cfg = TrainConfig(optimizer="adam", lr=10.0**101.5, epochs=15, batch_size=8, seed=5)
+        raised = []
+        for fit in (train, _per_layer_train):
+            with pytest.raises(TrainingDivergedError) as excinfo:
+                fit(init_model(layers, 12, seed=6), ds, cfg)
+            raised.append((excinfo.value.epoch, excinfo.value.step, str(excinfo.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][:2] == (1, 8)  # after some steps that did not diverge
+
+    def test_the_weights_are_views_of_one_vector(self):
+        ds = two_blob_dataset(n=40, n_features=12, seed=5)
+        model = init_model(self.TWO_HIDDEN, 12, seed=6)
+        held = model.weights[0]
+        train(model, ds, TrainConfig(epochs=2, seed=5))
+        params = [p for pair in zip(model.weights, model.biases) for p in pair]
+        assert all(p.base is params[0].base for p in params)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(params) for b in params[i + 1:])
+        assert not np.shares_memory(held, model.weights[0])
 
 
 class TestInit:
@@ -415,16 +460,16 @@ class TestTraining:
         # state, so the decayed second step is the undecayed one over 1 + decay.
         ds = two_blob_dataset(n=16, seed=19)
         decay = 0.5
-        real = MlpModel.param_gradients
+        real = MlpModel._gradient_step
         runs = {}
         for lr_decay in (0.0, decay):
             seen = []
 
-            def spy(self, X, labels):
+            def spy(self, X, labels, grads):
                 seen.append([W.copy() for W in self.weights])
-                return real(self, X, labels)
+                return real(self, X, labels, grads)
 
-            monkeypatch.setattr(MlpModel, "param_gradients", spy)
+            monkeypatch.setattr(MlpModel, "_gradient_step", spy)
             model = init_model([LayerSpec(5, "tanh"), LayerSpec(2, "identity")], 4, seed=19)
             train(model, ds, TrainConfig(optimizer=optimizer, lr=0.05, lr_decay=lr_decay,
                                          epochs=1, batch_size=8, seed=19))

@@ -48,6 +48,9 @@ STALE = {
         ["models.train_s", "models.train_steps", "models.forward_rows", "attacks.statistic_s",
          "attacks.statistic_points", "attacks.calibrate_s", "attacks.threshold_scans",
          "attacks.threshold_points", "attacks.scan_distinct_ratio"], WORKERS_LOST),
+    # a lone target trains in process, but its statistics' halves are fork_map jobs
+    "perturbation": dict.fromkeys(["attacks.statistic_s", "attacks.statistic_points"],
+                                  WORKERS_LOST),
     "reconstruction": {"harness.write_s": REPORT_UNSPANNED},
     "influence_queries": {"harness.write_s": REPORT_UNSPANNED},
 }
