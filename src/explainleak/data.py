@@ -6,10 +6,15 @@ optional per-point group tag (used for per-group vulnerability reporting).
 from __future__ import annotations
 
 import csv
+import mmap
+import os
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
+
+from .models import fork_map
 
 
 @dataclass
@@ -110,32 +115,50 @@ def load_csv_dataset(
 
 
 def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: int):
-    """(features, labels, None) through one `np.loadtxt` pass, or None for the row loop.
+    """(features, labels, None) through `np.loadtxt` in shares, or None for the row loop.
 
     Only lines the csv module would split on every comma into `n_cols` cells
     reach loadtxt: no quote, no blank line (loadtxt skips those), no line past
     the csv field limit. That check stands in for the cell count `usecols`
     turns off. numpy refuses every cell that `float()` or `int()` reads
     differently (``1_000``, non-ASCII digits, a label ``1.0`` or outside int64).
+    Share k of w, w the usable CPUs, is one `fork_map` job that writes data lines k, k + w, ...
+    into those rows of two shared anonymous mappings: no parsed array is pickled back.
     """
-    def lines(handle):
-        count = 0
-        for count, line in enumerate(handle):
+    with path.open("rb") as raw:  # universal newlines end one line at most per b"\n" or b"\r"
+        chunks = iter(lambda: raw.read(1 << 20), b"")
+        bound = 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in chunks)
+    d = len(feature_idx)
+    w = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    features = np.frombuffer(mmap.mmap(-1, 8 * d * bound), np.float64).reshape(bound, d)
+    labels = np.frombuffer(mmap.mmap(-1, 8 * bound), np.int64)
+    shared = (path, n_cols, feature_idx + [label_idx], features, labels, w)
+    try:  # from a line check or a cell numpy refuses: the row loop names it
+        n = sum(fork_map(_parse_share, shared, [(k,) for k in range(w)]))
+    except ValueError:
+        return None
+    return (features[:n], labels[:n], None) if n else None
+
+
+def _parse_share(path: Path, n_cols: int, usecols: list[int], features, labels, w: int, k: int):
+    """Share k of w: data lines k, k + w, ..., checked and parsed into those rows of features
+    and labels; returns its row count, 0 for no line (loadtxt would warn on empty input)."""
+    def checked(lines):
+        for line in lines:
             if (line.count(",") != n_cols - 1 or '"' in line or not line.strip()
                     or len(line) > csv.field_size_limit()):
                 raise ValueError("left to the row loop")
             yield line
-        if count < 1:
-            raise ValueError("no data rows")
 
-    dtype = [("x", np.float64, (len(feature_idx),)), ("y", np.int64)]
-    try:
-        with path.open(newline="") as handle:
-            table = np.loadtxt(lines(handle), dtype, delimiter=",", comments=None,
-                               skiprows=1, usecols=feature_idx + [label_idx], ndmin=1)
-    except ValueError:
-        return None
-    return table["x"], table["y"], None
+    with path.open(newline="") as handle:
+        lines = islice(handle, 1 + k, None, w)
+        if (first := next(lines, None)) is None:
+            return 0
+        dtype = [("x", np.float64, (len(usecols) - 1,)), ("y", np.int64)]
+        table = np.loadtxt(checked(chain([first], lines)), dtype, delimiter=",", comments=None,
+                           usecols=usecols, ndmin=1)
+    features[k::w][:len(table)], labels[k::w][:len(table)] = table["x"], table["y"]
+    return len(table)
 
 
 def _read_rows(path: Path, reader, header: list[str], feature_idx, label_idx, group_idx):

@@ -22,7 +22,6 @@ import re
 import zlib
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (leakbench's tracer patches it)
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -143,11 +142,6 @@ class ExperimentConfig(DataSource):
                 raise ConfigError(f"shadow({s}) needs more than {s} subsets per repetition")
 
 
-# ---------------------------------------------------------------------------
-# Sampling protocol
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class TargetSplit:
     """Absolute dataset indices of one target's members and non-members."""
@@ -217,11 +211,6 @@ def validate_protocol(splits: list[TargetSplit], n_points: int, resample: bool) 
     }
 
 
-# ---------------------------------------------------------------------------
-# Records
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class RunRecord:
     run_id: str
@@ -282,7 +271,12 @@ class ExperimentResult:
     audits: list[dict] = field(default_factory=list)
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
-        """Write the records and decisions CSVs; the CLI writes the manifest."""
+        """Write the records and decisions CSVs; the CLI writes the manifest.
+
+        A decision row is the text csv.writer writes, joined here: no field needs quoting,
+        as run ids are generated and the other cells are ints and float reprs. A block's
+        "point,value," texts are made once for a run of blocks sharing its points and values.
+        """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {kind: out / f"{self.name}_{kind}.csv" for kind in ("records", "decisions")}
@@ -291,17 +285,16 @@ class ExperimentResult:
             writer.writerow(RECORD_CSV_COLUMNS)
             writer.writerows(record.csv_row() for record in self.records)
         with open(paths["decisions"], "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(DECISION_CSV_COLUMNS)
+            csv.writer(handle).writerow(DECISION_CSV_COLUMNS)
+            last = None
             for run_id, points, values, guesses, truth in self.decisions:
-                writer.writerows(zip(repeat(run_id), points.tolist(), values.tolist(),
-                                     guesses.astype(int).tolist(), truth.astype(int).tolist()))
+                if last is None or points is not last[0] or values is not last[1]:
+                    last = points, values, [f"{point},{value!r}," for point, value
+                                            in zip(points.tolist(), values.tolist())]
+                handle.writelines([f"{run_id},{mid}{guess},{member}\r\n" for mid, guess, member
+                                   in zip(last[2], guesses.astype(int).tolist(),
+                                          truth.astype(int).tolist())])
         return paths
-
-
-# ---------------------------------------------------------------------------
-# Threshold experiment
-# ---------------------------------------------------------------------------
 
 
 def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes: int):
@@ -367,6 +360,7 @@ def _score_repetition(cfg, rep, prefix, splits, rows, halves, result: Experiment
         member_vals, nonmember_vals, optimal_tau = entry
         values = np.concatenate([member_vals, nonmember_vals])
         truth = np.arange(len(values)) < len(member_vals)
+        points = splits[t].all_indices  # one array for every calibration's block
         for ci, calibration in enumerate(cfg.calibrations):
             kind, s = parse_calibration(calibration)
             if kind == "optimal":
@@ -385,7 +379,7 @@ def _score_repetition(cfg, rep, prefix, splits, rows, halves, result: Experiment
                 run_id, rep, t, stat.label, calibration, tau,
                 float(np.mean(guesses == truth)), *rows[t], cfg.train.epochs,
             ))
-            block = DecisionBlock(run_id, splits[t].all_indices, values, guesses, truth)
+            block = DecisionBlock(run_id, points, values, guesses, truth)
             result.decisions.blocks.append(block)
 
 
@@ -493,11 +487,6 @@ def run_perturbation_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     dropped = [s.label for s in cfg.statistics]
     result.warnings.insert(0, f"no perturbation statistic: ran the four defaults, not {dropped}")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction campaign
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -641,11 +630,6 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         "baselines": curves,
         "reveal_rates": reveal,
     }
-
-
-# ---------------------------------------------------------------------------
-# Deterministic writers
-# ---------------------------------------------------------------------------
 
 
 def config_hash(config: dict) -> str:

@@ -57,8 +57,8 @@ def _run_share(pipe: int, cpu: int, cpus, fn, shared: tuple, jobs: list) -> None
 
 
 def fork_map(fn, shared: tuple, jobs: list) -> list:
-    """[fn(*shared, *job) for job in jobs], in job order: the one map of the LOO blocks, the
-    threshold targets, their statistics' halves and the sweep dims. With 2 or more jobs and
+    """[fn(*shared, *job) for job in jobs], in job order: the one map of CSV parse shares, LOO
+    blocks, threshold targets, their statistics' halves and sweep dims. With 2 or more jobs and
     usable CPUs, it forks w = min(jobs, CPUs) workers, no pool: worker k inherits fn, shared and
     the jobs, runs jobs k, k + w, ... and pickles back their results down its own pipe while the
     parent waits. A job's error is raised as itself, a dead worker's as BrokenProcessPool."""
@@ -420,10 +420,6 @@ def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
         raise TrainingDivergedError(cfg.epochs - 1, step - 1, float("nan"))
     model.train_config = cfg
     return model
-
-
-# ----------------------------------------------------------------------
-# logistic models
 
 
 @dataclass

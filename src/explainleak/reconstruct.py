@@ -297,11 +297,6 @@ def _probe_cluster(
     return answers, eps, retries  # type: ignore[return-value]
 
 
-# ---------------------------------------------------------------------------
-# Random-query baselines
-# ---------------------------------------------------------------------------
-
-
 class SamplerExhaustedError(RuntimeError):
     """A without-replacement sampler ran out of points."""
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from explainleak import Dataset, SynthConfig, generate_synthetic
 from explainleak.data import _load_columns, load_csv_dataset, write_csv_dataset
+
+from conftest import assert_no_child, use_cpus
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -165,13 +168,84 @@ def csv_texts(draw):
 @given(csv_texts())
 def test_loader_agrees_with_row_loop(tmp_path_factory, drawn):
     """Whatever numpy's C parser accepts comes out bit-identical to the row
-    loop; whatever the row loop rejects fails with the row loop's message."""
+    loop; whatever the row loop rejects fails with the row loop's message. At
+    2 CPUs the file is parsed in 2 forked shares, one of them empty for a
+    one-row file; CRLF, lone-CR and unterminated files are drawn too."""
     text, with_group = drawn
     path = tmp_path_factory.getbasetemp() / "drawn.csv"
     with open(path, "w", newline="") as handle:
         handle.write(text)
     group_column = "group" if with_group else None
-    assert _outcome(load_csv_dataset, path, group_column) == _outcome(row_loop, path, group_column)
+    expected = _outcome(row_loop, path, group_column)
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            use_cpus(monkeypatch, cpus)
+            assert _outcome(load_csv_dataset, path, group_column) == expected, cpus
+        assert_no_child()
+
+
+def _shares_agree(path):
+    """The (features, labels) parsed at 1 CPU, after checking that 2 forked shares
+    parse the same bytes, dtypes and shapes."""
+    loaded = {}
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            use_cpus(monkeypatch, cpus)
+            dataset = load_csv_dataset(path, "label")
+        assert_no_child()
+        loaded[cpus] = dataset.features, dataset.labels
+    for one, two in zip(loaded[1], loaded[2]):
+        assert one.dtype == two.dtype and one.shape == two.shape
+        assert one.tobytes() == two.tobytes()
+    return loaded[1]
+
+
+def test_a_multi_mib_file_parses_alike_in_shares(tmp_path):
+    # 3 MiB: the newline count reads several chunks, and each share many lines.
+    rng = np.random.default_rng(11)
+    features = rng.normal(size=(2501, 64)) * 10.0 ** rng.integers(-300, 300, size=(2501, 64))
+    labels = rng.integers(0, 5, size=2501)
+    path = tmp_path / "big.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join([f"f{i}" for i in range(64)] + ["label"]) + "\r\n")
+        handle.writelines(",".join(map(repr, row)) + f",{label}\r\n"
+                          for row, label in zip(features.tolist(), labels.tolist()))
+    assert path.stat().st_size > 3 * 2**20
+    got_features, got_labels = _shares_agree(path)
+    assert got_features.tobytes() == features.tobytes() and got_features.flags.c_contiguous
+    assert got_labels.dtype == np.int64 and got_labels.tolist() == labels.tolist()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("7.0,8.0", r"row 5 has 2 cells, header has 3"),
+    ('"7.0",8.0,1', None),  # a quote goes to the row loop, which reads it
+    ("7.0,x,1", r"row 5, column 'b': non-numeric value 'x'"),
+    ("7.0,8.0,1.5", r"row 5, column 'label': label '1.5' is not a 64-bit integer"),
+])
+def test_a_line_only_the_last_share_reads_gets_the_row_loops_verdict(tmp_path, monkeypatch,
+                                                                     line, message):
+    # Data rows 0-4 over 2 shares: share 1, the last, reads rows 1 and 3 (file row 5).
+    rows = ["1.0,2.0,0", "3.0,4.0,1", "5.0,6.0,0", line, "9.0,1.0,1"]
+    path = tmp_path / "odd.csv"
+    path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    use_cpus(monkeypatch, 2)
+    if message is None:
+        assert load_csv_dataset(path, "label").features[3].tolist() == [7.0, 8.0]
+    else:
+        with pytest.raises(ValueError, match=message):
+            load_csv_dataset(path, "label")
+    assert_no_child()
+
+
+def test_a_one_row_file_leaves_a_share_empty_without_a_warning(tmp_path, monkeypatch):
+    path = tmp_path / "one.csv"
+    path.write_text("a,label\n1.5,1\n")
+    use_cpus(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inherited by the forked shares
+        dataset = load_csv_dataset(path, "label")
+    assert_no_child()
+    assert dataset.features.tolist() == [[1.5]] and dataset.labels.tolist() == [1]
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])

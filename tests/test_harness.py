@@ -28,6 +28,8 @@ from explainleak.harness import (
     RECORD_CSV_COLUMNS,
     CampaignConfig,
     ConfigError,
+    DecisionBlock,
+    DecisionTable,
     ExperimentConfig,
     ExperimentResult,
     OverfitConfig,
@@ -454,6 +456,23 @@ def assert_decisions_csv_is_csv_writer_output(result, tmp_path):
     assert result.write(tmp_path / "out")["decisions"].read_bytes() == reference.read_bytes()
 
 
+def test_decisions_csv_of_blocks_sharing_some_columns(tmp_path):
+    # The writer reuses a block's "point,value," text only for the very same points and
+    # values arrays as the block before: sharing one of the two must not reuse it.
+    points, values = np.array([3, 1, 4, 1]), np.array([0.1, -1e-300, np.inf, -0.0])
+    guesses, truth = np.array([True, False, True, False]), np.array([1, 1, 0, 0])
+    other_points, other_values = points[::-1], values * 2.0
+    blocks = [  # each shares with the block before it:
+        DecisionBlock("r0-t0-s0-c0", points, values, guesses, truth),
+        DecisionBlock("r0-t1-s0-c0", other_points, values, ~guesses, truth),  # values only
+        DecisionBlock("r0-t1-s1-c0", other_points, other_values, guesses, truth),  # points only
+        DecisionBlock("r0-t1-s1-c1", other_points, other_values, ~guesses, truth),  # both
+        DecisionBlock("r0-t2-s1-c0", points, other_values, guesses.astype(int), truth),  # values
+    ]
+    result = ExperimentResult("hand", [], DecisionTable(blocks), [], {})
+    assert_decisions_csv_is_csv_writer_output(result, tmp_path)
+
+
 @pytest.fixture(scope="module")
 def threshold_run():
     cfg = make_experiment_config()
@@ -541,6 +560,16 @@ class TestThresholdExperiment:
         assert set(manifest["timings"]) == {"total_seconds"}
 
     def test_decisions_csv_matches_csv_writer(self, threshold_run, tmp_path):
+        assert_decisions_csv_is_csv_writer_output(threshold_run[1], tmp_path)
+
+    def test_calibrations_of_a_statistic_share_its_columns(self, threshold_run, tmp_path):
+        # optimal and shadow(1) blocks alternate; each pair holds the very points and
+        # values arrays of its (target, statistic), whose text the writer makes once
+        blocks = list(threshold_run[1].decisions)
+        assert len(blocks) == 2 * 4 * 2 * 2  # repetitions x targets x statistics x calibrations
+        for optimal, shadow in zip(blocks[::2], blocks[1::2]):
+            assert optimal.run_id[:-1] == shadow.run_id[:-1] and shadow.run_id.endswith("-c1")
+            assert optimal.points is shadow.points and optimal.values is shadow.values
         assert_decisions_csv_is_csv_writer_output(threshold_run[1], tmp_path)
 
     def test_decisions_csv_round_trip(self, threshold_run, tmp_path):
