@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import csv
 import mmap
-import os
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .models import fork_map
+from .models import fork_map, usable_cpus
 
 
 @dataclass
@@ -129,7 +128,7 @@ def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: in
         chunks = iter(lambda: raw.read(1 << 20), b"")
         bound = 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in chunks)
     d = len(feature_idx)
-    w = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = len(usable_cpus())
     features = np.frombuffer(mmap.mmap(-1, 8 * d * bound), np.float64).reshape(bound, d)
     labels = np.frombuffer(mmap.mmap(-1, 8 * bound), np.int64)
     shared = (path, n_cols, feature_idx + [label_idx], features, labels, w)

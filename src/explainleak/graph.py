@@ -4,8 +4,8 @@ Querying a training point reveals its k most influential peers, which makes
 the training set a directed graph: node i points at the k points revealed by
 querying x_i. Strongly connected components of that graph bound what a
 crawling attacker can recover, and the greedy omniscient baseline gives a
-tractable stand-in for the (NP-hard) optimal choice of seed queries. A result
-stores what its attack found; its query count is derived from that.
+tractable stand-in for the (NP-hard) optimal choice of seed queries. A traversal's
+query count is derived from what it found; a greedy cover holds its seed count and covered set.
 """
 from __future__ import annotations
 
@@ -136,11 +136,6 @@ def traverse_attack(
 class GreedyCoverResult:
     seed_count: int
     covered: set[int]
-
-    @property
-    def query_count(self) -> int:
-        """Seeds plus one follow-up query per covered point."""
-        return self.seed_count + len(self.covered)
 
 
 def greedy_omniscient_baseline(edges: list[list[int]]) -> GreedyCoverResult:

@@ -6,8 +6,8 @@ I_y(x) = L(y, base) - L(y, without-x). Training is deterministic, so the
 leave-one-out cache is exactly reproducible, and reveal operations rank
 training points by |I| (dropping either of the label orientations flips only
 the sign). The n leave-one-out models train in `fork_map` blocks (`train_logistic_loo`).
-`InfluenceOracle` holds its (n, d) weights and (n,) biases once; the explainer's
-top-k reveals and the reconstruction attack's top-1 `query` both read them.
+`InfluenceOracle` holds its (n, d) weights and (n,) biases once, read by `influence`,
+`top_k_rows` and the attack's top-1 `query`; `topk_explain` predicts at y once per query.
 """
 from __future__ import annotations
 
@@ -72,9 +72,6 @@ class InfluenceOracle:
     def n_features(self) -> int:
         return self.base.w.shape[0]
 
-    def predicted_label(self, y: np.ndarray) -> int:
-        return _label(self.base.positive_prob(y))
-
     def influence(self, y: np.ndarray, label: int | None = None) -> np.ndarray:
         """Signed influence of every training point on the query point.
 
@@ -88,11 +85,6 @@ class InfluenceOracle:
         """`influence` at a float64 y whose base prediction f the caller holds."""
         signed = f - sigmoid(self.loo_w @ y - self.loo_b)
         return signed if (_label(f) if label is None else label) == 0 else -signed
-
-    def top_k(self, y: np.ndarray, label: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and influences of the k largest |I|, ranked by `_rank_block`."""
-        _check_k(k, self.n_points)
-        return _top(self.influence(y, label), k)
 
     def top_k_rows(self, Y: np.ndarray, k: int) -> np.ndarray:
         """(q, k) indices of the k largest |I| at each row of Y, ranked by
@@ -178,11 +170,13 @@ def build_loo_cache(dataset: Dataset, cfg: TrainConfig) -> InfluenceExplainer:
 def topk_explain(
     expl: InfluenceExplainer, y: np.ndarray, label: int | None, k: int
 ) -> RevealResult:
-    """The k most influential training points by |I|, ties to lower index; a
-    None label is the base model's predicted label for y."""
-    if label is None:
-        label = expl.predicted_label(y)
-    top, influences = expl.top_k(y, label, k)
+    """The k most influential training points by |I|, ranked by `_rank_block`; a
+    None label is the base model's predicted label for y, from its one prediction there."""
+    _check_k(k, expl.n_points)
+    y = np.asarray(y, dtype=np.float64)
+    f = expl.base.positive_prob(y)
+    label = _label(f) if label is None else label
+    top, influences = _top(expl._signed(y, f, label), k)
     return RevealResult(indices=top, influences=influences, label=label)
 
 

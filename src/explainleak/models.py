@@ -38,6 +38,11 @@ def _row_blocks(n_rows: int, floats_per_row: int):
     return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
 
 
+def usable_cpus() -> set[int]:
+    """The CPUs this process may run on: its affinity set on Linux, else one CPU."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+
+
 def _run_share(pipe: int, cpu: int, cpus, fn, shared: tuple, jobs: list) -> None:
     """A forked worker's jobs, run in turn from a CPU of its own (forked workers can share
     one for longer than a short map lasts); their results, or its error, go down pipe."""
@@ -62,7 +67,7 @@ def fork_map(fn, shared: tuple, jobs: list) -> list:
     usable CPUs, it forks w = min(jobs, CPUs) workers, no pool: worker k inherits fn, shared and
     the jobs, runs jobs k, k + w, ... and pickles back their results down its own pipe while the
     parent waits. A job's error is raised as itself, a dead worker's as BrokenProcessPool."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()  # Linux only
+    cpus = usable_cpus()
     w = min(len(jobs), len(cpus))
     if w < 2:
         return [fn(*shared, *job) for job in jobs]
@@ -260,16 +265,6 @@ class MlpModel:
 
     # ------------------------------------------------------------------
     # gradients
-
-    def param_gradients(self, X: np.ndarray, labels: np.ndarray):
-        """Mean cross-entropy gradients for every layer, a list of (dW, db), and
-        the mean cross-entropy itself: (grads, loss)."""
-        X = np.asarray(X, dtype=np.float64)
-        labels = np.asarray(labels)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError("gradient requires a non-empty 2-D batch")
-        grads = [(np.empty_like(W), np.empty_like(b)) for W, b in zip(self.weights, self.biases)]
-        return grads, float(np.mean(_cross_entropy(self._gradient_step(X, labels, grads))))
 
     def _gradient_step(self, X: np.ndarray, labels: np.ndarray, grads) -> np.ndarray:
         """Write the mean cross-entropy gradients into grads' (dW, db) arrays; returns

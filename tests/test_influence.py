@@ -69,7 +69,7 @@ class TestInfluenceValues:
         loo = LogisticModel(w=np.zeros(1), b=float(np.log(9.0)))
         expl = fake_explainer(base, [loo])
         y = np.zeros(1)
-        assert expl.predicted_label(y) == 0
+        assert topk_explain(expl, y, None, 1).label == 0
         assert expl.influence(y)[0] == pytest.approx(0.3 - 0.1, abs=1e-12)
         assert expl.influence(y, label=0)[0] == pytest.approx(0.2, abs=1e-12)
         assert expl.influence(y, label=1)[0] == pytest.approx(-0.2, abs=1e-12)
@@ -155,6 +155,29 @@ class TestTopkExplain:
         expl = fake_explainer(base, [LogisticModel(np.array([1.0]), 0.0)])
         assert topk_explain(expl, np.array([1.0]), None, 1).label == 1
         assert topk_explain(expl, np.array([-1.0]), None, 1).label == 0
+
+    def test_predicts_at_y_once(self, monkeypatch):
+        """A reveal makes one base prediction at y, for its label and its influences alike,
+        and answers what `influence` at that label, fully sorted, answers."""
+        rng = np.random.default_rng(11)
+        base = LogisticModel(w=rng.normal(size=3), b=0.1)
+        loos = [LogisticModel(w=rng.normal(size=3), b=float(rng.normal())) for _ in range(12)]
+        expl = fake_explainer(base, loos)
+        calls = []
+        real = LogisticModel.positive_prob
+        monkeypatch.setattr(LogisticModel, "positive_prob",
+                            lambda self, x: calls.append(x) or real(self, x))
+        for y in rng.normal(scale=2.0, size=(5, 3)):
+            for label, k in [(None, 1), (None, 5), (0, 1), (0, 12)]:
+                calls.clear()
+                result = topk_explain(expl, y, label, k)
+                assert len(calls) == 1
+                want_label = int(real(base, y) >= 0.5) if label is None else label
+                want = reference_top_k(expl, y, k)
+                np.testing.assert_array_equal(result.indices, want)
+                np.testing.assert_array_equal(
+                    result.influences, expl.influence(y, want_label)[want])
+                assert result.label == want_label
 
     def test_k_validated(self):
         base = LogisticModel(w=np.array([1.0]), b=0.0)

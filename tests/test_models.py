@@ -21,7 +21,7 @@ from explainleak import (
     train_logistic,
 )
 from conftest import finite_difference_gradient, relative_error, two_blob_dataset
-from explainleak.models import sigmoid
+from explainleak.models import _cross_entropy, sigmoid
 
 
 # `MlpModel.to_json` of a trained 2-3-2 tanh network, from before the sigmoid head went.
@@ -143,6 +143,13 @@ class TestInputGradients:
         assert relative_error(fd, exact) < 1e-4
 
 
+def _step_gradients(model, X, labels):
+    """One `_gradient_step`, the one training-gradient path, into preallocated (dW, db)
+    arrays: (grads, the mean cross-entropy of the label probabilities it returns)."""
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in zip(model.weights, model.biases)]
+    return grads, float(np.mean(_cross_entropy(model._gradient_step(X, labels, grads))))
+
+
 class TestParamGradients:
     def test_finite_difference_on_weights(self):
         model = init_model([LayerSpec(4, "tanh"), LayerSpec(2, "identity")], 3, seed=9)
@@ -153,7 +160,7 @@ class TestParamGradients:
         def mean_loss() -> float:
             return float(np.mean(model.loss_batch(X, labels)))
 
-        grads, loss = model.param_gradients(X, labels)
+        grads, loss = _step_gradients(model, X, labels)
         assert loss == mean_loss()
         h = 1e-6
         for layer, (dW, db) in enumerate(grads):
@@ -185,7 +192,7 @@ _DERIV = {
 
 
 def _loop_param_gradients(model, X, labels):
-    """The backward loop `param_gradients` ran before it shared `_backward`."""
+    """The backward loop of the training gradients before `_gradient_step` shared `_backward`."""
     zs, acts, probs = model.forward_stack(X)
     delta = probs.copy()
     delta[np.arange(len(labels)), labels] -= 1.0
@@ -277,7 +284,7 @@ def _per_layer_train(model, dataset, cfg):
 
 
 class TestOneBackwardLoop:
-    """`param_gradients` and `input_gradient_batch` walk one `_backward`; both
+    """`_gradient_step` and `input_gradient_batch` walk one `_backward`; both
     are bit-identical to the separate loops they had before."""
 
     @pytest.mark.parametrize("final", ["softmax"])  # the one output head
@@ -291,7 +298,7 @@ class TestOneBackwardLoop:
         X = rng.normal(size=(9, 5))
         labels = rng.integers(0, model.n_classes, size=9)
         for (dW, db), (want_W, want_b) in zip(
-            model.param_gradients(X, labels)[0], _loop_param_gradients(model, X, labels)
+            _step_gradients(model, X, labels)[0], _loop_param_gradients(model, X, labels)
         ):
             np.testing.assert_array_equal(dW, want_W)
             np.testing.assert_array_equal(db, want_b)
@@ -441,7 +448,7 @@ class TestTraining:
     def test_single_adagrad_step_hand_computed(self):
         ds = two_blob_dataset(n=20, seed=17)
         model = init_model([LayerSpec(3, "tanh"), LayerSpec(2, "identity")], 4, seed=17)
-        grads, _ = model.param_gradients(ds.features, ds.labels)
+        grads, _ = _step_gradients(model, ds.features, ds.labels)
         expected = [
             W - 0.5 * dW / (np.sqrt(dW * dW) + 1e-10)
             for W, (dW, _) in zip([W.copy() for W in model.weights], grads)

@@ -31,7 +31,10 @@ from conftest import run_python
 # gets only its config: no caller handed a runner its own dataset, the dimension
 # sweep takes its `SweepConfig`, which checks the dims and arch when it is built, the
 # overfitting sweep its `OverfitConfig`, which holds the epoch grid, and a threshold
-# run is named by the runner that ran it.
+# run is named by the runner that ran it. An operation has one entry: the training
+# gradients are `_gradient_step`, which `train` calls, a per-query top-k is
+# `topk_explain`, which predicts at y once where the oracle's `top_k` and
+# `predicted_label` predicted twice, and no report read the greedy cover's query count.
 RETIRED_FUNCTIONS = {
     "explain": [
         "explain_gradient", "explain_grad_times_input", "explain_integrated_gradients",
@@ -50,11 +53,13 @@ RETIRED_FUNCTIONS = {
     "graph": ["InfluenceGraph"],
 }
 RETIRED_METHODS = {
-    "MlpModel": ["forward", "loss", "input_gradient"],
+    "MlpModel": ["forward", "loss", "input_gradient", "param_gradients"],
     "LogisticModel": ["forward", "loss", "input_gradient"],
     "Explanation": ["to_json", "from_json"],
     "ReconstructionResult": ["query_count", "recovered_weights"],
     "GraphMetrics": ["to_dict"],
+    "InfluenceOracle": ["top_k", "predicted_label"],
+    "graph.GreedyCoverResult": ["query_count"],
 }
 RETIRED_PARAMETERS = {
     "MlpModel": ["final"],
@@ -125,7 +130,7 @@ def test_retired_functions_are_gone(module):
 
 @pytest.mark.parametrize("owner", sorted(RETIRED_METHODS))
 def test_retired_methods_are_gone(owner):
-    cls = getattr(explainleak, owner)
+    cls = _public(owner)
     for name in RETIRED_METHODS[owner]:
         assert not hasattr(cls, name)
 

@@ -112,8 +112,9 @@ class TestOracle:
             assert answer.prediction == expl.base.positive_prob(y)
 
     def test_answers_equal_the_two_prediction_formulation(self):
-        """`query` predicts at y once; its answers are those of `top_k` with the label
-        predicted again at y, on the decision boundary (f = 0.5 exactly) too."""
+        """`query` predicts at y once; its answers are those of a top-1 `topk_explain`,
+        whose label is the one predicted again at y, on the decision boundary (f = 0.5
+        exactly) too."""
         rng = np.random.default_rng(84)
         base = LogisticModel(w=np.array([1.0, -1.0, 0.5]), b=0.25)
         oracle = InfluenceOracle(base, rng.normal(size=(40, 3)), rng.normal(size=40))
@@ -121,7 +122,9 @@ class TestOracle:
         assert base.positive_prob(on_boundary) == 0.5
         for y in [on_boundary, *rng.normal(scale=2.0, size=(50, 3))]:
             f = base.positive_prob(y)
-            (idx,), (influence,) = oracle.top_k(y, 1 if f >= 0.5 else 0, 1)
+            reveal = topk_explain(oracle, y, None, 1)
+            assert reveal.label == (1 if f >= 0.5 else 0)
+            (idx,), (influence,) = reveal.indices, reveal.influences
             assert oracle.query(y) == OracleAnswer(f, int(idx), float(influence))
 
     def test_nan_query_raises(self):
