@@ -65,7 +65,7 @@ def main() -> None:
         synth=template,
         arch="small",
         train=TrainConfig(optimizer="adagrad", lr=0.01, epochs=150),
-    ))
+    )).rows
     print("\ngradient-norm correlation with membership across input dimension")
     print(f"{'dim':>6} {'train acc':>10} {'test acc':>9} {'correlation':>12}")
     for row in rows:

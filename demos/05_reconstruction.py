@@ -51,7 +51,7 @@ def main() -> None:
         baseline_queries=40,
         seed=3,
     )
-    report = run_reconstruction_campaign(cfg)
+    report = run_reconstruction_campaign(cfg).report
     recon = report["reconstruction"]
     graph = report["graph"]
     traversal = report["traversal"]

@@ -2,10 +2,12 @@
 
 Subcommands: train, attack, sweep-dim, sweep-epochs, reconstruct, synth,
 perturb-attack. Each takes a JSON config (--config), an optional master
-seed override (--seed) and an output directory (--out); --threads is still
-accepted and has no effect. Each writes its result files and returns an
-`Output`; `main` times it, writes its manifest and prints its summary. Exit
-codes: 0 success, 1 configuration error (including unknown flags, unknown
+seed override (--seed; sweep-dim's master seed is its synth.seed) and an output
+directory (--out); --threads is still accepted and has no effect. The five runner
+commands share one handler: it decodes the config, calls the library runner and has
+the result write its files and its summary line. Each subcommand returns an `Output`;
+`main` times it, writes its manifest with its warnings, and prints its summary and each
+warning. Exit codes: 0 success, 1 configuration error (including unknown flags, unknown
 config keys and unreadable configs), 2 runtime failure.
 """
 from __future__ import annotations
@@ -16,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .data import write_csv_dataset
 from .harness import (
@@ -31,7 +31,6 @@ from .harness import (
     run_reconstruction_campaign,
     run_threshold_experiment,
     train_target,
-    write_json,
     write_manifest,
 )
 from .synth import SweepConfig, SynthConfig, dimension_sweep, generate_synthetic
@@ -45,30 +44,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return payload
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _seeded(command: str, config: dict):
+    """The part of a command's config that holds its master seed."""
+    return config.get("synth") if command == "sweep-dim" else config
+
+
 def _load_config(args) -> dict:
-    """The --config payload with the --seed override applied."""
-    payload = _load_json(args.config)
-    if args.seed is not None:
-        payload["seed"] = args.seed
+    """The --config payload, a JSON object, with the --seed override applied."""
+    try:
+        with open(args.config) as handle:
+            payload = json.load(handle)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {args.config}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
+    seeded = _seeded(args.command, payload)
+    if args.seed is not None and isinstance(seeded, dict):  # decoded, and checked, with the rest
+        seeded["seed"] = args.seed
     return payload
 
 
@@ -77,10 +77,9 @@ class Output(NamedTuple):
 
     name: str
     config: dict
-    seed: int
     summary: str
     warnings: Sequence[str] = ()
-    extra: dict | None = None
+    extra: dict | None = None  # the manifest's other keys
 
 
 def _cmd_synth(args) -> Output:
@@ -89,7 +88,7 @@ def _cmd_synth(args) -> Output:
     path = _out_dir(args) / "synthetic.csv"
     write_csv_dataset(path, dataset)
     summary = f"wrote {dataset.n_points} points x {dataset.n_features} features to {path}"
-    return Output("synth", cfg.to_dict(), cfg.seed, summary)
+    return Output("synth", cfg.to_dict(), summary)
 
 
 def _cmd_train(args) -> Output:
@@ -100,52 +99,20 @@ def _cmd_train(args) -> Output:
     path.write_text(model.to_json() + "\n")
     accuracy = model.accuracy(dataset.features, dataset.labels)
     summary = f"trained {cfg.model_kind} model, accuracy {accuracy:.4f}, saved to {path}"
-    return Output("train", cfg.to_dict(), cfg.seed, summary)
+    return Output("train", cfg.to_dict(), summary)
 
 
-def _cmd_experiment(args) -> Output:
-    """attack, perturb-attack and sweep-epochs: decode, run, write the CSVs. The table is
-    built at each call, so a runner patched in this module is the one that runs."""
+def _cmd_run(args) -> Output:
+    """The five runner commands: decode, run, and let the result write its files. The
+    table is built at each call, so a runner patched in this module is the one that runs."""
     cls, runner = {"attack": (ExperimentConfig, run_threshold_experiment),
                    "perturb-attack": (ExperimentConfig, run_perturbation_experiment),
-                   "sweep-epochs": (OverfitConfig, run_overfit_sweep)}[args.command]
+                   "sweep-epochs": (OverfitConfig, run_overfit_sweep),
+                   "sweep-dim": (SweepConfig, dimension_sweep),
+                   "reconstruct": (CampaignConfig, run_reconstruction_campaign)}[args.command]
     result = runner(cls.from_dict(_load_config(args)))
-    records, path = result.records, result.write(_out_dir(args))["records"]
-    summary = f"no attack records produced, wrote {path}"
-    if records:
-        mean_acc = np.mean([r.attack_accuracy for r in records])
-        summary = f"{len(records)} attack records, mean accuracy {mean_acc:.4f}, wrote {path}"
-    return Output(result.name, result.config, result.config["seed"], summary, result.warnings,
-                  {"warnings": result.warnings, "audits": result.audits})
-
-
-def _cmd_sweep_dim(args) -> Output:
-    payload = _load_json(args.config)
-    if args.seed is not None and isinstance(payload.get("synth"), dict):
-        payload["synth"]["seed"] = args.seed  # decoded, and so checked, with the rest
-    cfg = SweepConfig.from_dict(payload)
-    results = dimension_sweep(cfg)
-    path = _out_dir(args) / "dimension_sweep.csv"
-    rows = [f"{r.dim},{r.arch},{r.correlation},{r.train_accuracy},{r.test_accuracy},{r.seed},"
-            f"{int(r.diverged)}\n" for r in results]
-    path.write_text("dim,arch,correlation,train_acc,test_acc,seed,diverged\n" + "".join(rows))
-    summary = f"swept {len(results)} dimensions, wrote {path}"
-    return Output("sweep_dim", cfg.to_dict(), cfg.synth.seed, summary)
-
-
-def _cmd_reconstruct(args) -> Output:
-    cfg = CampaignConfig.from_dict(_load_config(args))
-    report = run_reconstruction_campaign(cfg)
-    out = _out_dir(args)
-    path = out / "reconstruction_report.json"
-    write_json(path, report)
-    graph = report["graph"]
-    lines = [",".join(graph), ",".join(map(str, graph.values())), ""]
-    (out / "graph_metrics.csv").write_text("\n".join(lines))
-    recon = report["reconstruction"]
-    summary = (f"reconstruction recovered {recon['recovered_count']}/{report['n_train']} "
-               f"points ({recon['reason']}), report at {path}")
-    return Output("reconstruct", cfg.to_dict(), cfg.seed, summary)
+    return Output(result.name, result.config, result.write(_out_dir(args)), result.warnings,
+                  {"audits": result.audits} if hasattr(result, "audits") else None)
 
 
 def build_parser() -> _Parser:
@@ -153,12 +120,12 @@ def build_parser() -> _Parser:
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     commands = {
         "train": (_cmd_train, "train a model on the configured dataset"),
-        "attack": (_cmd_experiment, "run the threshold membership experiment"),
-        "sweep-dim": (_cmd_sweep_dim, "gradient-norm correlation across dimensions"),
-        "sweep-epochs": (_cmd_experiment, "attack accuracy across training epochs"),
-        "reconstruct": (_cmd_reconstruct, "run the reconstruction campaign"),
+        "attack": (_cmd_run, "run the threshold membership experiment"),
+        "sweep-dim": (_cmd_run, "gradient-norm correlation across dimensions"),
+        "sweep-epochs": (_cmd_run, "attack accuracy across training epochs"),
+        "reconstruct": (_cmd_run, "run the reconstruction campaign"),
         "synth": (_cmd_synth, "generate a synthetic dataset CSV"),
-        "perturb-attack": (_cmd_experiment, "reduced-scale perturbation attacks"),
+        "perturb-attack": (_cmd_run, "reduced-scale perturbation attacks"),
     }
     for name, (func, help_text) in commands.items():
         sub = subparsers.add_parser(name, help=help_text)
@@ -184,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
         output = args.func(args)
         timings = {"total_seconds": time.perf_counter() - start}
         manifest = Path(args.out) / f"{output.name}_manifest.json"
-        write_manifest(manifest, output.config, output.seed, timings, output.extra)
+        write_manifest(manifest, output.config, _seeded(args.command, output.config)["seed"],
+                       timings, {"warnings": list(output.warnings), **(output.extra or {})})
         print(output.summary)
         for warning in output.warnings:
             print(f"warning: {warning}", file=sys.stderr)

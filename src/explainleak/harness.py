@@ -270,8 +270,8 @@ class ExperimentResult:
     config: dict
     audits: list[dict] = field(default_factory=list)
 
-    def write(self, out_dir: str | Path) -> dict[str, Path]:
-        """Write the records and decisions CSVs; the CLI writes the manifest.
+    def write(self, out_dir: str | Path) -> str:
+        """Write the records and decisions CSVs and return the summary; the CLI writes the manifest.
 
         A decision row is the text csv.writer writes, joined here: no field needs quoting,
         as run ids are generated and the other cells are ints and float reprs. A block's
@@ -294,7 +294,11 @@ class ExperimentResult:
                 handle.writelines([f"{run_id},{mid}{guess},{member}\r\n" for mid, guess, member
                                    in zip(last[2], guesses.astype(int).tolist(),
                                           truth.astype(int).tolist())])
-        return paths
+        if not self.records:
+            return f"no attack records produced, wrote {paths['records']}"
+        mean_acc = np.mean([r.attack_accuracy for r in self.records])
+        return (f"{len(self.records)} attack records, mean accuracy {mean_acc:.4f}, "
+                f"wrote {paths['records']}")
 
 
 def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes: int):
@@ -359,6 +363,8 @@ def _score_repetition(cfg, rep, prefix, splits, rows, halves, result: Experiment
             continue
         member_vals, nonmember_vals, optimal_tau = entry
         values = np.concatenate([member_vals, nonmember_vals])
+        if values.min() == values.max():  # no cut to find: its attacks score chance
+            result.warnings.append(f"{where}: every member and non-member value is {values[0]}")
         truth = np.arange(len(values)) < len(member_vals)
         points = splits[t].all_indices  # one array for every calibration's block
         for ci, calibration in enumerate(cfg.calibrations):
@@ -520,12 +526,31 @@ class CampaignConfig(DataSource):
             raise ConfigError("max_points must be >= 1 (or null for no cap)")
 
 
-def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
+@dataclass
+class CampaignResult:
+    """A campaign's config, its JSON-ready report and its warnings."""
+
+    config: dict
+    report: dict
+    warnings: list[str]
+    name = "reconstruct"
+
+    def write(self, out_dir: str | Path) -> str:
+        path, graph = Path(out_dir) / "reconstruction_report.json", self.report["graph"]
+        write_json(path, self.report)
+        lines = [",".join(graph), ",".join(map(str, graph.values())), ""]
+        (path.parent / "graph_metrics.csv").write_text("\n".join(lines))
+        recon = self.report["reconstruction"]
+        return (f"reconstruction recovered {recon['recovered_count']}/{self.report['n_train']} "
+                f"points ({recon['reason']}), report at {path}")
+
+
+def run_reconstruction_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Reconstruction, traversal, baselines, reveal rates, and graph metrics.
 
     Trains one logistic target on a seeded train split, builds the
     leave-one-out cache once, and runs the full attack bundle against it.
-    The returned report is JSON-ready and fully determined by the config.
+    The report is JSON-ready and fully determined by the config.
     """
     dataset = cfg.load_dataset()
     if dataset.n_classes != 2:
@@ -611,7 +636,7 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
             entry["group_reveal_rates"] = group_reveal_rates(top, train_set.groups)
         reveal[str(k)] = entry
 
-    return {
+    return CampaignResult(cfg.to_dict(), {
         "config": cfg.to_dict(),
         "n_train": train_set.n_points,
         "n_features": dataset.n_features,
@@ -629,7 +654,7 @@ def run_reconstruction_campaign(cfg: CampaignConfig) -> dict:
         },
         "baselines": curves,
         "reveal_rates": reveal,
-    }
+    }, [])
 
 
 def config_hash(config: dict) -> str:

@@ -8,6 +8,7 @@ training a fixed architecture exposes how strongly the input-gradient
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -186,7 +187,7 @@ def _run_dimension(sweep: SweepConfig, dim: int) -> DimensionResult:
     return DimensionResult(
         dim=dim,
         arch=sweep.arch,
-        correlation=corr.value,
+        correlation=float("nan") if corr.degenerate else corr.value,
         degenerate=corr.degenerate,
         train_accuracy=model.accuracy(train_set.features, train_set.labels),
         test_accuracy=model.accuracy(test_set.features, test_set.labels),
@@ -194,10 +195,31 @@ def _run_dimension(sweep: SweepConfig, dim: int) -> DimensionResult:
     )
 
 
-def dimension_sweep(cfg: SweepConfig) -> list[DimensionResult]:
+@dataclass
+class SweepResult:
+    """A dimension sweep's config, its rows in dims order, and its warnings."""
+
+    config: dict
+    rows: list[DimensionResult]
+    warnings: list[str]
+    name = "sweep_dim"
+
+    def write(self, out_dir: str | Path) -> str:
+        path = Path(out_dir) / "dimension_sweep.csv"
+        rows = [f"{r.dim},{r.arch},{r.correlation},{r.train_accuracy},{r.test_accuracy},{r.seed},"
+                f"{int(r.diverged)}\n" for r in self.rows]
+        path.write_text("dim,arch,correlation,train_acc,test_acc,seed,diverged\n" + "".join(rows))
+        return f"swept {len(self.rows)} dimensions, wrote {path}"
+
+
+def dimension_sweep(cfg: SweepConfig) -> SweepResult:
     """Correlation + accuracies per dimension, one `fork_map` job each, largest first.
 
-    A dimension whose training diverges is kept in the output with NaN
-    metrics and the diverged flag.
+    A dimension whose training diverges is kept with NaN metrics and the diverged
+    flag. One whose gradient norms hold one value, so that their correlation with
+    membership is undefined, is kept with a NaN correlation and a warning.
     """
-    return fork_map(_run_dimension, (cfg,), [(d,) for d in cfg.dims[::-1]])[::-1]
+    rows = fork_map(_run_dimension, (cfg,), [(d,) for d in cfg.dims[::-1]])[::-1]
+    return SweepResult(cfg.to_dict(), rows, [
+        f"dim {r.dim}: every gradient norm is the same value, so the correlation is undefined"
+        for r in rows if r.degenerate and not r.diverged])

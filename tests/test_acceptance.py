@@ -303,7 +303,7 @@ def test_criterion_08_dimension_sweep_rises_then_falls():
         template,
         arch="small",
         train=TrainConfig(optimizer="adagrad", lr=0.01, epochs=200),
-    ))
+    )).rows
     elapsed = time.perf_counter() - start
     assert [row.dim for row in rows] == dims
     assert not any(row.diverged for row in rows)

@@ -59,7 +59,7 @@ def test_report_matches_recorded_fingerprint(tmp_path, capsys, workload, instanc
 def test_report_bytes_are_json_indent_2(tmp_path, workload):
     """Instance 0's report, as `write_json` streams it, is json's `indent=2` text."""
     config = workloads.experiment_config(workload, 0, tmp_path)
-    report = run_reconstruction_campaign(CampaignConfig.from_dict(config))
+    report = run_reconstruction_campaign(CampaignConfig.from_dict(config)).report
     write_json(tmp_path / "report.json", report)
     expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "report.json").read_text() == expected

@@ -59,12 +59,22 @@ _TINY_ATTACK = {
 }
 
 
-@pytest.mark.parametrize("command", ["attack", "perturb-attack"])
+_TINY_CAMPAIGN = {
+    "synth": {"n_features": 2, "n_samples": 16, "class_sep": 2.0, "seed": 2},
+    "train": {"optimizer": "gd", "lr": 1.0, "epochs": 20, "batch_size": None},
+    "reveal_ks": [1, 2],
+    "graph_k": 2,
+    "traverse_starts": 2,
+    "baseline_queries": 5,
+}
+
+
+@pytest.mark.parametrize("command", ["attack", "perturb-attack", "reconstruct"])
 def test_a_traced_experiment_command_records_its_run(tmp_path, command):
     """The CLI finds its runner when the command runs, so the patched one is called."""
     tracing = _load_tracing()
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(_TINY_ATTACK))
+    config.write_text(json.dumps(_TINY_CAMPAIGN if command == "reconstruct" else _TINY_ATTACK))
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:

@@ -666,6 +666,31 @@ TAIL_PAYLOADS = {
 }
 
 
+# Clusters 1000 apart with no spread saturate a tanh layer after 2 epochs: every
+# input-gradient statistic is 0.0. A config for each runner command that warns, the
+# name of its manifest, and its warnings.
+_SATURATED = {"n_features": 4, "n_samples": 200, "class_sep": 1000.0, "cluster_std": 0.0,
+              "seed": 0}
+WARNING_CASES = {
+    "attack": ({"synth": _SATURATED, "hidden": [5], "train": {"epochs": 2},
+                "statistics": [{"kind": "expl_var", "method": "gradient"}, {"kind": "loss"}],
+                "calibrations": ["optimal", "shadow(1)"], "subsets_per_repetition": 2},
+               "threshold",
+               [f"rep 0 target {t} stat expl_var[gradient]: every member and non-member value "
+                "is 0.0" for t in (0, 1)]),
+    "perturb-attack": (_SMALL_ATTACK, "perturbation", [
+        "no perturbation statistic: ran the four defaults, not ['expl_var[gradient]']"]),
+    "sweep-epochs": ({**_SMALL_ATTACK, "epoch_grid": [1, 2],
+                      "calibrations": ["optimal", "shadow(1)"]}, "overfit", [
+        "sweep-epochs scores the optimal calibration only: dropped ['shadow(1)']"]),
+    "sweep-dim": ({"dims": [4, 8], "arch": "small", "train": {"epochs": 2},
+                   "synth": _SATURATED}, "sweep_dim",
+                  [f"dim {d}: every gradient norm is the same value, so the correlation is "
+                   "undefined" for d in (4, 8)]),
+    "reconstruct": (RECON_PAYLOAD, "reconstruct", ["a campaign warning"]),
+}
+
+
 class TestCommandTail:
     """Every subcommand ends in `main`'s one tail: one manifest, timed as a
     whole, then the summary on stdout and each warning on stderr."""
@@ -685,8 +710,30 @@ class TestCommandTail:
         assert manifest["seed"] == 6
         assert list(manifest["timings"]) == ["total_seconds"]
         assert manifest["timings"]["total_seconds"] > 0
+        assert manifest["warnings"] == []
         captured = capsys.readouterr()
         assert captured.out.count("\n") == 1 and captured.err == ""
+
+    @pytest.mark.parametrize("command", list(WARNING_CASES))
+    def test_each_runner_warning_reaches_the_manifest_and_stderr(
+            self, tmp_path, capsys, monkeypatch, command):
+        payload, name, warnings = WARNING_CASES[command]
+        if command == "reconstruct":  # no campaign warns yet, so the runner is wrapped
+            real = cli.run_reconstruction_campaign
+
+            def warning_campaign(cfg):
+                result = real(cfg)
+                result.warnings.append("a campaign warning")
+                return result
+
+            monkeypatch.setattr(cli, "run_reconstruction_campaign", warning_campaign)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        assert json.loads((out / f"{name}_manifest.json").read_text())["warnings"] == warnings
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1
+        assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
 
     def test_warnings_go_to_the_manifest_and_stderr(self, tmp_path, capsys):
         # Adam at lr 1e102 through relu layers: both targets diverge, and the

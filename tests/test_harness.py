@@ -453,7 +453,9 @@ def assert_decisions_csv_is_csv_writer_output(result, tmp_path):
         writer = csv.writer(handle)
         writer.writerow(DECISION_CSV_COLUMNS)
         writer.writerows(rows)
-    assert result.write(tmp_path / "out")["decisions"].read_bytes() == reference.read_bytes()
+    result.write(tmp_path / "out")
+    decisions = tmp_path / "out" / f"{result.name}_decisions.csv"
+    assert decisions.read_bytes() == reference.read_bytes()
 
 
 def test_decisions_csv_of_blocks_sharing_some_columns(tmp_path):
@@ -537,8 +539,9 @@ class TestThresholdExperiment:
 
     def test_write_and_rerun_byte_stability(self, threshold_run, tmp_path):
         cfg, result = threshold_run
-        paths = result.write(tmp_path / "serial")
-        assert paths["records"].name == "threshold_records.csv"
+        paths = {kind: tmp_path / "serial" / f"threshold_{kind}.csv"
+                 for kind in ("records", "decisions")}
+        assert result.write(tmp_path / "serial").endswith(f"wrote {paths['records']}")
         with open(paths["records"]) as handle:
             header = handle.readline().strip().split(",")
         assert tuple(header) == RECORD_CSV_COLUMNS
@@ -574,8 +577,8 @@ class TestThresholdExperiment:
 
     def test_decisions_csv_round_trip(self, threshold_run, tmp_path):
         _, result = threshold_run
-        paths = result.write(tmp_path)
-        with open(paths["decisions"]) as handle:
+        result.write(tmp_path)
+        with open(tmp_path / "threshold_decisions.csv") as handle:
             rows = list(csv.DictReader(handle))
         assert set(rows[0]) == set(DECISION_CSV_COLUMNS)
         recomputed: dict[str, list[bool]] = {}
@@ -720,6 +723,22 @@ class TestWarningChannel:
         assert (0, 0) not in targets and len(targets) == 2 * 4 - 1
         assert all(np.isfinite(values).all() for _, _, values, _, _ in result.decisions)
 
+    def test_single_valued_statistic_warns_and_keeps_its_records(self):
+        # Clusters 1000 apart with no spread saturate the tanh layer: every gradient
+        # variance is 0.0, so the scan has no cut to find. The loss takes two values,
+        # shared equally by both halves: its chance accuracy is a measurement.
+        cfg = make_experiment_config(
+            synth=SynthConfig(n_features=4, n_samples=200, class_sep=1000.0, cluster_std=0.0),
+            hidden=(5,), train=TrainConfig(epochs=2), repetitions=1, subsets_per_repetition=2,
+            points_per_subset=None, seed=0,
+            statistics=[AttackStatistic("expl_var", "gradient"), AttackStatistic("loss")])
+        result = run_threshold_experiment(cfg)
+        assert result.warnings == [
+            f"rep 0 target {t} stat expl_var[gradient]: every member and non-member value is 0.0"
+            for t in (0, 1)]
+        assert len(result.records) == 8
+        assert all(r.tau == -np.inf and r.attack_accuracy == 0.5 for r in result.records)
+
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("statistic_values() got an unexpected argument")
@@ -781,9 +800,10 @@ class TestWorkerPool:
                 result = run_overfit_sweep(OverfitConfig(**vars(cfg), epoch_grid=[3, 15]))
             else:
                 result = run_perturbation_experiment(cfg)
-            paths = result.write(tmp_path / str(cpus))
+            result.write(tmp_path / str(cpus))
             outputs[cpus] = (result.warnings, result.audits,
-                             [paths[kind].read_bytes() for kind in ("records", "decisions")])
+                             [(tmp_path / str(cpus) / f"{result.name}_{kind}.csv").read_bytes()
+                              for kind in ("records", "decisions")])
         assert outputs[1] == outputs[2]
         failed = [w for w in outputs[1][0] if "training failed" in w]
         assert failed and failed[0].startswith("rep 1 target 2: training failed: training diverged")
@@ -1134,7 +1154,7 @@ class TestCampaignConfig:
 @pytest.fixture(scope="module")
 def campaign():
     cfg = make_campaign_config()
-    return cfg, run_reconstruction_campaign(cfg)
+    return cfg, run_reconstruction_campaign(cfg).report
 
 
 class TestReconstructionCampaign:
@@ -1262,7 +1282,7 @@ class TestReconstructionCampaign:
 
     def test_rerun_gives_identical_report(self, campaign):
         cfg, report = campaign
-        rerun = run_reconstruction_campaign(cfg)
+        rerun = run_reconstruction_campaign(cfg).report
         assert json.dumps(report, sort_keys=True) == json.dumps(rerun, sort_keys=True)
 
     def test_rejects_multiclass_dataset(self):
@@ -1338,9 +1358,8 @@ class TestWriters:
             warnings=["w"],
             config={"seed": 0},
         )
-        paths = result.write(tmp_path)
-        assert paths["records"].name == "demo_records.csv"
-        assert paths["decisions"].name == "demo_decisions.csv"
+        summary = result.write(tmp_path)
+        assert summary == f"no attack records produced, wrote {tmp_path / 'demo_records.csv'}"
         # The manifest, with the warnings, is the CLI's to write.
         assert sorted(p.name for p in tmp_path.iterdir()) == ["demo_decisions.csv",
                                                               "demo_records.csv"]

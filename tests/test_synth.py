@@ -269,7 +269,7 @@ FAST_TRAIN = TrainConfig(optimizer="adagrad", lr=0.05, epochs=20, batch_size=16)
 class TestDimensionSweep:
     def test_rows_and_seed_derivation(self):
         template = SynthConfig(n_features=1, n_samples=60, class_sep=2.0, seed=5)
-        rows = dimension_sweep(SweepConfig((1, 3), template, arch="small", train=FAST_TRAIN))
+        rows = dimension_sweep(SweepConfig((1, 3), template, arch="small", train=FAST_TRAIN)).rows
         assert [row.dim for row in rows] == [1, 3]
         for row in rows:
             assert isinstance(row, DimensionResult)
@@ -300,7 +300,7 @@ class TestDimensionSweep:
         rows = {}
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
-            rows[cpus] = dimension_sweep(cfg)
+            rows[cpus] = dimension_sweep(cfg).rows
         assert repr(rows[1]) == repr(rows[2])  # float reprs round-trip: the same bits
         assert [row.dim for row in rows[2]] == [1, 2, 4]
 
@@ -314,7 +314,8 @@ class TestDimensionSweep:
 
         monkeypatch.setattr(synth_mod, "train", flaky_train)
         template = SynthConfig(n_features=1, n_samples=40, class_sep=2.0, seed=2)
-        rows = dimension_sweep(SweepConfig((1, 2, 3), template, arch="small", train=FAST_TRAIN))
+        result = dimension_sweep(SweepConfig((1, 2, 3), template, arch="small", train=FAST_TRAIN))
+        rows = result.rows
         assert [row.dim for row in rows] == [1, 2, 3]
         bad = rows[1]
         assert bad.diverged and bad.degenerate
@@ -325,6 +326,25 @@ class TestDimensionSweep:
             np.random.SeedSequence([template.seed, 2]).generate_state(1)[0]
         )
         assert not rows[0].diverged and not rows[2].diverged
+        assert result.warnings == []  # its diverged flag already names it
+
+    def test_undefined_correlation_is_written_as_nan_with_a_warning(self, tmp_path):
+        # Clusters 1000 apart with no spread saturate the tanh layer: every gradient
+        # 1-norm is 0.0, so the correlation with membership is undefined, not 0.
+        template = SynthConfig(n_features=4, n_samples=200, class_sep=1000.0, cluster_std=0.0)
+        result = dimension_sweep(SweepConfig((4, 8), template, arch="small",
+                                             train=TrainConfig(epochs=2)))
+        assert [(r.dim, r.degenerate, r.diverged) for r in result.rows] == [
+            (4, True, False), (8, True, False)]
+        assert all(np.isnan(r.correlation) for r in result.rows)
+        path = tmp_path / "dimension_sweep.csv"
+        assert result.write(tmp_path) == f"swept 2 dimensions, wrote {path}"
+        lines = path.read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [["4", "small", "nan"],
+                                                               ["8", "small", "nan"]]
+        assert result.warnings == [
+            f"dim {d}: every gradient norm is the same value, so the correlation is undefined"
+            for d in (4, 8)]
 
     def test_separable_template_reaches_high_accuracy(self):
         template = SynthConfig(
@@ -335,7 +355,7 @@ class TestDimensionSweep:
             template,
             arch="small",
             train=TrainConfig(optimizer="adagrad", lr=0.05, epochs=60),
-        ))
+        )).rows
         assert rows[0].train_accuracy >= 0.95
         assert rows[0].test_accuracy >= 0.9
 
