@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import mmap
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -67,11 +67,11 @@ def load_csv_dataset(
     """Load a headered CSV with numeric feature columns and integer labels.
 
     Every column other than the label (and optional group) column is treated
-    as a feature; header names must be unique. A file without a group column
-    is first parsed in numpy's C parser, which accepts a strict subset of what
-    the Python row loop accepts and returns the same arrays. Every other file
-    (a quote, a blank or ragged line, a cell such as ``1_000`` or a label such
-    as ``1.0``) goes through the row loop, whose parse errors name the row and
+    as a feature; header names must be unique. Every file is first parsed in
+    numpy's C parser, which accepts a strict subset of what the Python row loop
+    accepts and returns the same arrays and group cells. A file it refuses (a
+    quote, a blank or ragged line, a cell such as ``1_000`` or a label such as
+    ``1.0``) goes through the row loop, whose parse errors name the row and
     column, as does the error for a nan/inf feature.
     """
     path = Path(path)
@@ -96,11 +96,8 @@ def load_csv_dataset(
         ]
         if not feature_idx:
             raise ValueError(f"{path}: no feature column besides the label and group columns")
-        columns = None
-        if group_idx is None:
-            columns = _load_columns(path, len(header), feature_idx, label_idx)
-        if columns is None:
-            columns = _read_rows(path, reader, header, feature_idx, label_idx, group_idx)
+        columns = (_load_columns(path, len(header), feature_idx, label_idx, group_idx)
+                   or _read_rows(path, reader, header, feature_idx, label_idx, group_idx))
     features, labels, groups = columns
     # min and max are non-finite exactly when some cell is, and need no
     # n x d mask on the common path.
@@ -113,8 +110,8 @@ def load_csv_dataset(
     return Dataset(features=features, labels=labels, groups=groups)
 
 
-def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: int):
-    """(features, labels, None) through `np.loadtxt` in shares, or None for the row loop.
+def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: int, group_idx=None):
+    """(features, labels, groups) through `np.loadtxt` in shares, or None for the row loop.
 
     Only lines the csv module would split on every comma into `n_cols` cells
     reach loadtxt: no quote, no blank line (loadtxt skips those), no line past
@@ -122,7 +119,7 @@ def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: in
     turns off. numpy refuses every cell that `float()` or `int()` reads
     differently (``1_000``, non-ASCII digits, a label ``1.0`` or outside int64).
     Share k of w, w the usable CPUs, is one `fork_map` job that writes data lines k, k + w, ...
-    into those rows of two shared anonymous mappings: no parsed array is pickled back.
+    into those rows of two shared anonymous mappings; only its row count or group cells go back.
     """
     with path.open("rb") as raw:  # universal newlines end one line at most per b"\n" or b"\r"
         chunks = iter(lambda: raw.read(1 << 20), b"")
@@ -131,17 +128,22 @@ def _load_columns(path: Path, n_cols: int, feature_idx: list[int], label_idx: in
     w = len(usable_cpus())
     features = np.frombuffer(mmap.mmap(-1, 8 * d * bound), np.float64).reshape(bound, d)
     labels = np.frombuffer(mmap.mmap(-1, 8 * bound), np.int64)
-    shared = (path, n_cols, feature_idx + [label_idx], features, labels, w)
+    usecols = feature_idx + [label_idx] + ([] if group_idx is None else [group_idx])
+    shared = (path, n_cols, usecols, features, labels, w)
     try:  # from a line check or a cell numpy refuses: the row loop names it
-        n = sum(fork_map(_parse_share, shared, [(k,) for k in range(w)]))
+        parts = fork_map(_parse_share, shared, [(k,) for k in range(w)])
     except ValueError:
         return None
-    return (features[:n], labels[:n], None) if n else None
+    groups = None if group_idx is None else [  # share k's cells are rows k, k + w, ...
+        cell for row in zip_longest(*parts) for cell in row if cell is not None]
+    n = sum(parts) if groups is None else len(groups)
+    return (features[:n], labels[:n], groups) if n else None
 
 
 def _parse_share(path: Path, n_cols: int, usecols: list[int], features, labels, w: int, k: int):
-    """Share k of w: data lines k, k + w, ..., checked and parsed into those rows of features
-    and labels; returns its row count, 0 for no line (loadtxt would warn on empty input)."""
+    """Share k of w: data lines k, k + w, ..., checked and parsed into those rows of features and
+    labels; returns its row count (0 for no line: loadtxt warns on it), or, when usecols ends in a
+    group column, its cells, read as an `object` field: the csv module's `str`s, spaces kept."""
     def checked(lines):
         for line in lines:
             if (line.count(",") != n_cols - 1 or '"' in line or not line.strip()
@@ -149,15 +151,16 @@ def _parse_share(path: Path, n_cols: int, usecols: list[int], features, labels, 
                 raise ValueError("left to the row loop")
             yield line
 
+    grouped = len(usecols) == features.shape[1] + 2
     with path.open(newline="") as handle:
         lines = islice(handle, 1 + k, None, w)
         if (first := next(lines, None)) is None:
-            return 0
-        dtype = [("x", np.float64, (len(usecols) - 1,)), ("y", np.int64)]
-        table = np.loadtxt(checked(chain([first], lines)), dtype, delimiter=",", comments=None,
-                           usecols=usecols, ndmin=1)
+            return [] if grouped else 0
+        dtype = [("x", np.float64, (features.shape[1],)), ("y", np.int64), ("g", object)]
+        table = np.loadtxt(checked(chain([first], lines)), dtype[:2 + grouped], delimiter=",",
+                           comments=None, usecols=usecols, ndmin=1)
     features[k::w][:len(table)], labels[k::w][:len(table)] = table["x"], table["y"]
-    return len(table)
+    return table["g"].tolist() if grouped else len(table)
 
 
 def _read_rows(path: Path, reader, header: list[str], feature_idx, label_idx, group_idx):

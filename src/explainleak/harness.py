@@ -39,7 +39,7 @@ from .data import Dataset, load_csv_dataset
 from .explain import MLP_METHODS, check_feature_params
 from .graph import build_influence_graph, greedy_omniscient_baseline, scc_metrics, traverse_attack
 from .influence import build_loo_cache, group_reveal_rates, self_reveal_rate, self_reveals
-from .models import LayerSpec, TrainConfig, fork_map, init_model, train, train_logistic
+from .models import LayerSpec, TrainConfig, fork_map, init_target, train, train_logistic
 from .reconstruct import (
     MarginalSampler,
     TrueDistributionSampler,
@@ -307,9 +307,7 @@ def train_target(train_set: Dataset, cfg: ExperimentConfig, seed: int, n_classes
     train_cfg = replace(cfg.train, seed=seed)
     if cfg.model_kind == "logistic":
         return train_logistic(train_set, train_cfg)
-    layers = [LayerSpec(w, cfg.activation) for w in cfg.hidden]
-    layers.append(LayerSpec(n_classes, "identity"))
-    model = init_model(layers, train_set.n_features, seed=seed)
+    model = init_target(cfg.hidden, cfg.activation, train_set.n_features, n_classes, seed)
     return train(model, train_set, train_cfg)
 
 
@@ -346,18 +344,18 @@ def _table_entry(stat: AttackStatistic, member, nonmember):
 
 
 def _score_repetition(cfg, rep, prefix, splits, rows, halves, result: ExperimentResult) -> None:
-    """Append one repetition's records, decision blocks and warnings to result: rows
-    hold each target's accuracies or training error, halves its statistics' values."""
+    """Append one repetition's records, decision blocks and warnings, each led by the run id
+    prefix, to result: rows hold each target's accuracies or training error, halves its values."""
     table: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float] | str] = {}
     for t, row in enumerate(rows):
         if isinstance(row, str):
-            result.warnings.append(f"rep {rep} target {t}: {row}")
+            result.warnings.append(f"{prefix}rep {rep} target {t}: {row}")
         else:
             table.update(((t, si), _table_entry(stat, next(halves), next(halves)))
                          for si, stat in enumerate(cfg.statistics))
     for (t, si), entry in table.items():
         stat = cfg.statistics[si]
-        where = f"rep {rep} target {t} stat {stat.label}"
+        where = f"{prefix}rep {rep} target {t} stat {stat.label}"
         if isinstance(entry, str):
             result.warnings.append(f"{where}: {entry}")
             continue
@@ -670,10 +668,8 @@ def write_manifest(path: str | Path, config: dict, seed: int, timings: dict,
     versions = {"python": platform.python_version(), "numpy": np.__version__,
                 "explainleak": __version__}
     payload = {"config": config, "config_hash": config_hash(config), "seed": seed,
-               "versions": versions, "timings": timings}
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+               "versions": versions, "timings": timings, **(extra or {})}
+    write_json(path, json.loads(json.dumps(payload)))  # a non-str key becomes json's str of it
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -361,6 +361,12 @@ def init_model(layers: Sequence[LayerSpec], input_dim: int, seed: int) -> MlpMod
     return MlpModel(layers, input_dim, weights, biases, seed=seed)
 
 
+def init_target(hidden, activation: str, input_dim: int, n_classes: int, seed: int) -> MlpModel:
+    """The seeded MLP target: the hidden layers, then an identity head of n_classes logits."""
+    layers = [LayerSpec(w, activation) for w in hidden] + [LayerSpec(n_classes, "identity")]
+    return init_model(layers, input_dim, seed)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite loss or parameter raises below
 def train(model: MlpModel, dataset, cfg: TrainConfig) -> MlpModel:
     """Train in place with seeded epoch shuffles; returns the same model.

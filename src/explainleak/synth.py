@@ -17,11 +17,10 @@ from .attacks import AttackStatistic, statistic_values
 from .config import Config, ConfigError
 from .data import Dataset
 from .models import (
-    LayerSpec,
     TrainConfig,
     TrainingDivergedError,
     fork_map,
-    init_model,
+    init_target,
     train,
 )
 
@@ -158,20 +157,15 @@ def _sweep_seed(base_seed: int, dim: int) -> int:
 
 
 def _run_dimension(sweep: SweepConfig, dim: int) -> DimensionResult:
-    """One sweep row. The target ends in a tanh output layer, unlike the identity
-    layer of `harness.train_target`'s targets; it is kept because criterion 8
-    and every `sweep-dim` result are measured with it."""
+    """One sweep row: a target of the arch's tanh layers and an identity head, as
+    `harness.train_target` builds, trained on the first half of a fresh dataset."""
     seed = _sweep_seed(sweep.synth.seed, dim)
     cfg = replace(sweep.synth, n_features=dim, seed=seed)
     dataset = generate_synthetic(cfg)
     half = dataset.n_points // 2
     train_set = dataset.subset(np.arange(half))
     test_set = dataset.subset(np.arange(half, dataset.n_points))
-    model = init_model(
-        layers=[LayerSpec(w) for w in ARCHS[sweep.arch]] + [LayerSpec(dataset.n_classes)],
-        input_dim=dim,
-        seed=seed,
-    )
+    model = init_target(ARCHS[sweep.arch], "tanh", dim, dataset.n_classes, seed)
     try:
         train(model, train_set, replace(sweep.train, seed=seed))
     except TrainingDivergedError:

@@ -735,6 +735,29 @@ class TestCommandTail:
         assert captured.out.count("\n") == 1
         assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
 
+    def test_sweep_epochs_warnings_name_their_budget(self, tmp_path, capsys):
+        # The saturated attack at two budgets: each budget's warnings lead with its run id
+        # prefix, as its records do, so no two warnings read alike.
+        payload = {**WARNING_CASES["attack"][0], "calibrations": ["optimal"], "epoch_grid": [1, 2]}
+        out = tmp_path / "out"
+        assert main(["sweep-epochs", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        warnings = json.loads((out / "overfit_manifest.json").read_text())["warnings"]
+        assert warnings == [f"e{e}-rep 0 target {t} stat expl_var[gradient]: every member and "
+                            "non-member value is 0.0" for e in (1, 2) for t in (0, 1)]
+        assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings)
+
+    @pytest.mark.parametrize("command", list(TAIL_PAYLOADS))
+    def test_manifest_is_json_indent_2(self, tmp_path, command):
+        # `write_manifest` streams through `write_json`, the one JSON writer.
+        payload, name = TAIL_PAYLOADS[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        written = (out / f"{name}_manifest.json").read_bytes()
+        assert written == (json.dumps(json.loads(written), sort_keys=True, indent=2)
+                           + "\n").encode()
+
     def test_warnings_go_to_the_manifest_and_stderr(self, tmp_path, capsys):
         # Adam at lr 1e102 through relu layers: both targets diverge, and the
         # run goes on with warnings and no records.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explainleak import Dataset, SynthConfig, generate_synthetic
+from explainleak import Dataset, SynthConfig, data, generate_synthetic
 from explainleak.data import _load_columns, load_csv_dataset, write_csv_dataset
 
 from conftest import assert_no_child, use_cpus
@@ -140,7 +140,7 @@ def csv_texts(draw):
     with_group = draw(st.booleans())
     if with_group:
         names.insert(draw(st.integers(0, len(names))), "group")
-    pools = {"label": PLAIN_LABELS, "group": ["a", "b c", ""]}
+    pools = {"label": PLAIN_LABELS, "group": ["a", "b c", "", "\xe9", " b"]}
     rows = [
         [draw(st.sampled_from(pools.get(name, PLAIN_FEATURES))) for name in names]
         for _ in range(draw(st.integers(0, 4)))
@@ -250,14 +250,51 @@ def test_a_one_row_file_leaves_a_share_empty_without_a_warning(tmp_path, monkeyp
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_c_parser_takes_plain_files(tmp_path, end):
-    path = tmp_path / "plain.csv"
-    path.write_bytes(end.join(["a,label,b", "+1, 0 ,1e-300", " 1.5,007,-0.0", "2,1,nan"]).encode())
-    columns = _load_columns(path, 3, [0, 2], 1)
-    assert columns is not None
-    features, labels, _ = columns
+    """A plain file, then the same file with a group column first, in the middle and last:
+    group cells come back as the csv module reads them, spaces and empty cells kept."""
+    table = [["a", "label", "b"], ["+1", " 0 ", "1e-300"], [" 1.5", "007", "-0.0"],
+             ["2", "1", "nan"]]
     expected = np.array([[1.0, 1e-300], [1.5, -0.0], [2.0, np.nan]])
-    assert features.tobytes() == expected.tobytes()
-    assert labels.dtype == np.int64 and labels.tolist() == [0, 7, 1]
+    for at in (None, 0, 2, 3):
+        rows = [list(row) for row in table]
+        if at is not None:
+            for row, cell in zip(rows, ["g", " b c", "", "\xe9"]):
+                row.insert(at, cell)
+        path = tmp_path / f"plain-{at}.csv"
+        path.write_bytes(end.join(map(",".join, rows)).encode())
+        header = rows[0]
+        columns = _load_columns(path, len(header), [header.index("a"), header.index("b")],
+                                header.index("label"), at)
+        assert columns is not None, at
+        features, labels, groups = columns
+        assert features.tobytes() == expected.tobytes()
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 7, 1]
+        assert groups == (None if at is None else [" b c", "", "\xe9"])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_plain_grouped_file_never_enters_the_row_loop(tmp_path, monkeypatch, cpus):
+    """A grouped file the C parser takes gives the row loop's features, labels and groups
+    without entering it; a quoted group cell still goes to the row loop, which reads it."""
+    use_cpus(monkeypatch, cpus)
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    rows = ["1.5, b c,0", "-2,,1", "0.25,\xe9,1", "3,a,0", "1e-3, b c,2"]
+    plain.write_bytes("f0,group,label\n".encode() + "\r\n".join(rows).encode())
+    quoted.write_bytes('f0,group,label\n1.5,"b,c",0\n-2,,1\n'.encode())
+    expected = {path: _outcome(row_loop, path, "group") for path in (plain, quoted)}
+    real, entered = data._read_rows, []
+
+    def read_rows(path, *args):
+        if path == plain:
+            raise AssertionError(f"{path} reached the row loop")
+        entered.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(data, "_read_rows", read_rows)
+    for path in (plain, quoted):
+        assert _outcome(load_csv_dataset, path, "group") == expected[path]
+        assert_no_child()
+    assert entered == [quoted] and expected[quoted][-1] == ["b,c", ""]
 
 
 @pytest.mark.parametrize(

@@ -806,7 +806,9 @@ class TestWorkerPool:
                               for kind in ("records", "decisions")])
         assert outputs[1] == outputs[2]
         failed = [w for w in outputs[1][0] if "training failed" in w]
-        assert failed and failed[0].startswith("rep 1 target 2: training failed: training diverged")
+        prefix = "e3-" if runner == "overfit" else ""  # the sweep's warnings lead with a run id
+        assert failed and failed[0].startswith(
+            f"{prefix}rep 1 target 2: training failed: training diverged")
         if runner == "perturbation":
             assert outputs[1][0][:2] == [
                 "rep 0 target 0 stat expl_var[smoothgrad] shadow(1): smoothgrad failed on these rows",

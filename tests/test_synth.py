@@ -4,11 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import explainleak.harness as harness_mod
 import explainleak.synth as synth_mod
 from conftest import finite_difference_gradient, use_cpus
 from explainleak.attacks import AttackStatistic, statistic_values
 from explainleak.config import ConfigError
-from explainleak.models import TrainConfig, TrainingDivergedError, train_logistic
+from explainleak.harness import ExperimentConfig
+from explainleak.models import LayerSpec, TrainConfig, TrainingDivergedError, train_logistic
 from explainleak.synth import (
     ARCHS,
     CorrelationResult,
@@ -327,6 +329,31 @@ class TestDimensionSweep:
         )
         assert not rows[0].diverged and not rows[2].diverged
         assert result.warnings == []  # its diverged flag already names it
+
+    def test_target_is_the_harness_target(self, monkeypatch):
+        """The sweep's target is the one `harness.train_target` builds for the same widths:
+        the arch's tanh layers, then an identity head of one logit per class. A tanh head
+        bounded every 2-class prediction at e / (e + 1/e), about 0.881."""
+        use_cpus(monkeypatch, 1)
+        trained = {}
+
+        def recording(owner):
+            def train(model, *args):
+                trained[owner] = model
+                return real(model, *args)
+            real = owner.train
+            return train
+
+        for owner in (synth_mod, harness_mod):
+            monkeypatch.setattr(owner, "train", recording(owner))
+        synth = SynthConfig(n_features=3, n_samples=40, seed=2)
+        dimension_sweep(SweepConfig(dims=(3,), synth=synth, arch="base",
+                                    train=TrainConfig(epochs=1)))
+        cfg = ExperimentConfig(synth=synth, hidden=ARCHS["base"], train=TrainConfig(epochs=1))
+        harness_mod.train_target(generate_synthetic(synth), cfg, seed=0, n_classes=2)
+        swept, built = trained[synth_mod], trained[harness_mod]
+        assert swept.layers[-1] == LayerSpec(2, "identity")
+        assert swept.layers == built.layers and swept.input_dim == built.input_dim == 3
 
     def test_undefined_correlation_is_written_as_nan_with_a_warning(self, tmp_path):
         # Clusters 1000 apart with no spread saturate the tanh layer: every gradient
